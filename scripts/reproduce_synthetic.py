@@ -52,10 +52,13 @@ def main() -> None:
     run(["run", *common, "--mode", "violation", "--delta", "0.1", "--value-kind", "tpc",
          "--cost-kind", "fp", "--out", str(RESULTS / "violation_fp.csv"), *gate])
 
-    # universe ablation: candidate-family choice at fixed value/cost functions
+    # universe ablation: candidate-family choice at fixed value/cost functions.
+    # tpc/fp keeps the three orderings apart: with tp value every class has
+    # unit value, so "value" orders like "prob", and with tpc/fpc under the
+    # same weights "ratio" orders by p/(1-p), like "prob" again
     for universe in ("ratio", "prob", "value"):
         run(["run", *common, "--mode", "expected", "--universe", universe,
-             "--value-kind", "tp", "--cost-kind", "fpc",
+             "--value-kind", "tpc", "--cost-kind", "fp",
              "--out", str(RESULTS / f"ablation_{universe}.csv")])
 
     # threshold equivalence against the direct search

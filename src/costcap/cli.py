@@ -4,8 +4,8 @@ benchmark per-update latency.
 
 Subcommands: generate, run, oracle-check, bench. Exit codes: 0 success,
 1 usage/config error, 2 data error, 3 assertion failure (``run --assert``).
-The COSTCAP_THREADS environment variable bounds the worker-thread fan-out
-over (seed, target) pairs.
+A sweep runs its (seed, target) pairs one after another, in (seed, target)
+order.
 
 Stream CSV format: header ``p_0..p_{K-1}, y_0..y_{K-1}``; probabilities as
 decimal text with 9 digits, labels as 0/1.
@@ -16,11 +16,9 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import statistics
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
@@ -35,8 +33,6 @@ from .controller import (
 from .quantile_tree import QuantileTree
 from .set_functions import Sample, SetFunctionSpec, load_weights_csv
 from .synth import GeneratorConfig, generate, mnist_weights
-
-THREADS_ENV = "COSTCAP_THREADS"
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -86,8 +82,9 @@ def read_stream_csv(path) -> list[Sample]:
                 probs = np.array([float(x) for x in row[:k]])
             except ValueError:
                 raise DataError(f"{path}:{line_no}: bad probability") from None
-            if np.any(probs < 0.0) or np.any(probs > 1.0):
-                raise DataError(f"{path}:{line_no}: probability outside [0, 1]")
+            # written so that NaN fails too
+            if not np.all((probs >= 0.0) & (probs <= 1.0)):
+                raise DataError(f"{path}:{line_no}: probability not in [0, 1]")
             mask = 0
             for i, x in enumerate(row[k:]):
                 if x == "1":
@@ -161,7 +158,10 @@ def load_run_config(path=None, overrides: dict | None = None) -> RunConfig:
 def class_weights(cfg: RunConfig) -> np.ndarray:
     if cfg.weights == "mnist":
         return mnist_weights(cfg.n_classes)
-    return load_weights_csv(cfg.weights, cfg.n_classes)
+    try:
+        return load_weights_csv(cfg.weights, cfg.n_classes)
+    except ValueError as exc:
+        raise DataError(f"{cfg.weights}: {exc}") from None
 
 
 def build_specs(cfg: RunConfig, mc_seed: int = 0) -> tuple[SetFunctionSpec, SetFunctionSpec]:
@@ -263,35 +263,23 @@ def slice_stream(cfg: RunConfig, samples: list[Sample]) -> list[list[Sample]]:
     ]
 
 
-def thread_count() -> int:
-    env = os.environ.get(THREADS_ENV)
-    if env:
-        try:
-            n = int(env)
-        except ValueError:
-            raise UsageError(f"{THREADS_ENV} must be an integer, got {env!r}") from None
-        if n < 1:
-            raise UsageError(f"{THREADS_ENV} must be >= 1")
-        return n
-    return min(4, os.cpu_count() or 1)
-
-
 def run_experiment(
     cfg: RunConfig, samples: list[Sample]
 ) -> tuple[list[MetricsRow], list[PredictionLogRow]]:
+    """Run every (seed, target) pair in turn, in (seed, target) order."""
     slices = slice_stream(cfg, samples)
     jobs = [
-        (seed, chunk, target)
+        (seed, target, chunk)
         for seed, chunk in zip(cfg.seeds, slices)
         for target in cfg.cost_targets
     ]
-    with ThreadPoolExecutor(max_workers=thread_count()) as pool:
-        outcomes = list(
-            pool.map(lambda job: run_single(cfg, job[1], job[0], job[2]), jobs)
-        )
-    order = sorted(range(len(jobs)), key=lambda i: (jobs[i][0], jobs[i][2]))
-    rows = [outcomes[i][0] for i in order]
-    log = [entry for i in order for entry in outcomes[i][1]]
+    jobs.sort(key=lambda job: job[:2])
+    rows = []
+    log = []
+    for seed, target, chunk in jobs:
+        row, entries = run_single(cfg, chunk, seed, target)
+        rows.append(row)
+        log.extend(entries)
     return rows, log
 
 

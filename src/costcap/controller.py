@@ -40,12 +40,17 @@ PROXY_SORT_TOL = 1e-7
 MODES = ("expected", "violation")
 
 
-def _prefix_sums(margins: np.ndarray) -> np.ndarray:
-    """[0, m_1, m_1 + m_2, ...] without intermediate allocations."""
-    out = np.empty(len(margins) + 1)
-    out[0] = 0.0
-    np.cumsum(margins, out=out[1:])
-    return out
+def _universe_sums(margins: np.ndarray, universe: UniverseSeq) -> np.ndarray:
+    """Score of every set in the universe under an additive function with
+    per-class ``margins``, aligned with the universe's order: prefix sums
+    [0, m_1, m_1 + m_2, ...] along a chain, bit-matrix products over the
+    power set."""
+    if universe.order is not None:
+        out = np.empty(len(margins) + 1)
+        out[0] = 0.0
+        np.cumsum(margins[np.asarray(universe.order)], out=out[1:])
+        return out
+    return _bit_matrix(len(margins))[np.asarray(universe.sets)] @ margins
 
 
 @dataclass
@@ -78,7 +83,8 @@ class SampleRecord:
 
 
 def max_cost_curve(universe: UniverseSeq, sample: Sample, cost_fn, proxy_fn) -> SampleRecord:
-    """Evaluate a candidate family into a :class:`SampleRecord`.
+    """Evaluate a candidate family into a :class:`SampleRecord`, one call per
+    set: the reference :meth:`CostController.build_record` is tested against.
 
     ``cost_fn(mask, labels)`` and ``proxy_fn(mask, probs)`` return normalized
     scores. The universe must start at ∅ with zero cost and zero proxy and be
@@ -171,6 +177,11 @@ class CostController:
             raise ValueError("burn_in must be >= 0")
         if window is not None and window < 1:
             raise ValueError("window must be >= 1")
+        if value_spec.is_cost or not cost_spec.is_cost:
+            raise ValueError(
+                f"need a value kind and a cost kind, got {value_spec.kind!r} "
+                f"and {cost_spec.kind!r}"
+            )
         self.mode = mode
         self.target_cost = target_cost
         self.delta = delta
@@ -194,16 +205,12 @@ class CostController:
         return build_universe(self.universe_kind, probs, self.value_spec, self.cost_spec)
 
     def build_record(self, sample: Sample, universe: UniverseSeq) -> SampleRecord:
-        if universe.order is not None and self.cost_spec.additive:
-            order = np.asarray(universe.order)
-            # nonnegative margins: the chain cumsums are already sorted and
-            # already their own running max
-            proxies = _prefix_sums(self.cost_spec.class_proxy_margins(sample.probs)[order])
-            costs = _prefix_sums(self.cost_spec.class_true_margins(sample.labels)[order])
-            return SampleRecord(proxies, costs)
-        return max_cost_curve(
-            universe, sample, self.cost_spec.evaluate, self.cost_spec.proxy
-        )
+        # every cost kind is additive; along a chain the cumsums of its
+        # nonnegative margins are already their own running max
+        spec = self.cost_spec
+        proxies = _universe_sums(spec.class_proxy_margins(sample.probs), universe)
+        costs = _universe_sums(spec.class_true_margins(sample.labels), universe)
+        return SampleRecord(proxies, np.maximum.accumulate(costs))
 
     def observe(self, sample: Sample, universe: UniverseSeq | None = None) -> None:
         """Fold one labeled sample into the calibration state."""
@@ -254,11 +261,7 @@ class CostController:
         """Value proxy for every set in the universe, aligned with its order."""
         spec = self.value_spec
         if spec.additive:
-            margins = spec.class_proxy_margins(probs)
-            if universe.order is not None:
-                return _prefix_sums(margins[np.asarray(universe.order)])
-            bits = _bit_matrix(spec.n_classes)[np.asarray(universe.sets)]
-            return bits @ margins
+            return _universe_sums(spec.class_proxy_margins(probs), universe)
         return np.array([spec.proxy(s, probs) for s in universe.sets])
 
     def predict(self, sample: Sample, universe: UniverseSeq | None = None) -> int | None:

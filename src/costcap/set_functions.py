@@ -270,16 +270,22 @@ def marginal_proxy(spec: SetFunctionSpec, k: int, s: int, probs: np.ndarray) -> 
 
 
 def load_weights_csv(path: str | Path, n_classes: int) -> np.ndarray:
-    """Read a (class_index, weight) CSV column into a weight vector."""
+    """Read a (class_index, weight) CSV column into a weight vector.
+    Malformed rows, and weights that are not finite and nonnegative, raise
+    ValueError."""
     w = np.full(n_classes, np.nan)
     with open(path, newline="") as fh:
         for row in csv.reader(fh):
             if not row or row[0].strip().lower() in ("class_index", "class", "k"):
                 continue
+            if len(row) != 2:
+                raise ValueError(f"expected class_index,weight, got {row!r}")
             k = int(row[0])
             if not 0 <= k < n_classes:
                 raise ValueError(f"class index {k} out of range [0, {n_classes})")
             w[k] = float(row[1])
+            if not 0.0 <= w[k] < np.inf:
+                raise ValueError(f"weight of class {k} must be finite and >= 0")
     if np.any(np.isnan(w)):
         missing = [int(i) for i in np.flatnonzero(np.isnan(w))]
         raise ValueError(f"weights missing for classes {missing}")

@@ -59,11 +59,7 @@ def full_universe(probs: np.ndarray, cost_spec: SetFunctionSpec) -> UniverseSeq:
         raise ValueError(
             f"full universe needs K <= {FULL_UNIVERSE_MAX_CLASSES}, got {k}"
         )
-    bits = _bit_matrix(k)
-    if cost_spec.additive:
-        proxies = bits @ cost_spec.class_proxy_margins(probs)
-    else:
-        proxies = np.array([cost_spec.proxy(int(m), probs) for m in range(1 << k)])
+    proxies = _bit_matrix(k) @ cost_spec.class_proxy_margins(probs)
     order = np.lexsort((np.arange(1 << k), proxies))
     return UniverseSeq(tuple(int(m) for m in order), "full")
 
@@ -164,7 +160,7 @@ def build_universe(
     if kind == "value":
         return greedy_value(probs, _value_units(value_spec))
     if kind == "ratio":
-        if value_spec.additive and cost_spec.additive:
+        if value_spec.additive:
             return greedy_ratio_additive(
                 probs, _value_units(value_spec), cost_spec.class_proxy_margins(probs)
             )

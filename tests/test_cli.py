@@ -91,6 +91,9 @@ def test_read_stream_bad_rows(tmp_path):
     path.write_text("p_0,y_0\n0.5,2\n")
     with pytest.raises(DataError):
         read_stream_csv(path)
+    path.write_text("p_0,p_1,y_0,y_1\n0.5,0.5,1,0\n0.2,nan,0,1\n")
+    with pytest.raises(DataError, match="3"):
+        read_stream_csv(path)
 
 
 # ----------------------------------------------------------------------
@@ -164,11 +167,10 @@ def test_run_writes_metrics_and_aggregates(tmp_path):
     assert all(float(t["mean_update_seconds"]) > 0 for t in timing)
 
 
-def test_run_deterministic_metrics_bytes(tmp_path, monkeypatch):
+def test_run_deterministic_metrics_bytes(tmp_path):
     stream = write_stream(tmp_path)
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     main(run_args(stream, a))
-    monkeypatch.setenv("COSTCAP_THREADS", "2")
     main(run_args(stream, b))
     assert a.read_bytes() == b.read_bytes()
 
@@ -248,6 +250,8 @@ def test_weights_csv_flag(tmp_path):
     missing = run_args(stream, out, cost_kind="fpc")
     missing += ["--weights", str(tmp_path / "nope.csv")]
     assert main(missing) == EXIT_DATA
+    wpath.write_text("class_index,weight\n0,4.0\n1,1.0\n3,3.0\n")
+    assert main(args) == EXIT_DATA
 
 
 def test_malformed_stream_row_exits_2(tmp_path):
@@ -357,9 +361,3 @@ def test_fit_loglog_exponent():
     points = [BenchPoint("x", n, 1e-6 * n) for n in (10, 100, 1000)]
     assert fit_loglog_exponent(points) == pytest.approx(1.0, abs=1e-6)
     assert fit_loglog_exponent([BenchPoint("x", 10, 1.0)]) is None
-
-
-def test_threads_env_validation(tmp_path, monkeypatch):
-    stream = write_stream(tmp_path)
-    monkeypatch.setenv("COSTCAP_THREADS", "zero")
-    assert main(run_args(stream, tmp_path / "m.csv")) == EXIT_USAGE

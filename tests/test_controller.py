@@ -83,6 +83,34 @@ def test_max_cost_curve_rejects_unsorted():
         max_cost_curve(bad_empty, sample, lambda s, y: 0.0, lambda s, p: 0.0)
 
 
+@pytest.mark.parametrize("kind", ["fp", "fpc"])
+def test_powerset_record_matches_per_set_reference(kind):
+    # coarse probabilities and integer weights make many sets tie in proxy
+    rng = np.random.default_rng(11)
+    for k in range(1, 9):
+        weights = rng.integers(1, 4, size=k).astype(float) if kind == "fpc" else None
+        spec = SetFunctionSpec(kind, k, weights)
+        ctrl = CostController(
+            "expected", 20.0, SetFunctionSpec("tp", k), spec, universe_kind="full"
+        )
+        for _ in range(20):
+            sample = Sample(np.round(rng.uniform(0.0, 1.0, k), 1), int(rng.integers(0, 1 << k)))
+            universe = ctrl.build_universe(sample.probs)
+            rec = ctrl.build_record(sample, universe)
+            assert np.all(np.diff(rec.proxy_costs) >= 0.0)
+            ref = max_cost_curve(universe, sample, spec.evaluate, spec.proxy)
+            np.testing.assert_allclose(rec.proxy_costs, ref.proxy_costs, rtol=0, atol=1e-9)
+            np.testing.assert_allclose(rec.max_costs, ref.max_costs, rtol=0, atol=1e-9)
+
+
+def test_controller_rejects_specs_of_the_wrong_role():
+    tp, fp = SetFunctionSpec("tp", 3), SetFunctionSpec("fp", 3)
+    gen = SetFunctionSpec("gen", 3)
+    for value_spec, cost_spec in ((tp, gen), (tp, tp), (fp, fp)):
+        with pytest.raises(ValueError):
+            CostController("expected", 20.0, value_spec, cost_spec)
+
+
 def test_record_telescoping_and_step_function():
     rng = np.random.default_rng(3)
     for _ in range(50):

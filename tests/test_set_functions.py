@@ -217,9 +217,10 @@ def test_load_weights_csv(tmp_path):
     path.write_text("class_index,weight\n1,2.5\n0,1.0\n2,4.0\n")
     w = load_weights_csv(path, 3)
     assert list(w) == [1.0, 2.5, 4.0]
-    path.write_text("0,1.0\n")
-    with pytest.raises(ValueError):
-        load_weights_csv(path, 2)
+    for bad in ("0,1.0\n", "0,1.0\n1\n", "0,1.0\n1,-2.0\n", "0,1.0\n1,nan\n"):
+        path.write_text(bad)
+        with pytest.raises(ValueError):
+            load_weights_csv(path, 2)
 
 
 def test_sample_label_vector():
