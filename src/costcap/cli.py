@@ -31,8 +31,9 @@ from .controller import (
     threshold_comparison,
 )
 from .quantile_tree import QuantileTree
-from .set_functions import Sample, SetFunctionSpec, load_weights_csv
+from .set_functions import MAX_CLASSES, Sample, SetFunctionSpec, load_weights_csv
 from .synth import GeneratorConfig, generate, mnist_weights
+from .universe import FULL_UNIVERSE_MAX_CLASSES
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -125,6 +126,10 @@ class RunConfig:
             raise UsageError("delta must be in (0, 1)")
         if self.universe not in ("ratio", "prob", "value", "full"):
             raise UsageError(f"unknown universe kind {self.universe!r}")
+        if not 1 <= self.n_classes <= MAX_CLASSES:
+            raise UsageError(f"n_classes must be in [1, {MAX_CLASSES}], got {self.n_classes}")
+        if self.universe == "full" and self.n_classes > FULL_UNIVERSE_MAX_CLASSES:
+            raise UsageError(f"full universe needs n_classes <= {FULL_UNIVERSE_MAX_CLASSES}")
         if self.value_kind not in ("tp", "tpc", "gen"):
             raise UsageError(f"unknown value kind {self.value_kind!r}")
         if self.cost_kind not in ("fp", "fpc"):
@@ -155,7 +160,10 @@ def load_run_config(path=None, overrides: dict | None = None) -> RunConfig:
     return cfg
 
 
-def class_weights(cfg: RunConfig) -> np.ndarray:
+def class_weights(cfg: RunConfig) -> np.ndarray | None:
+    """The run's class weights, or None when no kind is weighted; reads a weights CSV."""
+    if cfg.value_kind != "tpc" and cfg.cost_kind != "fpc":
+        return None
     if cfg.weights == "mnist":
         return mnist_weights(cfg.n_classes)
     try:
@@ -164,9 +172,14 @@ def class_weights(cfg: RunConfig) -> np.ndarray:
         raise DataError(f"{cfg.weights}: {exc}") from None
 
 
-def build_specs(cfg: RunConfig, mc_seed: int = 0) -> tuple[SetFunctionSpec, SetFunctionSpec]:
-    value_w = class_weights(cfg) if cfg.value_kind == "tpc" else None
-    cost_w = class_weights(cfg) if cfg.cost_kind == "fpc" else None
+def build_specs(
+    cfg: RunConfig, mc_seed: int = 0, weights: np.ndarray | None = None
+) -> tuple[SetFunctionSpec, SetFunctionSpec]:
+    """The run's value and cost specs; ``weights`` defaults to :func:`class_weights`."""
+    if weights is None:
+        weights = class_weights(cfg)
+    value_w = weights if cfg.value_kind == "tpc" else None
+    cost_w = weights if cfg.cost_kind == "fpc" else None
     value_spec = SetFunctionSpec(
         cfg.value_kind, cfg.n_classes, value_w, mc_samples=cfg.mc_samples, mc_seed=mc_seed
     )
@@ -205,10 +218,10 @@ class PredictionLogRow:
 
 
 def run_single(
-    cfg: RunConfig, samples: list[Sample], seed: int, target: float
+    cfg: RunConfig, samples: list[Sample], seed: int, target: float, weights: np.ndarray | None
 ) -> tuple[MetricsRow, list[PredictionLogRow]]:
     """Stream one slice through one controller; aggregate its predictions."""
-    value_spec, cost_spec = build_specs(cfg, mc_seed=seed)
+    value_spec, cost_spec = build_specs(cfg, mc_seed=seed, weights=weights)
     ctrl = CostController(
         cfg.mode,
         target,
@@ -264,9 +277,12 @@ def slice_stream(cfg: RunConfig, samples: list[Sample]) -> list[list[Sample]]:
 
 
 def run_experiment(
-    cfg: RunConfig, samples: list[Sample]
+    cfg: RunConfig, samples: list[Sample], weights: np.ndarray | None = None
 ) -> tuple[list[MetricsRow], list[PredictionLogRow]]:
-    """Run every (seed, target) pair in turn, in (seed, target) order."""
+    """Run every (seed, target) pair in turn, in (seed, target) order, on
+    weights resolved once."""
+    if weights is None:
+        weights = class_weights(cfg)
     slices = slice_stream(cfg, samples)
     jobs = [
         (seed, target, chunk)
@@ -277,7 +293,7 @@ def run_experiment(
     rows = []
     log = []
     for seed, target, chunk in jobs:
-        row, entries = run_single(cfg, chunk, seed, target)
+        row, entries = run_single(cfg, chunk, seed, target, weights)
         rows.append(row)
         log.extend(entries)
     return rows, log
@@ -395,10 +411,13 @@ class OracleCheckReport:
 
 
 def oracle_check_run(
-    cfg: RunConfig, samples: list[Sample], checkpoints: int = 10
+    cfg: RunConfig,
+    samples: list[Sample],
+    checkpoints: int = 10,
+    weights: np.ndarray | None = None,
 ) -> OracleCheckReport:
     """Run the tree and the direct search side by side on one stream slice."""
-    value_spec, cost_spec = build_specs(cfg, mc_seed=cfg.seeds[0])
+    value_spec, cost_spec = build_specs(cfg, mc_seed=cfg.seeds[0], weights=weights)
     target = cfg.cost_targets[0]
     ctrl = CostController(
         cfg.mode,
@@ -649,12 +668,13 @@ def _cmd_generate(args) -> int:
 
 def _cmd_run(args) -> int:
     cfg = _run_config_from_args(args)
+    weights = class_weights(cfg)
     samples = read_stream_csv(args.stream)
     if samples and samples[0].n_classes != cfg.n_classes:
         raise DataError(
             f"stream has {samples[0].n_classes} classes, config says {cfg.n_classes}"
         )
-    rows, log = run_experiment(cfg, samples)
+    rows, log = run_experiment(cfg, samples, weights)
     aggs = aggregate_rows(rows)
     out = Path(args.out)
     write_metrics_csv(out, rows)
@@ -681,8 +701,9 @@ def _cmd_run(args) -> int:
 
 def _cmd_oracle_check(args) -> int:
     cfg = _run_config_from_args(args)
+    weights = class_weights(cfg)
     samples = read_stream_csv(args.stream)
-    report = oracle_check_run(cfg, samples, checkpoints=args.checkpoints)
+    report = oracle_check_run(cfg, samples, checkpoints=args.checkpoints, weights=weights)
     print(
         f"checked {report.checked} checkpoints: {report.matches} matches, "
         f"{report.boundary_skips} boundary skips, {report.mismatches} mismatches"

@@ -33,7 +33,7 @@ from .quantile_tree import (
     QuantileTree,
 )
 from .set_functions import Sample, SetFunctionSpec
-from .universe import UniverseSeq, _bit_matrix, build_universe
+from .universe import UniverseSeq, build_universe, subset_sums
 
 PROXY_SORT_TOL = 1e-7
 
@@ -43,14 +43,16 @@ MODES = ("expected", "violation")
 def _universe_sums(margins: np.ndarray, universe: UniverseSeq) -> np.ndarray:
     """Score of every set in the universe under an additive function with
     per-class ``margins``, aligned with the universe's order: prefix sums
-    [0, m_1, m_1 + m_2, ...] along a chain, bit-matrix products over the
+    [0, m_1, m_1 + m_2, ...] along a chain, :func:`subset_sums` over the
     power set."""
     if universe.order is not None:
         out = np.empty(len(margins) + 1)
         out[0] = 0.0
-        np.cumsum(margins[np.asarray(universe.order)], out=out[1:])
+        np.cumsum(margins[universe.order], out=out[1:])
         return out
-    return _bit_matrix(len(margins))[np.asarray(universe.sets)] @ margins
+    # the sums full_universe sorts by, so proxy costs come out exactly
+    # nondecreasing
+    return subset_sums(margins)[universe.sets]
 
 
 @dataclass
@@ -90,14 +92,15 @@ def max_cost_curve(universe: UniverseSeq, sample: Sample, cost_fn, proxy_fn) -> 
     scores. The universe must start at ∅ with zero cost and zero proxy and be
     sorted by proxy cost; anything else is a precondition error.
     """
-    proxies = np.array([proxy_fn(s, sample.probs) for s in universe.sets])
-    if universe.sets[0] != 0:
+    sets = universe.sets.tolist()
+    proxies = np.array([proxy_fn(s, sample.probs) for s in sets])
+    if sets[0] != 0:
         raise ValueError("universe must start with the empty set")
     if proxies[0] != 0.0:
         raise ValueError("proxy cost of the empty set must be 0")
     if len(proxies) > 1 and np.min(np.diff(proxies)) < -PROXY_SORT_TOL:
         raise ValueError("universe is not sorted by proxy cost")
-    costs = np.array([cost_fn(s, sample.labels) for s in universe.sets])
+    costs = np.array([cost_fn(s, sample.labels) for s in sets])
     if costs[0] != 0.0:
         raise ValueError("true cost of the empty set must be 0")
     return SampleRecord(proxies, np.maximum.accumulate(costs))
@@ -122,17 +125,16 @@ def cplus_at(record: SampleRecord, t: float) -> float:
 
 def select_max_value(sets, proxy_costs, proxy_values, threshold: float) -> int:
     """Value-proxy argmax among sets with proxy cost strictly below the
-    threshold; ties resolved toward the smaller proxy cost. Falls back to ∅
-    when nothing is admissible."""
-    best = 0
-    best_key = None
-    for s, cost, value in zip(sets, proxy_costs, proxy_values):
-        if cost < threshold:
-            key = (value, -cost)
-            if best_key is None or key > best_key:
-                best_key = key
-                best = s
-    return best
+    threshold, as a Python int; ∅ when nothing is admissible.
+
+    Precondition: ``proxy_costs`` is a nondecreasing array, as every
+    universe guarantees, so the admissible sets are a prefix. Ties go to
+    the first index, which is the smallest proxy cost.
+    """
+    n = proxy_costs.searchsorted(threshold)
+    if n == 0:
+        return 0
+    return int(sets[proxy_values[:n].argmax()])
 
 
 @dataclass
@@ -202,12 +204,21 @@ class CostController:
     # per-sample pipeline
 
     def build_universe(self, probs: np.ndarray) -> UniverseSeq:
+        k = self.cost_spec.n_classes
+        if len(probs) != k:
+            raise ValueError(f"probability vector has K = {len(probs)}, controller has K = {k}")
         return build_universe(self.universe_kind, probs, self.value_spec, self.cost_spec)
 
     def build_record(self, sample: Sample, universe: UniverseSeq) -> SampleRecord:
         # every cost kind is additive; along a chain the cumsums of its
         # nonnegative margins are already their own running max
         spec = self.cost_spec
+        if sample.labels >> spec.n_classes:
+            labels = int(sample.labels)
+            raise ValueError(
+                f"labels {labels:#x} need K >= {labels.bit_length()}, "
+                f"controller has K = {spec.n_classes}"
+            )
         proxies = _universe_sums(spec.class_proxy_margins(sample.probs), universe)
         costs = _universe_sums(spec.class_true_margins(sample.labels), universe)
         return SampleRecord(proxies, np.maximum.accumulate(costs))
@@ -262,7 +273,7 @@ class CostController:
         spec = self.value_spec
         if spec.additive:
             return _universe_sums(spec.class_proxy_margins(probs), universe)
-        return np.array([spec.proxy(s, probs) for s in universe.sets])
+        return np.array([spec.proxy(s, probs) for s in universe.sets.tolist()])
 
     def predict(self, sample: Sample, universe: UniverseSeq | None = None) -> int | None:
         """Value-maximizing admissible set, or None during burn-in."""

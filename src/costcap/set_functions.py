@@ -166,6 +166,8 @@ class SetFunctionSpec:
                 raise ValueError("weighted kinds need a weight vector of length n_classes")
             if np.any(np.asarray(self.weights) < 0):
                 raise ValueError("class weights must be nonnegative")
+            if not np.any(np.asarray(self.weights) > 0):
+                raise ValueError("class weights must not all be zero")  # nothing to normalize by
         k = self.n_classes
         everything = full_set(k)
         if self.kind == "tp":
@@ -271,8 +273,8 @@ def marginal_proxy(spec: SetFunctionSpec, k: int, s: int, probs: np.ndarray) -> 
 
 def load_weights_csv(path: str | Path, n_classes: int) -> np.ndarray:
     """Read a (class_index, weight) CSV column into a weight vector.
-    Malformed rows, and weights that are not finite and nonnegative, raise
-    ValueError."""
+    Malformed rows, weights that are not finite and nonnegative, and weights
+    that are all zero raise ValueError."""
     w = np.full(n_classes, np.nan)
     with open(path, newline="") as fh:
         for row in csv.reader(fh):
@@ -289,4 +291,6 @@ def load_weights_csv(path: str | Path, n_classes: int) -> np.ndarray:
     if np.any(np.isnan(w)):
         missing = [int(i) for i in np.flatnonzero(np.isnan(w))]
         raise ValueError(f"weights missing for classes {missing}")
+    if not np.any(w > 0.0):
+        raise ValueError("weights must not all be zero")
     return w

@@ -4,12 +4,14 @@ Either the full power set (small K, sorted by proxy cost) or a nested greedy
 chain ∅ = S_0 ⊂ S_1 ⊂ ... ⊂ S_K that adds one class per step, ordered by
 predicted probability, by marginal value, or by marginal value per marginal
 cost. Ties are always broken by ascending class index.
+
+A family is held as numpy arrays from construction to selection: its sets
+as one ``uint64`` bitmask per set, a chain's class order as ``int64``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -19,37 +21,41 @@ from .set_functions import SetFunctionSpec
 FULL_UNIVERSE_MAX_CLASSES = 20
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class UniverseSeq:
     """Ordered candidate family; ∅ is always the first element.
 
-    For greedy chains ``order`` lists the classes in the order they are
-    added, and ``sets`` holds the K+1 nested prefixes. For the full universe
-    ``order`` is None and ``sets`` holds all 2^K subsets sorted by proxy
-    cost.
+    ``sets`` is a 1-D ``uint64`` array of bitmasks (chains reach K = 64).
+    For greedy chains ``order`` is the ``int64`` array of classes in the
+    order they are added, and ``sets`` holds the K+1 nested prefixes. For
+    the full universe ``order`` is None and ``sets`` holds all 2^K subsets
+    sorted by proxy cost.
     """
 
-    sets: tuple[int, ...]
+    sets: np.ndarray
     kind: str
-    order: tuple[int, ...] | None = None
+    order: np.ndarray | None = None
 
     def __len__(self) -> int:
         return len(self.sets)
 
 
 def _chain(order: np.ndarray, kind: str) -> UniverseSeq:
-    sets = [0]
-    mask = 0
-    for k in order:
-        mask |= 1 << int(k)
-        sets.append(mask)
-    return UniverseSeq(tuple(sets), kind, tuple(int(k) for k in order))
+    sets = np.zeros(len(order) + 1, dtype=np.uint64)
+    np.bitwise_or.accumulate(np.uint64(1) << order.astype(np.uint64), out=sets[1:])
+    return UniverseSeq(sets, kind, order)
 
 
-@lru_cache(maxsize=8)
-def _bit_matrix(n_classes: int) -> np.ndarray:
-    masks = np.arange(1 << n_classes, dtype=np.uint32)
-    return (masks[:, None] >> np.arange(n_classes)[None, :]) & 1
+def subset_sums(margins: np.ndarray) -> np.ndarray:
+    """Score of every subset under an additive function with per-class
+    ``margins``, indexed by bitmask: entry m is the sum of margins[k] over the
+    bits k of m, added in ascending class order. One doubling per class, so
+    2^K additions and no (2^K, K) bit matrix."""
+    out = np.empty(1 << len(margins))
+    out[0] = 0.0
+    for k, margin in enumerate(margins.tolist()):
+        np.add(out[: 1 << k], margin, out=out[1 << k : 2 << k])
+    return out
 
 
 def full_universe(probs: np.ndarray, cost_spec: SetFunctionSpec) -> UniverseSeq:
@@ -59,9 +65,9 @@ def full_universe(probs: np.ndarray, cost_spec: SetFunctionSpec) -> UniverseSeq:
         raise ValueError(
             f"full universe needs K <= {FULL_UNIVERSE_MAX_CLASSES}, got {k}"
         )
-    proxies = _bit_matrix(k) @ cost_spec.class_proxy_margins(probs)
+    proxies = subset_sums(cost_spec.class_proxy_margins(probs))
     order = np.lexsort((np.arange(1 << k), proxies))
-    return UniverseSeq(tuple(int(m) for m in order), "full")
+    return UniverseSeq(order.astype(np.uint64), "full")
 
 
 def greedy_prob(probs: np.ndarray) -> UniverseSeq:
@@ -116,7 +122,6 @@ def greedy_ratio_general(
     reduces to :func:`greedy_ratio_additive` when both are additive.
     """
     k = len(probs)
-    sets = [0]
     order: list[int] = []
     mask = 0
     v_cur = value_proxy(0)
@@ -142,8 +147,7 @@ def greedy_ratio_general(
         remaining.remove(best)
         order.append(best)
         v_cur, c_cur = best_vc
-        sets.append(mask)
-    return UniverseSeq(tuple(sets), "ratio_general", tuple(order))
+    return _chain(np.array(order, dtype=np.int64), "ratio_general")
 
 
 def build_universe(

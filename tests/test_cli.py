@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from costcap import cli
 from costcap.cli import (
     DataError,
     EXIT_ASSERT,
@@ -119,6 +120,11 @@ def test_run_config_validation():
         RunConfig(seeds=[]).validate()
     with pytest.raises(UsageError):
         RunConfig(universe="nope").validate()
+    with pytest.raises(UsageError):
+        RunConfig(universe="full", n_classes=21).validate()
+    for k in (0, 65):
+        with pytest.raises(UsageError):
+            RunConfig(n_classes=k).validate()
 
 
 def test_slice_stream_disjoint_and_insufficient():
@@ -252,6 +258,32 @@ def test_weights_csv_flag(tmp_path):
     assert main(missing) == EXIT_DATA
     wpath.write_text("class_index,weight\n0,4.0\n1,1.0\n3,3.0\n")
     assert main(args) == EXIT_DATA
+
+
+def test_weights_csv_read_once_per_run(tmp_path, monkeypatch, capsys):
+    reads = []
+    load = cli.load_weights_csv
+
+    def counted(*args, **kwargs):
+        reads.append(args)
+        return load(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "load_weights_csv", counted)
+    stream = write_stream(tmp_path)
+    wpath = tmp_path / "weights.csv"
+    wpath.write_text("class_index,weight\n0,4.0\n1,1.0\n2,2.0\n3,3.0\n")
+    args = run_args(stream, tmp_path / "m.csv", value_kind="tpc", cost_kind="fpc")
+    args += ["--weights", str(wpath)]
+    assert main(args) == EXIT_OK
+    assert len(reads) == 1  # 2 seeds x 2 targets, one read
+    # a bad weights file is reported before the malformed stream is parsed
+    wpath.write_text("class_index,weight\n0,4.0\n")
+    bad_stream = tmp_path / "bad.csv"
+    bad_stream.write_text("p_0,p_1,p_2,p_3,y_0,y_1,y_2,y_3\n0.5,0.5,0.5,0.5,1,0,0,nope\n")
+    capsys.readouterr()
+    args[args.index("--stream") + 1] = str(bad_stream)
+    assert main(args) == EXIT_DATA
+    assert "weights missing for classes" in capsys.readouterr().err
 
 
 def test_malformed_stream_row_exits_2(tmp_path):

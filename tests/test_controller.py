@@ -6,6 +6,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from costcap.controller import (
     CostController,
@@ -25,8 +27,13 @@ from costcap.set_functions import Sample, SetFunctionSpec, full_set
 from costcap.universe import UniverseSeq, greedy_prob
 
 
+def chain_universe(sets, order):
+    """Hand-built chain in the universe's array format."""
+    return UniverseSeq(np.array(sets, dtype=np.uint64), "prob", np.array(order, dtype=np.int64))
+
+
 def two_set_universe():
-    return UniverseSeq((0, 1), "prob", (0,))
+    return chain_universe([0, 1], [0])
 
 
 def make_record(rng, m=4, cost_scale=100.0):
@@ -75,10 +82,10 @@ def test_max_cost_curve_zero_cost_chain_contributes_nothing():
 
 def test_max_cost_curve_rejects_unsorted():
     sample = Sample(np.array([0.5]), labels=0)
-    universe = UniverseSeq((0, 1), "prob", (0,))
+    universe = two_set_universe()
     with pytest.raises(ValueError):
         max_cost_curve(universe, sample, lambda s, y: 0.0, lambda s, p: -0.5 * (s & 1))
-    bad_empty = UniverseSeq((1, 0), "prob", (0,))
+    bad_empty = chain_universe([1, 0], [0])
     with pytest.raises(ValueError):
         max_cost_curve(bad_empty, sample, lambda s, y: 0.0, lambda s, p: 0.0)
 
@@ -109,6 +116,48 @@ def test_controller_rejects_specs_of_the_wrong_role():
     for value_spec, cost_spec in ((tp, gen), (tp, tp), (fp, fp)):
         with pytest.raises(ValueError):
             CostController("expected", 20.0, value_spec, cost_spec)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from(["full", "prob", "value", "ratio", "ratio_general"]),
+    st.sampled_from(["fp", "fpc"]),
+    st.integers(1, 8).flatmap(
+        lambda k: st.tuples(
+            st.lists(st.floats(0.0, 1.0), min_size=k, max_size=k),
+            st.lists(st.integers(0, 3).map(float), min_size=k, max_size=k),
+            st.integers(0, (1 << k) - 1),
+        )
+    ),
+)
+def test_record_proxy_costs_exactly_nondecreasing(kind, cost_kind, drawn):
+    # the precondition select_max_value's prefix search relies on
+    probs, weights, labels = drawn
+    k = len(probs)
+    if cost_kind == "fpc":
+        assume(any(weights))  # all-zero weights are rejected by SetFunctionSpec
+        weights = np.array(weights)
+    else:
+        weights = None
+    if kind == "ratio_general":
+        kind, value_spec = "ratio", SetFunctionSpec("gen", k, mc_samples=8)
+    else:
+        value_spec = SetFunctionSpec("tp", k)
+    ctrl = CostController(
+        "expected", 20.0, value_spec, SetFunctionSpec(cost_kind, k, weights), universe_kind=kind
+    )
+    sample = Sample(np.array(probs), labels)
+    pc = ctrl.build_record(sample, ctrl.build_universe(sample.probs)).proxy_costs
+    assert np.all(np.diff(pc) >= 0)
+
+
+def test_controller_rejects_inputs_of_another_k():
+    ctrl = CostController("expected", 20.0, SetFunctionSpec("tp", 10), SetFunctionSpec("fp", 10))
+    with pytest.raises(ValueError, match="K = 7.*K = 10"):
+        ctrl.step(Sample(np.full(7, 0.5), 0))
+    with pytest.raises(ValueError, match="K >= 13.*K = 10"):
+        ctrl.step(Sample(np.full(10, 0.5), 1 << 12))
+    assert ctrl.n_seen == 0
 
 
 def test_record_telescoping_and_step_function():
@@ -307,16 +356,16 @@ def test_threshold_monotone_in_target():
 
 
 def test_predict_sentinel_returns_empty():
-    sets = (0, 1, 3, 7)
-    costs = [0.0, 0.2, 0.5, 0.9]
-    values = [0.0, 1.0, 2.0, 3.0]
+    sets = np.array([0, 1, 3, 7], dtype=np.uint64)
+    costs = np.array([0.0, 0.2, 0.5, 0.9])
+    values = np.array([0.0, 1.0, 2.0, 3.0])
     assert select_max_value(sets, costs, values, BELOW_ALL) == 0
 
 
 def test_predict_strict_inequality_on_chain():
-    sets = (0, 1, 3, 7)
-    costs = [0.0, 0.2, 0.5, 0.9]
-    values = [0.0, 1.0, 2.0, 3.0]
+    sets = np.array([0, 1, 3, 7], dtype=np.uint64)
+    costs = np.array([0.0, 0.2, 0.5, 0.9])
+    values = np.array([0.0, 1.0, 2.0, 3.0])
     assert select_max_value(sets, costs, values, 0.5) == 1  # 0.5 excluded
     assert select_max_value(sets, costs, values, 0.51) == 3
 
@@ -325,10 +374,16 @@ def test_predict_full_universe_matches_exhaustive_argmax():
     rng = np.random.default_rng(23)
     k = 3
     sets = tuple(range(8))
+    inputs = []
     for _ in range(100):
         costs = np.concatenate(([0.0], np.sort(rng.uniform(0, 1, 7))))
-        values = rng.uniform(0, 10, 8)
-        t = float(rng.uniform(0, 1.2))
+        inputs.append((costs, rng.uniform(0, 10, 8), float(rng.uniform(0, 1.2))))
+    # tied values and repeated costs, thresholds on the cost grid too
+    for _ in range(200):
+        costs = np.concatenate(([0.0], np.sort(rng.integers(0, 4, 7) / 4.0)))
+        values = rng.integers(0, 3, 8).astype(float)
+        inputs.append((costs, values, float(rng.choice([0.0, 0.25, 0.5, 0.6, 1.0, 1.1]))))
+    for costs, values, t in inputs:
         got = select_max_value(sets, costs, values, t)
         admissible = [i for i in range(8) if costs[i] < t]
         want = max(admissible, key=lambda i: (values[i], -costs[i]), default=0)
@@ -418,6 +473,20 @@ def test_step_with_nonadditive_value_runs():
         predictions += out.prediction is not None
     assert predictions == 24
     assert ctrl.n_seen == 30
+
+
+@pytest.mark.parametrize("kind", ["ratio", "full"])
+def test_step_prediction_is_python_int(kind):
+    rng = np.random.default_rng(5)
+    k = 6
+    ctrl = CostController(
+        "expected", 60.0, SetFunctionSpec("tp", k), SetFunctionSpec("fp", k),
+        universe_kind=kind, burn_in=2,
+    )
+    outs = [ctrl.step(Sample(rng.uniform(0.05, 0.95, k), int(rng.integers(0, 1 << k)))) for _ in range(20)]
+    preds = [out.prediction for out in outs[3:]]
+    assert all(type(p) is int for p in preds)
+    assert any(preds)
 
 
 def test_snapshot_csv():

@@ -210,6 +210,8 @@ def test_spec_validation():
         SetFunctionSpec("fpc", 5, np.ones(4))
     with pytest.raises(ValueError):
         SetFunctionSpec("tp", 65)
+    with pytest.raises(ValueError):
+        SetFunctionSpec("fpc", 3, np.zeros(3))
 
 
 def test_load_weights_csv(tmp_path):
@@ -217,7 +219,7 @@ def test_load_weights_csv(tmp_path):
     path.write_text("class_index,weight\n1,2.5\n0,1.0\n2,4.0\n")
     w = load_weights_csv(path, 3)
     assert list(w) == [1.0, 2.5, 4.0]
-    for bad in ("0,1.0\n", "0,1.0\n1\n", "0,1.0\n1,-2.0\n", "0,1.0\n1,nan\n"):
+    for bad in ("0,1.0\n", "0,1.0\n1\n", "0,1.0\n1,-2.0\n", "0,1.0\n1,nan\n", "0,0\n1,0.0\n"):
         path.write_text(bad)
         with pytest.raises(ValueError):
             load_weights_csv(path, 2)

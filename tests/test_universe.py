@@ -7,14 +7,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from costcap.set_functions import SetFunctionSpec, set_from_indices
+from costcap.set_functions import SetFunctionSpec, set_from_indices, set_indices
 from costcap.universe import (
+    _chain,
     build_universe,
     full_universe,
     greedy_prob,
     greedy_ratio_additive,
     greedy_ratio_general,
     greedy_value,
+    subset_sums,
 )
 
 probs_strategy = st.lists(
@@ -48,13 +50,13 @@ def test_full_universe_size_guard():
 
 def test_greedy_prob_order():
     seq = greedy_prob(np.array([0.2, 0.9, 0.5]))
-    assert seq.order == (1, 2, 0)
-    assert seq.sets == (0, 0b010, 0b110, 0b111)
+    assert seq.order.tolist() == [1, 2, 0]
+    assert seq.sets.tolist() == [0, 0b010, 0b110, 0b111]
 
 
 def test_greedy_prob_tie_by_index():
     seq = greedy_prob(np.array([0.5, 0.5, 0.7]))
-    assert seq.order == (2, 0, 1)
+    assert seq.order.tolist() == [2, 0, 1]
 
 
 @settings(max_examples=100, deadline=None)
@@ -67,12 +69,12 @@ def test_greedy_prob_matches_sort_oracle(probs):
 
 def test_greedy_value_uniform_reduces_to_prob():
     probs = np.array([0.3, 0.8, 0.1, 0.55])
-    assert greedy_value(probs, np.ones(4)).order == greedy_prob(probs).order
+    assert greedy_value(probs, np.ones(4)).order.tolist() == greedy_prob(probs).order.tolist()
 
 
 def test_greedy_value_weighted():
     seq = greedy_value(np.array([0.9, 0.6]), np.array([1.0, 10.0]))
-    assert seq.order == (1, 0)  # 6.0 beats 0.9
+    assert seq.order.tolist() == [1, 0]  # 6.0 beats 0.9
 
 
 def test_greedy_value_length_mismatch():
@@ -102,7 +104,7 @@ def test_greedy_ratio_additive_arithmetic():
     values = np.array([1.0, 10.0])
     costs = 1.0 - probs
     seq = greedy_ratio_additive(probs, values, costs)
-    assert seq.order == (1, 0)  # ratios 9 vs 15
+    assert seq.order.tolist() == [1, 0]  # ratios 9 vs 15
 
 
 def test_greedy_ratio_equal_ratios_index_order():
@@ -110,7 +112,7 @@ def test_greedy_ratio_equal_ratios_index_order():
     costs = 1.0 - probs
     values = costs / probs  # all ratios exactly 1
     seq = greedy_ratio_additive(probs, values, costs)
-    assert seq.order == (0, 1, 2)
+    assert seq.order.tolist() == [0, 1, 2]
 
 
 def test_greedy_ratio_zero_cost_goes_first_by_value():
@@ -119,7 +121,7 @@ def test_greedy_ratio_zero_cost_goes_first_by_value():
     costs = np.array([0.3, 0.0, 0.0])
     seq = greedy_ratio_additive(probs, values, costs)
     # classes 1, 2 are free: descending gain 4.0 > 0.9, then the paid one
-    assert seq.order == (2, 1, 0)
+    assert seq.order.tolist() == [2, 1, 0]
 
 
 def test_nested_chain_shape():
@@ -129,6 +131,28 @@ def test_nested_chain_shape():
         assert len(seq.sets) == 5
         for a, b in zip(seq.sets, seq.sets[1:]):
             assert a & b == a and b.bit_count() == a.bit_count() + 1
+
+
+@pytest.mark.parametrize("k", [1, 10, 63, 64])
+def test_chain_masks_match_python_int_fold(k):
+    order = np.random.default_rng(k).permutation(k)
+    seq = _chain(order, "prob")
+    fold = [0]
+    for cls in order.tolist():
+        fold.append(fold[-1] | (1 << cls))
+    assert seq.sets.dtype == np.uint64 and seq.order.dtype == np.int64
+    assert seq.sets.tolist() == fold
+    assert seq.order.tolist() == order.tolist()
+    if k == 64:
+        assert seq.sets[-1] == (1 << 64) - 1  # bit 63 included
+
+
+@pytest.mark.parametrize("k", [1, 4, 10])
+def test_subset_sums_equal_ascending_python_sums(k):
+    margins = np.random.default_rng(k).random(k) * 7.3
+    expected = [sum(margins[c] for c in set_indices(m)) for m in range(1 << k)]
+    # exact: entry m adds the margins of m's classes in ascending order
+    assert subset_sums(margins).tolist() == [float(x) for x in expected]
 
 
 @settings(max_examples=100, deadline=None)
@@ -145,7 +169,7 @@ def test_ratio_general_single_class():
     seq = greedy_ratio_general(
         np.array([0.5]), lambda s: float(s & 1), lambda s: 0.5 * (s & 1)
     )
-    assert seq.sets == (0, 1)
+    assert seq.sets.tolist() == [0, 1]
 
 
 def test_ratio_general_matches_additive():
@@ -162,7 +186,7 @@ def test_ratio_general_matches_additive():
             lambda s: value_spec.proxy(s, probs),
             lambda s: cost_spec.proxy(s, probs),
         )
-        assert additive.order == general.order
+        assert additive.order.tolist() == general.order.tolist()
 
 
 def test_ratio_general_per_step_argmax_oracle():
