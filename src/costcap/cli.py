@@ -140,6 +140,8 @@ class RunConfig:
             raise UsageError("need 0 <= burn_in < n_test")
         if self.window is not None and self.window < 1:
             raise UsageError("window must be >= 1")
+        if self.mc_samples < 1:
+            raise UsageError(f"mc_samples must be >= 1, got {self.mc_samples}")
 
 
 def load_run_config(path=None, overrides: dict | None = None) -> RunConfig:
@@ -666,14 +668,21 @@ def _cmd_generate(args) -> int:
     return EXIT_OK
 
 
-def _cmd_run(args) -> int:
-    cfg = _run_config_from_args(args)
-    weights = class_weights(cfg)
-    samples = read_stream_csv(args.stream)
+def _read_run_stream(cfg: RunConfig, path) -> list[Sample]:
+    """The stream CSV at ``path``; a class count other than the config's is a
+    data error."""
+    samples = read_stream_csv(path)
     if samples and samples[0].n_classes != cfg.n_classes:
         raise DataError(
             f"stream has {samples[0].n_classes} classes, config says {cfg.n_classes}"
         )
+    return samples
+
+
+def _cmd_run(args) -> int:
+    cfg = _run_config_from_args(args)
+    weights = class_weights(cfg)
+    samples = _read_run_stream(cfg, args.stream)
     rows, log = run_experiment(cfg, samples, weights)
     aggs = aggregate_rows(rows)
     out = Path(args.out)
@@ -702,7 +711,7 @@ def _cmd_run(args) -> int:
 def _cmd_oracle_check(args) -> int:
     cfg = _run_config_from_args(args)
     weights = class_weights(cfg)
-    samples = read_stream_csv(args.stream)
+    samples = _read_run_stream(cfg, args.stream)
     report = oracle_check_run(cfg, samples, checkpoints=args.checkpoints, weights=weights)
     print(
         f"checked {report.checked} checkpoints: {report.matches} matches, "

@@ -50,8 +50,6 @@ def _universe_sums(margins: np.ndarray, universe: UniverseSeq) -> np.ndarray:
         out[0] = 0.0
         np.cumsum(margins[universe.order], out=out[1:])
         return out
-    # the sums full_universe sorts by, so proxy costs come out exactly
-    # nondecreasing
     return subset_sums(margins)[universe.sets]
 
 
@@ -210,6 +208,9 @@ class CostController:
         return build_universe(self.universe_kind, probs, self.value_spec, self.cost_spec)
 
     def build_record(self, sample: Sample, universe: UniverseSeq) -> SampleRecord:
+        """The sample's calibration record over ``universe``, which must be
+        built from ``sample.probs`` with this controller's cost spec: a power
+        set's sorted cost proxies are reused as the record's."""
         # every cost kind is additive; along a chain the cumsums of its
         # nonnegative margins are already their own running max
         spec = self.cost_spec
@@ -219,7 +220,9 @@ class CostController:
                 f"labels {labels:#x} need K >= {labels.bit_length()}, "
                 f"controller has K = {spec.n_classes}"
             )
-        proxies = _universe_sums(spec.class_proxy_margins(sample.probs), universe)
+        proxies = universe.proxy_costs
+        if proxies is None:
+            proxies = _universe_sums(spec.class_proxy_margins(sample.probs), universe)
         costs = _universe_sums(spec.class_true_margins(sample.labels), universe)
         return SampleRecord(proxies, np.maximum.accumulate(costs))
 
@@ -273,7 +276,7 @@ class CostController:
         spec = self.value_spec
         if spec.additive:
             return _universe_sums(spec.class_proxy_margins(probs), universe)
-        return np.array([spec.proxy(s, probs) for s in universe.sets.tolist()])
+        return spec.proxy_many(universe.sets, probs)
 
     def predict(self, sample: Sample, universe: UniverseSeq | None = None) -> int | None:
         """Value-maximizing admissible set, or None during burn-in."""

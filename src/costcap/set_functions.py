@@ -6,6 +6,13 @@ the normalization rule that maps the best attainable score to exactly 100,
 and provides the probability-based proxy (computable without the true
 labels) plus per-class marginal decompositions for the additive kinds.
 
+``SetFunctionSpec.proxy_many`` is the one proxy implementation: it scores a
+``uint64`` mask array in one call, and every score is reduced in a fixed
+order (classes ascending, then Monte-Carlo draws in order) with
+``np.add.accumulate``/``np.multiply.accumulate``, so it equals the per-set
+loop bit for bit. ``proxy`` is ``proxy_many`` on one set; ``proxy_mc`` is
+the per-set Monte-Carlo reference the tests hold it to.
+
 All operations are pure; safe for unrestricted parallel use.
 """
 
@@ -51,6 +58,11 @@ def set_size(mask: int) -> int:
 
 
 _BIT_INDEX = np.arange(MAX_CLASSES, dtype=np.uint64)
+_BIT_MASKS = np.uint64(1) << _BIT_INDEX
+
+# elements of one (class, set, draw) block of the Monte-Carlo proxy; bounds
+# its temporaries at a few MB whatever K, the set count and mc_samples are
+_MC_BLOCK = 1 << 18
 
 
 def label_bits(mask: int, n_classes: int) -> np.ndarray:
@@ -124,7 +136,9 @@ def proxy_mc(s: int, probs: np.ndarray, true_fn, n_samples: int = 100, seed: int
     Bernoulli(p_k) classes. Deterministic given the seed.
 
     Class correlations are not recoverable from the marginals, so classes are
-    sampled independently.
+    sampled independently. Per-set reference only: the library scores sets
+    with :meth:`SetFunctionSpec.proxy_many`, which must equal this (times the
+    normalization) bit for bit.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
@@ -148,6 +162,11 @@ class SetFunctionSpec:
     ``max_raw`` is the best attainable raw score (S = [K] against the most
     favorable labels); scaled scores are raw / max_raw * 100, so the bound is
     hit exactly.
+
+    A ``gen`` spec's proxy is the mean of the value over ``mc_samples``
+    label draws: one (mc_samples, K) matrix of uniforms from
+    ``default_rng(mc_seed)``, drawn at construction and shared by every set
+    and every call.
     """
 
     kind: str
@@ -161,6 +180,8 @@ class SetFunctionSpec:
             raise ValueError(f"unknown set-function kind {self.kind!r}")
         if not 1 <= self.n_classes <= MAX_CLASSES:
             raise ValueError(f"n_classes must be in [1, {MAX_CLASSES}]")
+        if self.mc_samples < 1:
+            raise ValueError(f"mc_samples must be >= 1, got {self.mc_samples}")
         if self.kind in ("tpc", "fpc"):
             if self.weights is None or len(self.weights) != self.n_classes:
                 raise ValueError("weighted kinds need a weight vector of length n_classes")
@@ -188,6 +209,15 @@ class SetFunctionSpec:
                 else np.ones(k)
             )
             object.__setattr__(self, "_unit_margins", units / max_raw * NORMALIZED_BOUND)
+        else:
+            # the matrix every proxy_mc(s, probs, value_gen, mc_samples,
+            # mc_seed) call draws, and value_gen's per-class terms
+            uniforms = np.random.default_rng(self.mc_seed).random((self.mc_samples, k))
+            object.__setattr__(self, "_uniforms", uniforms)
+            cls = np.arange(k)
+            object.__setattr__(self, "_factors", ((cls + 5) / 10.0)[:, None, None])
+            squares = ((cls - 5) ** 2).astype(np.float64)
+            object.__setattr__(self, "_squares", squares[:, None, None])
         object.__setattr__(
             self,
             "_singleton_raw",
@@ -230,18 +260,52 @@ class SetFunctionSpec:
 
     def proxy(self, s: int, probs: np.ndarray) -> float:
         """Estimate of the normalized score without the true labels."""
+        return float(self.proxy_many(np.array([s], dtype=np.uint64), probs)[0])
+
+    def proxy_many(self, sets: np.ndarray, probs: np.ndarray) -> np.ndarray:
+        """Normalized proxy score of every ``uint64`` mask in ``sets``.
+
+        Each score is the per-set loop's float, bit for bit: class terms are
+        added (or multiplied) in ascending class order and ``gen``'s draws
+        summed in draw order, all with ``accumulate``, never a pairwise
+        ``reduce``.
+        """
+        sets = np.asarray(sets, dtype=np.uint64)
+        probs = np.asarray(probs, dtype=np.float64)
+        member = (sets & _BIT_MASKS[: self.n_classes, None]) != 0  # (K, sets)
         if self.kind == "gen":
-            raw = proxy_mc(s, probs, value_gen, self.mc_samples, self.mc_seed)
-            return raw / self.max_raw * NORMALIZED_BOUND
-        total = 0.0
-        w = self.weights
-        for k in set_indices(s):
-            p = probs[k]
-            unit = p if self.kind in ("tp", "tpc") else 1.0 - p
-            if w is not None:
-                unit *= w[k]
-            total += unit
-        return total / self.max_raw * NORMALIZED_BOUND
+            raw = self._mc_means(member, probs)
+        else:
+            units = probs if self.kind in ("tp", "tpc") else 1.0 - probs
+            if self.weights is not None:
+                units = units * self.weights
+            terms = np.where(member, units[:, None], 0.0)
+            np.add.accumulate(terms, axis=0, out=terms)
+            # the loop's running sum starts at 0.0, which turns -0.0 into 0.0
+            raw = terms[-1] + 0.0
+        return raw / self.max_raw * NORMALIZED_BOUND
+
+    def _mc_means(self, member: np.ndarray, probs: np.ndarray) -> np.ndarray:
+        """Raw ``gen`` Monte-Carlo mean for each column of ``member``: the
+        product and squares terms over S ∩ y in ascending class order, then
+        the sum over draws in order. The (class, set, draw) intersection is
+        built a block of draws at a time, carrying the running sum."""
+        hits = (self._uniforms < probs).T  # (K, draws): class k drawn present
+        k, n_sets = member.shape
+        n_draws = hits.shape[1]
+        block = max(1, _MC_BLOCK // (k * n_sets))
+        total = np.zeros(n_sets)
+        for start in range(0, n_draws, block):
+            inter = member[:, :, None] & hits[:, None, start : start + block]
+            prod = np.where(inter, self._factors, 1.0)
+            np.multiply.accumulate(prod, axis=0, out=prod)
+            squares = np.where(inter, self._squares, 0.0)
+            np.add.accumulate(squares, axis=0, out=squares)
+            values = prod[-1] + squares[-1]  # value_gen(S, y) per (set, draw)
+            values[:, 0] += total  # continue the previous blocks' running sum
+            np.add.accumulate(values, axis=1, out=values)
+            total = values[:, -1]
+        return total / n_draws
 
     def class_proxy_margins(self, probs: np.ndarray) -> np.ndarray:
         """Per-class normalized proxy marginals (additive kinds only)."""

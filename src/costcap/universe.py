@@ -28,13 +28,15 @@ class UniverseSeq:
     ``sets`` is a 1-D ``uint64`` array of bitmasks (chains reach K = 64).
     For greedy chains ``order`` is the ``int64`` array of classes in the
     order they are added, and ``sets`` holds the K+1 nested prefixes. For
-    the full universe ``order`` is None and ``sets`` holds all 2^K subsets
-    sorted by proxy cost.
+    the full universe ``order`` is None, ``sets`` holds all 2^K subsets
+    sorted by proxy cost, and ``proxy_costs`` holds those sorted costs,
+    which the controller reuses as the record's.
     """
 
     sets: np.ndarray
     kind: str
     order: np.ndarray | None = None
+    proxy_costs: np.ndarray | None = None
 
     def __len__(self) -> int:
         return len(self.sets)
@@ -67,7 +69,7 @@ def full_universe(probs: np.ndarray, cost_spec: SetFunctionSpec) -> UniverseSeq:
         )
     proxies = subset_sums(cost_spec.class_proxy_margins(probs))
     order = np.lexsort((np.arange(1 << k), proxies))
-    return UniverseSeq(order.astype(np.uint64), "full")
+    return UniverseSeq(order.astype(np.uint64), "full", proxy_costs=proxies[order])
 
 
 def greedy_prob(probs: np.ndarray) -> UniverseSeq:
@@ -113,41 +115,47 @@ def greedy_ratio_additive(
 
 def greedy_ratio_general(
     probs: np.ndarray,
-    value_proxy: Callable[[int], float],
-    cost_proxy: Callable[[int], float],
+    value_proxy: Callable[[np.ndarray], np.ndarray],
+    cost_proxy: Callable[[np.ndarray], np.ndarray],
 ) -> UniverseSeq:
     """Chain by per-step argmax of marginal proxy value over marginal proxy cost.
 
-    Works for any (possibly non-additive) proxies evaluable along the chain;
-    reduces to :func:`greedy_ratio_additive` when both are additive.
+    Works for any (possibly non-additive) proxies; reduces to
+    :func:`greedy_ratio_additive` when both are additive. Both proxies are
+    batched: they map a ``uint64`` mask array to an array of scores, and
+    each round scores all remaining candidates with one call of each. A
+    candidate's key is ``(0, -dv, cand)`` when its marginal cost dc <= 0
+    and ``(1, -dv / dc, cand)`` otherwise; the smallest key joins the chain,
+    and the running scores move by its dv and dc. The last class needs no
+    scoring.
     """
     k = len(probs)
-    order: list[int] = []
-    mask = 0
-    v_cur = value_proxy(0)
-    c_cur = cost_proxy(0)
-    remaining = list(range(k))
-    for _ in range(k):
-        best_key = None
-        best = None
-        best_vc = None
-        for cand in remaining:
-            with_c = mask | (1 << cand)
-            dv = value_proxy(with_c) - v_cur
-            dc = cost_proxy(with_c) - c_cur
-            if dc <= 0.0:
-                cand_key = (0, -dv, cand)
-            else:
-                cand_key = (1, -dv / dc, cand)
-            if best_key is None or cand_key < best_key:
-                best_key = cand_key
-                best = cand
-                best_vc = (v_cur + dv, c_cur + dc)
-        mask |= 1 << best
-        remaining.remove(best)
-        order.append(best)
-        v_cur, c_cur = best_vc
-    return _chain(np.array(order, dtype=np.int64), "ratio_general")
+    bits = np.uint64(1) << np.arange(k, dtype=np.uint64)
+    order = np.arange(k)  # order[i:] holds the classes not yet added, ascending
+    mask = np.uint64(0)
+    sets = np.concatenate(([mask], bits))  # round one also scores ∅
+    values, costs = value_proxy(sets), cost_proxy(sets)
+    v_cur, c_cur = values[0], costs[0]
+    values, costs = values[1:], costs[1:]
+    for i in range(k - 1):  # the last class needs no scoring
+        if i:
+            sets = mask | bits[order[i:]]
+            values, costs = value_proxy(sets), cost_proxy(sets)
+        dv = values - v_cur
+        dc = costs - c_cur
+        free = dc <= 0.0
+        if free.any():
+            best = np.flatnonzero(free)[np.argmin(-dv[free])]
+        else:
+            best = np.argmin(-dv / dc)
+        v_cur = v_cur + dv[best]
+        c_cur = c_cur + dc[best]
+        # the winner moves to position i; the classes it passes stay ascending
+        winner = order[i + best]
+        order[i + 1 : i + best + 1] = order[i : i + best]
+        order[i] = winner
+        mask |= bits[winner]
+    return _chain(order, "ratio_general")
 
 
 def build_universe(
@@ -170,8 +178,8 @@ def build_universe(
             )
         return greedy_ratio_general(
             probs,
-            lambda s: value_spec.proxy(s, probs),
-            lambda s: cost_spec.proxy(s, probs),
+            lambda sets: value_spec.proxy_many(sets, probs),
+            lambda sets: cost_spec.proxy_many(sets, probs),
         )
     raise ValueError(f"unknown universe kind {kind!r}")
 

@@ -9,6 +9,8 @@ from __future__ import annotations
 import bisect
 import math
 
+import numpy as np
+
 
 class SortedListCdf:
     """Weighted empirical CDF kept in a plain sorted list."""
@@ -88,3 +90,47 @@ def weighted_hits(s: int, y: int, w, present: bool) -> float:
         if (s >> i) & 1 and ((y >> i) & 1) == int(present):
             total += w[i]
     return total
+
+
+def additive_proxy(kind: str, s: int, probs, weights, max_raw: float) -> float:
+    """Per-set proxy of an additive kind: p_k (value kinds) or 1 - p_k (cost
+    kinds), times w_k when weighted, summed over the classes of S in
+    ascending order from 0.0, then normalized to the 0..100 scale."""
+    total = 0.0
+    for k in range(len(probs)):
+        if (s >> k) & 1:
+            unit = probs[k] if kind in ("tp", "tpc") else 1.0 - probs[k]
+            if weights is not None:
+                unit *= weights[k]
+            total += unit
+    return total / max_raw * 100.0
+
+
+def batched(per_set):
+    """Adapter from a per-set score function to a mask-array one."""
+    return lambda sets: np.array([per_set(s) for s in sets.tolist()])
+
+
+def greedy_ratio_order(n_classes: int, value_proxy, cost_proxy) -> list[int]:
+    """Ratio chain order by scoring every candidate one set at a time with
+    per-set proxies: the smallest key (0, -dv, cand) when dc <= 0, else
+    (1, -dv / dc, cand), and running scores moved by the winner's dv, dc."""
+    order = []
+    mask = 0
+    v_cur = value_proxy(0)
+    c_cur = cost_proxy(0)
+    remaining = list(range(n_classes))
+    for _ in range(n_classes):
+        best_key = best = best_vc = None
+        for cand in remaining:
+            with_c = mask | (1 << cand)
+            dv = value_proxy(with_c) - v_cur
+            dc = cost_proxy(with_c) - c_cur
+            key = (0, -dv, cand) if dc <= 0.0 else (1, -dv / dc, cand)
+            if best_key is None or key < best_key:
+                best_key, best, best_vc = key, cand, (v_cur + dv, c_cur + dc)
+        mask |= 1 << best
+        remaining.remove(best)
+        order.append(best)
+        v_cur, c_cur = best_vc
+    return order

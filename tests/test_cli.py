@@ -1,6 +1,7 @@
 """CLI: stream format, run metrics, exit codes, oracle-check, bench."""
 
 import csv
+import hashlib
 import json
 import math
 
@@ -125,6 +126,8 @@ def test_run_config_validation():
     for k in (0, 65):
         with pytest.raises(UsageError):
             RunConfig(n_classes=k).validate()
+    with pytest.raises(UsageError):
+        RunConfig(value_kind="gen", mc_samples=0).validate()
 
 
 def test_slice_stream_disjoint_and_insufficient():
@@ -226,6 +229,21 @@ def test_run_insufficient_stream_exits_2(tmp_path):
 def test_run_wrong_class_count_exits_2(tmp_path):
     stream = write_stream(tmp_path, k=3)
     assert main(run_args(stream, tmp_path / "m.csv")) == EXIT_DATA
+
+
+def test_gen_ratio_sweep_metrics_golden(tmp_path):
+    # the batched Monte-Carlo proxies must reproduce the per-set loop's
+    # predictions: sha256 of the metrics CSV the per-set loop wrote
+    stream, out = tmp_path / "s.csv", tmp_path / "m.csv"
+    main(["generate", "--n", "120", "--classes", "6", "--seed", "7", "--out", str(stream)])
+    code = main([
+        "run", "--stream", str(stream), "--out", str(out), "--value-kind", "gen",
+        "--universe", "ratio", "--classes", "6", "--seeds", "0,1", "--targets", "10,30",
+        "--n-test", "60", "--burn-in", "20",
+    ])
+    assert code == EXIT_OK
+    digest = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert digest == "3faa66b5dbff42aa1dfcf460a3975f60590f45c8a4fc677848e8e762f962b657"
 
 
 def test_missing_stream_file_exits_2(tmp_path):
@@ -363,6 +381,16 @@ def test_oracle_check_cli(tmp_path):
     row = next(csv.DictReader(out.open()))
     assert int(row["checked"]) == 8
     assert int(row["mismatches"]) == 0
+
+
+def test_oracle_check_wrong_class_count_exits_2(tmp_path, capsys):
+    stream = write_stream(tmp_path, n=60, k=4)
+    code = main([
+        "oracle-check", "--stream", str(stream), "--classes", "6", "--seeds", "0",
+        "--n-test", "60", "--burn-in", "0", "--value-kind", "tp", "--cost-kind", "fp",
+    ])
+    assert code == EXIT_DATA
+    assert "stream has 4 classes, config says 6" in capsys.readouterr().err
 
 
 # ----------------------------------------------------------------------

@@ -24,7 +24,7 @@ from costcap.controller import (
 )
 from costcap.quantile_tree import ABOVE_ALL, BELOW_ALL, EmptyDistributionError
 from costcap.set_functions import Sample, SetFunctionSpec, full_set
-from costcap.universe import UniverseSeq, greedy_prob
+from costcap.universe import UniverseSeq, full_universe, greedy_prob, subset_sums
 
 
 def chain_universe(sets, order):
@@ -108,6 +108,32 @@ def test_powerset_record_matches_per_set_reference(kind):
             ref = max_cost_curve(universe, sample, spec.evaluate, spec.proxy)
             np.testing.assert_allclose(rec.proxy_costs, ref.proxy_costs, rtol=0, atol=1e-9)
             np.testing.assert_allclose(rec.max_costs, ref.max_costs, rtol=0, atol=1e-9)
+
+
+def test_powerset_step_computes_cost_subset_sums_once(monkeypatch):
+    calls = []
+
+    def counted(margins):
+        calls.append(margins.tobytes())
+        return subset_sums(margins)
+
+    monkeypatch.setattr("costcap.universe.subset_sums", counted)
+    monkeypatch.setattr("costcap.controller.subset_sums", counted)
+    k = 6
+    cost_spec = SetFunctionSpec("fpc", k, np.arange(1.0, k + 1.0))
+    ctrl = CostController(
+        "violation", 30.0, SetFunctionSpec("tp", k), cost_spec, universe_kind="full", burn_in=5
+    )
+    rng = np.random.default_rng(3)
+    for _ in range(10):
+        sample = Sample(rng.uniform(0.0, 1.0, k), int(rng.integers(0, 1 << k)))
+        margins = cost_spec.class_proxy_margins(sample.probs)
+        calls.clear()
+        ctrl.step(sample)
+        # the universe's sort key is also the record's proxy costs
+        assert calls.count(margins.tobytes()) == 1
+        sets = full_universe(sample.probs, cost_spec).sets
+        assert ctrl.records[-1].proxy_costs.tobytes() == subset_sums(margins)[sets].tobytes()
 
 
 def test_controller_rejects_specs_of_the_wrong_role():

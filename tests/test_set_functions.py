@@ -2,10 +2,11 @@
 
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from costcap.set_functions import (
@@ -25,7 +26,7 @@ from costcap.set_functions import (
     value_tpc,
 )
 
-from .oracles import popcount_difference, popcount_intersection, weighted_hits
+from .oracles import additive_proxy, popcount_difference, popcount_intersection, weighted_hits
 
 
 def test_value_tp_basics():
@@ -161,6 +162,63 @@ def test_proxy_mc_deterministic():
     assert a == b
 
 
+@settings(max_examples=120, deadline=None)
+@given(
+    st.sampled_from(["tp", "fp", "tpc", "fpc", "gen"]),
+    st.sampled_from([1, 2, 100]),
+    st.integers(1, 64).flatmap(
+        lambda k: st.tuples(
+            st.lists(
+                st.sampled_from([0.0, 1.0, 0.5, 0.3]) | st.floats(0.0, 1.0),
+                min_size=k,
+                max_size=k,
+            ),
+            st.lists(st.sampled_from([0.0, 1.0, 2.5]), min_size=k, max_size=k),
+            st.sampled_from([1, 2, k + 1]).flatmap(
+                lambda n: st.lists(st.integers(0, (1 << k) - 1), min_size=n, max_size=n)
+            ),
+        )
+    ),
+    st.integers(0, 2**32 - 1),
+)
+@example("tp", 1, ([-0.0], [1.0], [1]), 0)  # the loop's sum from 0.0 is +0.0
+def test_proxy_many_equals_per_set_reference(kind, mc_samples, drawn, mc_seed):
+    probs, weights, sets = drawn
+    k = len(probs)
+    probs = np.array(probs)
+    weights = np.array(weights) if kind in ("tpc", "fpc") else None
+    if weights is not None:
+        weights[-1] = 1.0  # all-zero weights are rejected
+    sets[0] |= 1 << (k - 1)  # the top class, bit 63 at K = 64
+    spec = SetFunctionSpec(kind, k, weights, mc_samples=mc_samples, mc_seed=mc_seed)
+    got = spec.proxy_many(np.array(sets, dtype=np.uint64), probs)
+    if kind == "gen":
+        want = [
+            proxy_mc(s, probs, value_gen, mc_samples, mc_seed) / spec.max_raw * NORMALIZED_BOUND
+            for s in sets
+        ]
+    else:
+        want = [additive_proxy(kind, s, probs, weights, spec.max_raw) for s in sets]
+    # exact: the same additions and products in the same order, to the bit
+    assert got.tobytes() == np.array(want).tobytes()
+    assert [spec.proxy(s, probs) for s in sets] == want
+
+
+def test_proxy_many_memory_bounded():
+    # the whole (class, set, draw) array would be 64 * 65 * 10000 * 8 B = 333 MB
+    k = 64
+    spec = SetFunctionSpec("gen", k, mc_samples=10_000, mc_seed=4)
+    probs = np.random.default_rng(4).random(k)
+    sets = np.array([(1 << n) - 1 for n in range(k + 1)], dtype=np.uint64)
+    tracemalloc.start()
+    try:
+        spec.proxy_many(sets, probs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20
+
+
 def test_marginal_additive_is_unit():
     spec = SetFunctionSpec("fp", 5)
     probs = np.array([0.1, 0.4, 0.6, 0.8, 0.95])
@@ -212,6 +270,8 @@ def test_spec_validation():
         SetFunctionSpec("tp", 65)
     with pytest.raises(ValueError):
         SetFunctionSpec("fpc", 3, np.zeros(3))
+    with pytest.raises(ValueError):
+        SetFunctionSpec("gen", 3, mc_samples=0)
 
 
 def test_load_weights_csv(tmp_path):

@@ -4,7 +4,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from costcap.set_functions import SetFunctionSpec, set_from_indices, set_indices
@@ -18,6 +18,8 @@ from costcap.universe import (
     greedy_value,
     subset_sums,
 )
+
+from .oracles import batched, greedy_ratio_order
 
 probs_strategy = st.lists(
     st.floats(min_value=0.001, max_value=0.999, allow_nan=False),
@@ -167,7 +169,7 @@ def test_proxy_cost_nondecreasing_along_chain(probs):
 
 def test_ratio_general_single_class():
     seq = greedy_ratio_general(
-        np.array([0.5]), lambda s: float(s & 1), lambda s: 0.5 * (s & 1)
+        np.array([0.5]), batched(lambda s: float(s & 1)), batched(lambda s: 0.5 * (s & 1))
     )
     assert seq.sets.tolist() == [0, 1]
 
@@ -183,8 +185,8 @@ def test_ratio_general_matches_additive():
         additive = greedy_ratio_additive(probs, w, cost_spec.class_proxy_margins(probs))
         general = greedy_ratio_general(
             probs,
-            lambda s: value_spec.proxy(s, probs),
-            lambda s: cost_spec.proxy(s, probs),
+            batched(lambda s: value_spec.proxy(s, probs)),
+            batched(lambda s: cost_spec.proxy(s, probs)),
         )
         assert additive.order.tolist() == general.order.tolist()
 
@@ -198,7 +200,7 @@ def test_ratio_general_per_step_argmax_oracle():
     probs = np.array([rng.uniform(0.05, 0.95) for _ in range(k)])
     vp = lambda s: value_spec.proxy(s, probs)
     cp = lambda s: cost_spec.proxy(s, probs)
-    seq = greedy_ratio_general(probs, vp, cp)
+    seq = greedy_ratio_general(probs, batched(vp), batched(cp))
     mask = 0
     for step, nxt in enumerate(seq.order):
         best = None
@@ -213,6 +215,56 @@ def test_ratio_general_per_step_argmax_oracle():
                 best_key, best = key, cand
         assert nxt == best, f"step {step}"
         mask |= 1 << nxt
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from([("gen", "fp"), ("gen", "fpc"), ("tpc", "fp"), ("tpc", "fpc")]),
+    st.integers(1, 12).flatmap(
+        lambda k: st.tuples(
+            # coarse values make ratios tie; p = 1 makes a free (dc = 0) class
+            st.lists(
+                st.sampled_from([0.0, 0.25, 0.5, 1.0]) | st.floats(0.0, 1.0),
+                min_size=k,
+                max_size=k,
+            ),
+            st.lists(st.sampled_from([0.0, 1.0, 2.0]), min_size=k, max_size=k),
+        )
+    ),
+    st.sampled_from([1, 2, 30]),
+)
+# classes 1 and 3 cost nothing under fp (p = 1); 0 and 2 tie exactly
+@example(("tpc", "fp"), ([0.5, 1.0, 0.5, 1.0], [2.0, 1.0, 2.0, 3.0]), 1)
+def test_ratio_general_matches_per_candidate_reference(kinds, drawn, mc_samples):
+    value_kind, cost_kind = kinds
+    probs, weights = drawn
+    assume(any(weights))  # all-zero weights are rejected
+    probs = np.array(probs)
+    weights = np.array(weights)
+    k = len(probs)
+    value_spec = SetFunctionSpec(
+        value_kind, k, weights if value_kind == "tpc" else None, mc_samples=mc_samples, mc_seed=k
+    )
+    cost_spec = SetFunctionSpec(cost_kind, k, weights if cost_kind == "fpc" else None)
+    seq = greedy_ratio_general(
+        probs,
+        lambda sets: value_spec.proxy_many(sets, probs),
+        lambda sets: cost_spec.proxy_many(sets, probs),
+    )
+    want = greedy_ratio_order(
+        k, lambda s: value_spec.proxy(s, probs), lambda s: cost_spec.proxy(s, probs)
+    )
+    assert seq.order.tolist() == want
+
+
+def test_ratio_general_running_scores_move_by_the_winners_margins():
+    # v(∅) + (v({0}) - v(∅)) is 1 + 2^-52, not v({0}) = 1.0; at 1.0 round
+    # two's ratios (2 - v) / 1 and (3 - v) / 2 would tie and class 1 would win
+    v = {0: -1.234792922781735, 0b001: 1.0, 0b010: 0.0, 0b100: 0.0, 0b011: 2.0, 0b101: 3.0}
+    c = {0: 0.0, 0b001: 0.0, 0b010: 1.0, 0b100: 1.0, 0b011: 1.0, 0b101: 2.0}
+    v[0b111], c[0b111] = 4.0, 3.0
+    seq = greedy_ratio_general(np.zeros(3), batched(v.__getitem__), batched(c.__getitem__))
+    assert seq.order.tolist() == greedy_ratio_order(3, v.__getitem__, c.__getitem__) == [0, 2, 1]
 
 
 def test_build_universe_dispatch():
