@@ -4,8 +4,9 @@ benchmark per-update latency.
 
 Subcommands: generate, run, oracle-check, bench. Exit codes: 0 success,
 1 usage/config error, 2 data error, 3 assertion failure (``run --assert``).
-A sweep runs its (seed, target) pairs one after another, in (seed, target)
-order.
+A sweep streams each seed's slice once, in seed order, through one
+controller that serves every cost target; metrics rows and the prediction
+log come out in (seed, target) order, one per configured target.
 
 Stream CSV format: header ``p_0..p_{K-1}, y_0..y_{K-1}``; probabilities as
 decimal text with 9 digits, labels as 0/1.
@@ -99,9 +100,17 @@ def read_stream_csv(path) -> list[Sample]:
 # ----------------------------------------------------------------------
 # run configuration
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_real(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 @dataclass
 class RunConfig:
-    """One sweep: controllers for every (seed, target) pair on one stream."""
+    """One sweep on one stream: a slice per seed, every target on each slice."""
 
     mode: str = "expected"
     cost_targets: list[float] = field(default_factory=lambda: list(DEFAULT_TARGETS))
@@ -118,6 +127,18 @@ class RunConfig:
     mc_samples: int = 100
 
     def validate(self) -> None:
+        for name in ("n_test", "burn_in", "n_classes", "mc_samples", "window"):
+            value = getattr(self, name)
+            if not (_is_int(value) or (name == "window" and value is None)):
+                raise UsageError(f"{name} must be an integer, got {value!r}")
+        if not isinstance(self.seeds, list) or not all(_is_int(s) for s in self.seeds):
+            raise UsageError(f"seeds must be a list of integers, got {self.seeds!r}")
+        if not isinstance(self.cost_targets, list) or not all(
+            _is_real(c) for c in self.cost_targets
+        ):
+            raise UsageError(f"cost targets must be a list of numbers, got {self.cost_targets!r}")
+        if not _is_real(self.delta):
+            raise UsageError(f"delta must be a number, got {self.delta!r}")
         if self.mode not in ("expected", "violation"):
             raise UsageError(f"mode must be expected|violation, got {self.mode!r}")
         if not self.cost_targets or any(not 0.0 < c <= 100.0 for c in self.cost_targets):
@@ -136,6 +157,8 @@ class RunConfig:
             raise UsageError(f"unknown cost kind {self.cost_kind!r}")
         if not self.seeds:
             raise UsageError("at least one seed is required")
+        if len(set(self.seeds)) != len(self.seeds):
+            raise UsageError(f"seeds must be distinct, got {self.seeds}")
         if self.n_test <= 0 or self.burn_in < 0 or self.burn_in >= self.n_test:
             raise UsageError("need 0 <= burn_in < n_test")
         if self.window is not None and self.window < 1:
@@ -219,14 +242,39 @@ class PredictionLogRow:
     cost: float
 
 
+class PredictionLog:
+    """A sweep's per-prediction log as arrays: one block per (seed, target)
+    row, in row order. Iterating yields :class:`PredictionLogRow` in
+    (seed, target, index) order."""
+
+    def __init__(self) -> None:
+        # (seed, target, index, prediction, value, cost); the int64 index
+        # array is shared by a slice's blocks
+        self.blocks: list[tuple[int, float, np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = []
+
+    def __len__(self) -> int:
+        return sum(len(block[2]) for block in self.blocks)
+
+    def __iter__(self):
+        for seed, target, index, prediction, value, cost in self.blocks:
+            for row in zip(index.tolist(), prediction.tolist(), value.tolist(), cost.tolist()):
+                yield PredictionLogRow(seed, target, *row)
+
+
 def run_single(
-    cfg: RunConfig, samples: list[Sample], seed: int, target: float, weights: np.ndarray | None
-) -> tuple[MetricsRow, list[PredictionLogRow]]:
-    """Stream one slice through one controller; aggregate its predictions."""
+    cfg: RunConfig,
+    samples: list[Sample],
+    seed: int,
+    targets: list[float],
+    weights: np.ndarray | None,
+) -> tuple[list[MetricsRow], PredictionLog]:
+    """Stream one slice through one controller for every target; one metrics
+    row and one log block per target, in the given target order. Each row's
+    update time is the slice's step time divided by the number of targets."""
     value_spec, cost_spec = build_specs(cfg, mc_seed=seed, weights=weights)
     ctrl = CostController(
         cfg.mode,
-        target,
+        targets,
         value_spec,
         cost_spec,
         universe_kind=cfg.universe,
@@ -234,35 +282,42 @@ def run_single(
         burn_in=cfg.burn_in,
         window=cfg.window,
     )
-    values = []
-    costs = []
-    violations = 0
+    # every target predicts at the same steps, the first n of the columns
+    shape = (len(targets), len(samples))
+    predictions = np.zeros(shape, dtype=np.uint64)
+    values = np.zeros(shape)
+    costs = np.zeros(shape)
+    index = np.zeros(len(samples), dtype=np.int64)
+    n = 0
     elapsed = 0.0
-    log = []
     for idx, sample in enumerate(samples):
-        out = ctrl.step(sample)
-        elapsed += out.elapsed_s
-        if out.prediction is None:
+        outs = ctrl.step_all(sample)
+        elapsed += outs[0].elapsed_s
+        if outs[0].prediction is None:
             continue
-        values.append(out.realized_value)
-        costs.append(out.realized_cost)
-        violations += out.realized_cost > target
-        log.append(
-            PredictionLogRow(seed, target, idx, out.prediction, out.realized_value, out.realized_cost)
+        index[n] = idx
+        for j, out in enumerate(outs):
+            predictions[j, n] = out.prediction
+            values[j, n] = out.realized_value
+            costs[j, n] = out.realized_cost
+        n += 1
+    rows = []
+    log = PredictionLog()
+    for j, target in enumerate(targets):
+        row_values, row_costs = values[j, :n], costs[j, :n]
+        rows.append(
+            MetricsRow(
+                seed,
+                target,
+                n,
+                float(np.mean(row_values)) if n else 0.0,
+                float(np.mean(row_costs) - target) if n else 0.0,
+                int(np.count_nonzero(row_costs > target)) / n if n else 0.0,
+                elapsed / len(samples) if samples else 0.0,
+            )
         )
-    n_pred = len(values)
-    return (
-        MetricsRow(
-            seed,
-            target,
-            n_pred,
-            float(np.mean(values)) if n_pred else 0.0,
-            float(np.mean(costs) - target) if n_pred else 0.0,
-            violations / n_pred if n_pred else 0.0,
-            elapsed / len(samples) if samples else 0.0,
-        ),
-        log,
-    )
+        log.blocks.append((seed, target, index[:n], predictions[j, :n], row_values, row_costs))
+    return rows, log
 
 
 def slice_stream(cfg: RunConfig, samples: list[Sample]) -> list[list[Sample]]:
@@ -280,24 +335,19 @@ def slice_stream(cfg: RunConfig, samples: list[Sample]) -> list[list[Sample]]:
 
 def run_experiment(
     cfg: RunConfig, samples: list[Sample], weights: np.ndarray | None = None
-) -> tuple[list[MetricsRow], list[PredictionLogRow]]:
-    """Run every (seed, target) pair in turn, in (seed, target) order, on
-    weights resolved once."""
+) -> tuple[list[MetricsRow], PredictionLog]:
+    """Stream each seed's slice through one controller for all targets, on
+    weights resolved once; rows and log blocks come in (seed, target) order,
+    one per configured target (duplicates included)."""
     if weights is None:
         weights = class_weights(cfg)
-    slices = slice_stream(cfg, samples)
-    jobs = [
-        (seed, target, chunk)
-        for seed, chunk in zip(cfg.seeds, slices)
-        for target in cfg.cost_targets
-    ]
-    jobs.sort(key=lambda job: job[:2])
+    targets = sorted(cfg.cost_targets)
     rows = []
-    log = []
-    for seed, target, chunk in jobs:
-        row, entries = run_single(cfg, chunk, seed, target, weights)
-        rows.append(row)
-        log.extend(entries)
+    log = PredictionLog()
+    for seed, chunk in sorted(zip(cfg.seeds, slice_stream(cfg, samples)), key=lambda job: job[0]):
+        slice_rows, slice_log = run_single(cfg, chunk, seed, targets, weights)
+        rows.extend(slice_rows)
+        log.blocks.extend(slice_log.blocks)
     return rows, log
 
 
@@ -366,7 +416,7 @@ def write_aggregate_csv(path, aggs: list[AggregateRow]) -> None:
             )
 
 
-def write_log_csv(path, log: list[PredictionLogRow]) -> None:
+def write_log_csv(path, log: PredictionLog) -> None:
     with open(path, "w", newline="") as fh:
         fh.write("seed,target_cost,index,prediction,value,cost\n")
         for r in log:
@@ -582,7 +632,7 @@ def _build_parser() -> _Parser:
         p.add_argument("--weights", help="'mnist' or a class-weight CSV path")
         p.add_argument("--mc-samples", type=int, dest="mc_samples")
 
-    run = sub.add_parser("run", help="stream controllers over (seed, target) pairs")
+    run = sub.add_parser("run", help="stream each seed's slice over every cost target")
     add_run_flags(run)
     run.add_argument("--stream", required=True, help="stream CSV path")
     run.add_argument("--out", required=True, help="metrics CSV path")

@@ -13,6 +13,12 @@ cost strictly below the threshold. Direct-search reference implementations
 of both thresholds (linear in the stored mass) are included; they are the
 independent route the tree is verified and benchmarked against.
 
+A controller serves one or more cost targets from one calibration pass: the
+universe, the record and the value proxies of a sample do not depend on the
+target. Expected mode keeps one tree for all targets and queries it once per
+target; violation mode keeps one tree per target, fed by each record's
+per-target exceed points. A single-target controller is the T = 1 case.
+
 One controller per stream, single-threaded per stream; independent streams
 may run in parallel.
 """
@@ -22,6 +28,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
+from numbers import Real
 from time import perf_counter
 
 import numpy as np
@@ -60,14 +67,20 @@ class SampleRecord:
     ``proxy_costs`` is nondecreasing with a leading 0 (the empty set);
     ``max_costs`` is its running-max true-cost companion. The mass the sample
     contributes at proxy_costs[j] is max_costs[j] − max_costs[j−1], which
-    telescopes to the final running max. ``exceed_threshold`` is filled in
-    violation mode: the smallest proxy cost whose running max exceeds the
-    target (above-all marker when none does).
+    telescopes to the final running max. ``exceed_thresholds`` is filled in
+    violation mode, one entry per target of the observing controller: the
+    smallest proxy cost whose running max exceeds that target (above-all
+    marker when none does).
     """
 
     proxy_costs: np.ndarray
     max_costs: np.ndarray
-    exceed_threshold: float | None = None
+    exceed_thresholds: list[float] | None = None
+
+    @property
+    def exceed_threshold(self) -> float | None:
+        """The first target's exceed point (the only one for one target)."""
+        return None if self.exceed_thresholds is None else self.exceed_thresholds[0]
 
     def mass_pairs(self) -> list[tuple[float, float]]:
         """(value, weight) insertions this record contributes; zero weights
@@ -106,7 +119,9 @@ def max_cost_curve(universe: UniverseSeq, sample: Sample, cost_fn, proxy_fn) -> 
 
 def first_exceed_threshold(record: SampleRecord, target_cost: float) -> float:
     """Smallest recorded proxy cost whose running-max true cost exceeds the
-    target; the above-all marker if the chain never exceeds it."""
+    target; the above-all marker if the chain never exceeds it. The
+    reference for the exceed points :class:`CostController` computes for all
+    its targets with one ``searchsorted``."""
     over = np.flatnonzero(record.max_costs > target_cost)
     if len(over) == 0:
         return ABOVE_ALL
@@ -148,6 +163,13 @@ class CostController:
     """Streaming controller: observe samples, emit admissible value-maximizing
     prediction sets under the chosen cost-control mode.
 
+    ``target_cost`` is one target or a sequence of T targets served by one
+    calibration pass. :meth:`step_all` returns one :class:`StepResult` per
+    target, in the given order. :meth:`step`, :meth:`predict`,
+    :meth:`threshold` (without an index), ``target_cost`` and ``tree``
+    refer to the first target, which is the only one of a single-target
+    controller; ``records`` are shared by all targets.
+
     Before ``burn_in`` samples have been observed, ``predict``/``step`` return
     the no-prediction marker (None) while calibration keeps accumulating.
     With ``window`` set, the oldest record is evicted once more than
@@ -157,7 +179,7 @@ class CostController:
     def __init__(
         self,
         mode: str,
-        target_cost: float,
+        target_cost: float | list[float],
         value_spec: SetFunctionSpec,
         cost_spec: SetFunctionSpec,
         *,
@@ -169,7 +191,10 @@ class CostController:
     ) -> None:
         if mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
-        if not 0.0 < target_cost <= cost_max:
+        targets = (target_cost,) if isinstance(target_cost, Real) else tuple(target_cost)
+        if not targets:
+            raise ValueError("need at least one target cost")
+        if not all(0.0 < c <= cost_max for c in targets):
             raise ValueError(f"target cost must be in (0, {cost_max}]")
         if not 0.0 < delta < 1.0:
             raise ValueError("delta must be in (0, 1)")
@@ -183,7 +208,8 @@ class CostController:
                 f"and {cost_spec.kind!r}"
             )
         self.mode = mode
-        self.target_cost = target_cost
+        self.targets = targets
+        self._target_array = np.array(targets, dtype=float)
         self.delta = delta
         self.cost_max = cost_max
         self.burn_in = burn_in
@@ -191,8 +217,22 @@ class CostController:
         self.universe_kind = universe_kind
         self.value_spec = value_spec
         self.cost_spec = cost_spec
-        self.tree = QuantileTree()
+        # expected mode: one CDF of record mass for every target; violation
+        # mode: one CDF of exceed points per target
+        n_trees = 1 if mode == "expected" else len(targets)
+        self.trees = [QuantileTree() for _ in range(n_trees)]
         self.records: deque[SampleRecord] = deque()
+        # the last step's per-target outcome, overwritten in place
+        self._thresholds: list[float | None] = [None] * len(targets)
+        self._predictions: list[int | None] = [None] * len(targets)
+
+    @property
+    def target_cost(self) -> float:
+        return self.targets[0]
+
+    @property
+    def tree(self) -> QuantileTree:
+        return self.trees[0]
 
     @property
     def n_seen(self) -> int:
@@ -235,33 +275,47 @@ class CostController:
     def observe_record(self, record: SampleRecord) -> None:
         """Fold an already-evaluated record (stream replay surface)."""
         if self.mode == "expected":
+            tree = self.trees[0]
             for value, weight in record.mass_pairs():
-                self.tree.insert(value, weight)
+                tree.insert(value, weight)
         else:
-            record.exceed_threshold = first_exceed_threshold(record, self.target_cost)
-            self.tree.insert(record.exceed_threshold, 1.0)
+            # max_costs is nondecreasing: the first index whose running max
+            # exceeds a target is that target's right insertion point
+            proxies = record.proxy_costs
+            m = len(proxies)
+            exceed = record.max_costs.searchsorted(self._target_array, side="right")
+            record.exceed_thresholds = [
+                float(proxies[i]) if i < m else ABOVE_ALL for i in exceed.tolist()
+            ]
+            for tree, value in zip(self.trees, record.exceed_thresholds):
+                tree.insert(value, 1.0)
         self.records.append(record)
         if self.window is not None and len(self.records) > self.window:
             self._evict(self.records.popleft())
 
     def _evict(self, record: SampleRecord) -> None:
         if self.mode == "expected":
+            tree = self.trees[0]
             for value, weight in record.mass_pairs():
-                self.tree.delete(value, weight)
+                tree.delete(value, weight)
         else:
-            self.tree.delete(record.exceed_threshold, 1.0)
+            for tree, value in zip(self.trees, record.exceed_thresholds):
+                tree.delete(value, 1.0)
 
-    def threshold(self) -> float:
-        """Current proxy-cost threshold (below-all/above-all markers at the
-        extremes). Raises :class:`EmptyDistributionError` with no records."""
+    def threshold(self, index: int = 0) -> float:
+        """Current proxy-cost threshold of target ``index`` (below-all/above-all
+        markers at the extremes). Raises :class:`EmptyDistributionError` with
+        no records."""
         n = self.n_seen
         if n < 1:
             raise EmptyDistributionError("no calibration records observed")
         if self.mode == "expected":
-            numerator = (n + 1) * self.target_cost - self.cost_max
+            tree = self.trees[0]
+            numerator = (n + 1) * self.targets[index] - self.cost_max
         else:
+            tree = self.trees[index]
             numerator = (n + 1) * self.delta - 1.0
-        mass = self.tree.total_weight()
+        mass = tree.total_weight()
         if mass <= 0.0:
             return ABOVE_ALL if numerator >= 0.0 else BELOW_ALL
         q = numerator / mass
@@ -269,7 +323,7 @@ class CostController:
             return BELOW_ALL
         if q > 1.0:
             return ABOVE_ALL
-        return self.tree.query_quantile(q)
+        return tree.query_quantile(q)
 
     def proxy_values(self, universe: UniverseSeq, probs: np.ndarray) -> np.ndarray:
         """Value proxy for every set in the universe, aligned with its order."""
@@ -279,7 +333,8 @@ class CostController:
         return spec.proxy_many(universe.sets, probs)
 
     def predict(self, sample: Sample, universe: UniverseSeq | None = None) -> int | None:
-        """Value-maximizing admissible set, or None during burn-in."""
+        """First target's value-maximizing admissible set, or None during
+        burn-in."""
         if self.n_seen <= self.burn_in:
             return None
         if universe is None:
@@ -288,37 +343,63 @@ class CostController:
         values = self.proxy_values(universe, sample.probs)
         return select_max_value(universe.sets, record.proxy_costs, values, self.threshold())
 
-    def step(self, sample: Sample) -> StepResult:
-        """Predict for the incoming sample, then calibrate on its label.
-
-        Label feedback is assumed immediate: the sample joins the calibration
-        state right after its prediction is made.
-        """
+    def _step(self, sample: Sample) -> float:
+        """Predict for every target, then calibrate on the label; returns the
+        elapsed seconds. The thresholds and predictions land in
+        ``_thresholds``/``_predictions`` (None during burn-in)."""
         t0 = perf_counter()
         universe = self.build_universe(sample.probs)
         record = self.build_record(sample, universe)
-        prediction = None
-        threshold = None
+        thresholds = self._thresholds
+        predictions = self._predictions
         if self.n_seen > self.burn_in:
-            threshold = self.threshold()
             values = self.proxy_values(universe, sample.probs)
-            prediction = select_max_value(
-                universe.sets, record.proxy_costs, values, threshold
-            )
+            for i in range(len(thresholds)):
+                threshold = thresholds[i] = self.threshold(i)
+                predictions[i] = select_max_value(
+                    universe.sets, record.proxy_costs, values, threshold
+                )
+        else:
+            for i in range(len(thresholds)):
+                thresholds[i] = predictions[i] = None
         self.observe_record(record)
-        elapsed = perf_counter() - t0
+        return perf_counter() - t0
+
+    def _result(self, index: int, labels: int, elapsed: float) -> StepResult:
+        """The last step's outcome for target ``index``, realized on ``labels``."""
+        prediction = self._predictions[index]
+        threshold = self._thresholds[index]
         if prediction is None:
             return StepResult(None, threshold, None, None, elapsed)
         return StepResult(
             prediction,
             threshold,
-            self.value_spec.evaluate(prediction, sample.labels),
-            self.cost_spec.evaluate(prediction, sample.labels),
+            self.value_spec.evaluate(prediction, labels),
+            self.cost_spec.evaluate(prediction, labels),
             elapsed,
         )
 
+    def step(self, sample: Sample) -> StepResult:
+        """Predict for the incoming sample, then calibrate on its label; the
+        first target's result.
+
+        Label feedback is assumed immediate: the sample joins the calibration
+        state right after its prediction is made.
+        """
+        elapsed = self._step(sample)
+        return self._result(0, sample.labels, elapsed)
+
+    def step_all(self, sample: Sample) -> list[StepResult]:
+        """:meth:`step` for every target: one result per target, in target
+        order. Each result's ``elapsed_s`` is the step's time divided by the
+        number of targets, so the results add up to the step."""
+        share = self._step(sample) / len(self.targets)
+        labels = sample.labels
+        return [self._result(i, labels, share) for i in range(len(self.targets))]
+
     def snapshot_csv(self, out) -> None:
-        """Audit dump: scalar state plus the live (value, weight) tree pairs."""
+        """Audit dump: scalar state plus the live (value, weight) pairs of the
+        first target's tree."""
         out.write(
             f"# mode={self.mode} target_cost={self.target_cost!r} delta={self.delta!r} "
             f"cost_max={self.cost_max!r} n_seen={self.n_seen} burn_in={self.burn_in} "

@@ -133,9 +133,12 @@ class QuantileTree:
         """Remove ``weight`` from the node at ``value``.
 
         The node is dropped (and the tree rebalanced) once its remaining
-        weight is at most ``REMOVE_EPS``. Raises :class:`ValueNotFoundError`
-        if the value is absent and :class:`WeightUnderflowError` if more than
-        the stored weight is removed beyond the 1e-9 relative tolerance.
+        weight is at most ``REMOVE_EPS``. That drop may take other inserts'
+        weights of at most ``REMOVE_EPS`` with it, so removing such a weight
+        from an absent value is a no-op, and removing it from a lighter node
+        drops the node. Otherwise raises :class:`ValueNotFoundError` if the
+        value is absent and :class:`WeightUnderflowError` if more than the
+        stored weight is removed beyond the 1e-9 relative tolerance.
         """
         if not math.isfinite(value):
             raise TreeInputError(f"value must be finite, got {value!r}")
@@ -152,9 +155,11 @@ class QuantileTree:
             else:
                 break
         if node is nil:
+            if weight <= REMOVE_EPS:
+                return
             raise ValueNotFoundError(f"value {value!r} not in tree")
         excess = weight - node.weight
-        if excess > WEIGHT_RTOL * max(abs(weight), abs(node.weight)):
+        if weight > REMOVE_EPS and excess > WEIGHT_RTOL * max(abs(weight), abs(node.weight)):
             raise WeightUnderflowError(
                 f"cannot remove weight {weight!r} from node holding {node.weight!r}"
             )

@@ -252,8 +252,9 @@ class SetFunctionSpec:
         return value_gen(s, y)
 
     def evaluate(self, s: int, y: int) -> float:
-        """Normalized score of prediction set ``s`` against labels ``y``."""
-        return self.raw(s, y) / self.max_raw * NORMALIZED_BOUND
+        """Normalized score of prediction set ``s`` against labels ``y``, as
+        a Python float (weighted kinds add NumPy scalars)."""
+        return float(self.raw(s, y) / self.max_raw * NORMALIZED_BOUND)
 
     # ------------------------------------------------------------------
     # proxies (computable from predicted probabilities alone)

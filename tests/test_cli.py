@@ -128,6 +128,32 @@ def test_run_config_validation():
             RunConfig(n_classes=k).validate()
     with pytest.raises(UsageError):
         RunConfig(value_kind="gen", mc_samples=0).validate()
+    bad_types = [
+        dict(mc_samples=2.5), dict(n_test=120.0), dict(cost_targets="20"),
+        dict(burn_in=True), dict(window=3.0), dict(n_classes="10"), dict(seeds=[0, 1.0]),
+        dict(seeds=(0, 1)), dict(cost_targets=[20, "40"]), dict(cost_targets=[True]),
+        dict(delta="0.1"), dict(delta=None),
+    ]
+    for kwargs in bad_types:
+        with pytest.raises(UsageError):
+            RunConfig(**kwargs).validate()
+    with pytest.raises(UsageError, match="distinct"):
+        RunConfig(seeds=[0, 1, 0]).validate()
+    RunConfig(cost_targets=[20, 20.0, 40], window=5, seeds=[3, 1]).validate()
+
+
+@pytest.mark.parametrize(
+    "raw",
+    [{"mc_samples": 2.5}, {"n_test": 120.0, "burn_in": 40}, {"cost_targets": "20"}, {"seeds": [0, 0]}],
+)
+def test_run_config_json_of_the_wrong_type_exits_1(tmp_path, raw, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(raw))
+    # the stream is never read: a missing file would exit 2
+    args = ["run", "--stream", str(tmp_path / "nope.csv"), "--out", str(tmp_path / "m.csv"),
+            "--config", str(cfg_path)]
+    assert main(args) == EXIT_USAGE
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_slice_stream_disjoint_and_insufficient():
@@ -196,11 +222,16 @@ def test_run_degenerate_all_empty_labels(tmp_path):
         assert float(row["excess_cost"]) <= 0.0
 
 
-def test_run_log_self_consistency(tmp_path):
+@pytest.mark.parametrize("value_kind,cost_kind", [("tp", "fp"), ("tpc", "fpc")])
+def test_run_log_self_consistency(tmp_path, value_kind, cost_kind):
     stream = write_stream(tmp_path)
     out = tmp_path / "m.csv"
     log = tmp_path / "log.csv"
-    assert main(run_args(stream, out, log=log)) == EXIT_OK
+    args = run_args(stream, out, log=log, value_kind=value_kind, cost_kind=cost_kind)
+    assert main(args) == EXIT_OK
+    # every field is plain text that float() and int() parse
+    for path in (out, log):
+        assert "np." not in path.read_text()
     metrics = {
         (r["seed"], r["target_cost"]): r for r in csv.DictReader(out.open())
     }
@@ -244,6 +275,105 @@ def test_gen_ratio_sweep_metrics_golden(tmp_path):
     assert code == EXIT_OK
     digest = hashlib.sha256(out.read_bytes()).hexdigest()
     assert digest == "3faa66b5dbff42aa1dfcf460a3975f60590f45c8a4fc677848e8e762f962b657"
+
+
+def test_duplicate_seeds_exit_1_and_duplicate_targets_keep_a_row_each(tmp_path):
+    stream = write_stream(tmp_path)
+    assert main(run_args(stream, tmp_path / "m.csv", seeds="0,0")) == EXIT_USAGE
+    out, log = tmp_path / "dup.csv", tmp_path / "dup_log.csv"
+    assert main(run_args(stream, out, log=log, targets="40,20,40")) == EXIT_OK
+    rows = out.read_text().splitlines()[1:]
+    assert [r.split(",")[:2] for r in rows] == [
+        [seed, target] for seed in "01" for target in ("20.0", "40.0", "40.0")
+    ]
+    assert rows[1] == rows[2] and rows[4] == rows[5]
+    entries = list(csv.DictReader(log.open()))
+    per_target = {}
+    for e in entries:
+        per_target.setdefault((e["seed"], e["target_cost"]), []).append(e)
+    for seed in "01":
+        n = len(per_target[(seed, "20.0")])
+        assert len(per_target[(seed, "40.0")]) == 2 * n  # both 40 rows logged
+
+
+# sha256 of the metrics CSV and of the --log CSV, computed with the
+# per-(seed, target) controllers of the earlier sweep; its weighted-cost
+# fields were written as np.float64(x) and are hashed as x
+SHARED_CORE_GOLDENS = {
+    "expected-ratio": (
+        [],
+        "aa6007b98480268ec69b78d62e8a43734a57ece4f6d07f4af4bc1687f691075d",
+        "2efd766891edaa03c2f4d980290866b1363b1c47e413bcba3261b574bc9735aa",
+    ),
+    "expected-ratio-window": (
+        ["--window", "50"],
+        "add5dae8db31b560d4d0b3e6ce86e4615fe521028d96ed8785ac2bee791c7024",
+        "c6e63de7745c32a72ba92dab6be4dfbe2e8d327740a91e3613b032304e51ce7b",
+    ),
+    "expected-full": (
+        ["--universe", "full"],
+        "de6f45fbfe31041223e37530731e513cd1bf85e4a217e3d00863d2d07e2f2161",
+        "d4ab58a5385198b6d6b7fb9aaf500622e999ba904159aac349791b7c75ef5ded",
+    ),
+    "expected-full-window": (
+        ["--universe", "full", "--window", "50"],
+        "ad4eb9de0242dd83cbbf7f6e4a4d93fedc10c22e4c279abe4d14a9820a1cdbec",
+        "3a677c9773f225e7639f4f0d66d4597bea277fc8544f03184e768dd13b4e25b7",
+    ),
+    "violation-ratio": (
+        ["--mode", "violation"],
+        "b8373a9611fdcfe35af70307ebcfb6be49fa9b899b072116a3239d8b35b265cc",
+        "561e3f438c3e4dc53d26f9c648ba94d21866f45883608d299b9f809af881f616",
+    ),
+    "violation-ratio-window": (
+        ["--mode", "violation", "--window", "50"],
+        "de7c5018cafa8077a5e1651673337331d6d9288d819cb731194758b2a2692e2b",
+        "e08b1d2a46887b1b56296fe39db9ac9964663decc55f997248dde807da8696d6",
+    ),
+    "violation-full": (
+        ["--mode", "violation", "--universe", "full"],
+        "8410540755104f9cef4d479ef20e66f35b42d994e7427859a765729beeb8a6cb",
+        "666bfbf179f37e80b43e577134f3a0aa7b2938a0bf3ac2f11cd3ef88b9dfa48b",
+    ),
+    "violation-full-window": (
+        ["--mode", "violation", "--universe", "full", "--window", "50"],
+        "c51ab33d099c7d5cb18271924321146ad66f8539a2312285dccb34579e9c663d",
+        "e37ac08492f1d635cd159d27836956c133923d3ea9a5bf8804645fea46d4287a",
+    ),
+    "gen": (
+        ["--value-kind", "gen", "--cost-kind", "fp"],
+        "be048f2685d31ec095b7572dfd3b74429125f6784d3c7cb5466b51dd333b24e1",
+        "af6b78d29a1404b72cc16411d37a341cfe69e35c9dc505b4e2a64d4d616665e9",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SHARED_CORE_GOLDENS))
+def test_shared_core_sweep_goldens(tmp_path, case):
+    # unsorted and duplicate targets, 2 seeds, tpc/fpc unless overridden
+    flags, metrics_digest, log_digest = SHARED_CORE_GOLDENS[case]
+    stream, out, log = tmp_path / "s.csv", tmp_path / "m.csv", tmp_path / "log.csv"
+    main(["generate", "--n", "300", "--classes", "6", "--seed", "3",
+          "--heterogeneity", "1.0", "--out", str(stream)])
+    code = main([
+        "run", "--stream", str(stream), "--out", str(out), "--log", str(log),
+        "--classes", "6", "--seeds", "0,1", "--targets", "30,5,20,20,45",
+        "--n-test", "150", "--burn-in", "40", "--value-kind", "tpc", "--cost-kind", "fpc",
+        *flags,
+    ])
+    assert code == EXIT_OK
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == metrics_digest
+    assert hashlib.sha256(log.read_bytes()).hexdigest() == log_digest
+
+
+def test_windowed_expected_powerset_on_a_duplicate_heavy_stream(tmp_path):
+    # equal subset sums leave 1e-15 record weights that the tree drops
+    # together with their node; evicting them must not raise
+    stream = write_stream(tmp_path, n=300, k=6, seed=3, heterogeneity=0.0)
+    out = tmp_path / "m.csv"
+    args = run_args(stream, out, classes="6", n_test="150", burn_in="40", universe="full",
+                    window="50", value_kind="tpc", cost_kind="fpc", targets="30,5,20,20,45")
+    assert main(args) == EXIT_OK
 
 
 def test_missing_stream_file_exits_2(tmp_path):

@@ -24,6 +24,7 @@ from costcap.controller import (
 )
 from costcap.quantile_tree import ABOVE_ALL, BELOW_ALL, EmptyDistributionError
 from costcap.set_functions import Sample, SetFunctionSpec, full_set
+from costcap.synth import GeneratorConfig, generate, mnist_weights
 from costcap.universe import UniverseSeq, full_universe, greedy_prob, subset_sums
 
 
@@ -513,6 +514,81 @@ def test_step_prediction_is_python_int(kind):
     preds = [out.prediction for out in outs[3:]]
     assert all(type(p) is int for p in preds)
     assert any(preds)
+
+
+# ----------------------------------------------------------------------
+# one controller, several targets
+
+
+MULTI_TARGETS = [30.0, 5.0, 20.0, 20.0, 45.0]
+
+
+@pytest.mark.parametrize("mode", ["expected", "violation"])
+@pytest.mark.parametrize("kind", ["ratio", "full"])
+def test_multi_target_controller_equals_single_target_controllers(mode, kind):
+    # one calibration pass for T targets must reproduce T separate
+    # controllers at every step, evictions included, and the direct search
+    k = 5
+    stream = generate(GeneratorConfig(n=260, n_classes=k, heterogeneity=1.0, seed=17))
+    value_spec = SetFunctionSpec("tpc", k, mnist_weights(k))
+    cost_spec = SetFunctionSpec("fpc", k, mnist_weights(k))
+    kwargs = dict(universe_kind=kind, burn_in=20, window=60, delta=0.2)
+    multi = CostController(mode, MULTI_TARGETS, value_spec, cost_spec, **kwargs)
+    singles = [CostController(mode, c, value_spec, cost_spec, **kwargs) for c in MULTI_TARGETS]
+    assert len(multi.trees) == (1 if mode == "expected" else len(MULTI_TARGETS))
+    checked = 0
+    for i, sample in enumerate(stream):
+        outs = multi.step_all(sample)
+        assert len(outs) == len(MULTI_TARGETS)
+        for out, single in zip(outs, singles):
+            want = single.step(sample)
+            assert (out.prediction, out.threshold) == (want.prediction, want.threshold)
+            assert (out.realized_value, out.realized_cost) == (
+                want.realized_value, want.realized_cost
+            )
+        assert [multi.threshold(j) for j in range(len(singles))] == [
+            single.threshold() for single in singles
+        ]
+        if i % 26 == 25:
+            for j, (c, single) in enumerate(zip(MULTI_TARGETS, singles)):
+                tree_t, oracle_t, status = threshold_comparison(single)
+                assert status in ("match", "boundary")
+                assert multi.threshold(j) == tree_t
+                if mode == "expected":
+                    oracle = oracle_threshold_expected(multi.records, c, multi.cost_max)
+                else:
+                    oracle = oracle_threshold_violation(multi.records, c, multi.delta)
+                assert oracle == oracle_t
+                checked += status == "match" and multi.threshold(j) == oracle
+            if mode == "violation":
+                for rec in multi.records:
+                    assert rec.exceed_thresholds == [
+                        first_exceed_threshold(rec, c) for c in MULTI_TARGETS
+                    ]
+    assert multi.n_seen == 60  # the window evicted
+    assert checked >= 40
+
+
+def test_multi_target_step_matches_step_for_the_first_target():
+    k = 4
+    stream = generate(GeneratorConfig(n=60, n_classes=k, heterogeneity=1.0, seed=3))
+    specs = (SetFunctionSpec("tp", k), SetFunctionSpec("fp", k))
+    multi = CostController("expected", [40.0, 10.0], *specs, burn_in=5)
+    single = CostController("expected", 40.0, *specs, burn_in=5)
+    for sample in stream:
+        got, want = multi.step(sample), single.step(sample)
+        assert (got.prediction, got.threshold, got.realized_cost) == (
+            want.prediction, want.threshold, want.realized_cost
+        )
+    assert multi.target_cost == 40.0 and multi.targets == (40.0, 10.0)
+    assert list(multi.tree.items()) == list(single.tree.items())
+
+
+def test_multi_target_controller_rejects_bad_targets():
+    specs = (SetFunctionSpec("tp", 2), SetFunctionSpec("fp", 2))
+    for targets in ([], [20.0, 0.0], [20.0, 101.0]):
+        with pytest.raises(ValueError):
+            CostController("expected", targets, *specs)
 
 
 def test_snapshot_csv():

@@ -89,6 +89,23 @@ def test_delete_within_tolerance_removes_node():
     assert len(tree) == 0
 
 
+def test_delete_weight_dropped_with_its_node():
+    # a node whose weight decays below REMOVE_EPS is dropped together with
+    # another insert's tiny weight; removing that weight later is a no-op
+    tree = QuantileTree()
+    tree.insert(14.285714285714286, 4.761904761904763 + 3.552713678800501e-15)
+    tree.insert(2.0, 1.0)
+    tree.delete(14.285714285714286, 4.761904761904763)
+    assert list(tree.items()) == [(2.0, 1.0)]
+    tree.delete(14.285714285714286, 3.552713678800501e-15)
+    assert list(tree.items()) == [(2.0, 1.0)]
+    # the value came back lighter than the dropped weight: the node goes
+    tree.insert(14.285714285714286, 1e-15)
+    tree.delete(14.285714285714286, 3.552713678800501e-15)
+    assert list(tree.items()) == [(2.0, 1.0)]
+    tree.validate()
+
+
 def test_quantile_three_masses():
     # inf{t : F(t) >= 0.5} over {(1, .2), (2, .3), (3, .5)} is 2
     tree = QuantileTree()
