@@ -7,9 +7,6 @@ from .controller import (
     StepResult,
     classwise_predict,
     classwise_thresholds,
-    cplus_at,
-    first_exceed_threshold,
-    max_cost_curve,
     oracle_threshold_expected,
     oracle_threshold_violation,
     select_max_value,
@@ -42,15 +39,12 @@ __all__ = [
     "build_universe",
     "classwise_predict",
     "classwise_thresholds",
-    "cplus_at",
-    "first_exceed_threshold",
     "full_universe",
     "generate",
     "greedy_prob",
     "greedy_ratio_additive",
     "greedy_ratio_general",
     "greedy_value",
-    "max_cost_curve",
     "mnist_weights",
     "oracle_threshold_expected",
     "oracle_threshold_violation",

@@ -39,10 +39,8 @@ from .quantile_tree import (
     EmptyDistributionError,
     QuantileTree,
 )
-from .set_functions import Sample, SetFunctionSpec
+from .set_functions import Sample, SetFunctionSpec, label_bits
 from .universe import UniverseSeq, build_universe, subset_sums
-
-PROXY_SORT_TOL = 1e-7
 
 MODES = ("expected", "violation")
 
@@ -77,11 +75,6 @@ class SampleRecord:
     max_costs: np.ndarray
     exceed_thresholds: list[float] | None = None
 
-    @property
-    def exceed_threshold(self) -> float | None:
-        """The first target's exceed point (the only one for one target)."""
-        return None if self.exceed_thresholds is None else self.exceed_thresholds[0]
-
     def mass_pairs(self) -> list[tuple[float, float]]:
         """(value, weight) insertions this record contributes; zero weights
         are dropped (they cannot move any quantile)."""
@@ -93,47 +86,6 @@ class SampleRecord:
             if w > 0.0:
                 pairs.append((float(pc[j]), float(w)))
         return pairs
-
-
-def max_cost_curve(universe: UniverseSeq, sample: Sample, cost_fn, proxy_fn) -> SampleRecord:
-    """Evaluate a candidate family into a :class:`SampleRecord`, one call per
-    set: the reference :meth:`CostController.build_record` is tested against.
-
-    ``cost_fn(mask, labels)`` and ``proxy_fn(mask, probs)`` return normalized
-    scores. The universe must start at ∅ with zero cost and zero proxy and be
-    sorted by proxy cost; anything else is a precondition error.
-    """
-    sets = universe.sets.tolist()
-    proxies = np.array([proxy_fn(s, sample.probs) for s in sets])
-    if sets[0] != 0:
-        raise ValueError("universe must start with the empty set")
-    if proxies[0] != 0.0:
-        raise ValueError("proxy cost of the empty set must be 0")
-    if len(proxies) > 1 and np.min(np.diff(proxies)) < -PROXY_SORT_TOL:
-        raise ValueError("universe is not sorted by proxy cost")
-    costs = np.array([cost_fn(s, sample.labels) for s in sets])
-    if costs[0] != 0.0:
-        raise ValueError("true cost of the empty set must be 0")
-    return SampleRecord(proxies, np.maximum.accumulate(costs))
-
-
-def first_exceed_threshold(record: SampleRecord, target_cost: float) -> float:
-    """Smallest recorded proxy cost whose running-max true cost exceeds the
-    target; the above-all marker if the chain never exceeds it. The
-    reference for the exceed points :class:`CostController` computes for all
-    its targets with one ``searchsorted``."""
-    over = np.flatnonzero(record.max_costs > target_cost)
-    if len(over) == 0:
-        return ABOVE_ALL
-    return float(record.proxy_costs[over[0]])
-
-
-def cplus_at(record: SampleRecord, t: float) -> float:
-    """Worst true cost among candidates with proxy cost strictly below t."""
-    idx = int(np.searchsorted(record.proxy_costs, t, side="left")) - 1
-    if idx < 0:
-        return 0.0
-    return float(record.max_costs[idx])
 
 
 def select_max_value(sets, proxy_costs, proxy_values, threshold: float) -> int:
@@ -242,9 +194,14 @@ class CostController:
     # per-sample pipeline
 
     def build_universe(self, probs: np.ndarray) -> UniverseSeq:
+        """The sample's candidate family; a probability vector of another
+        length, or with an entry that is not a number in [0, 1], raises
+        ValueError before any state changes."""
         k = self.cost_spec.n_classes
         if len(probs) != k:
             raise ValueError(f"probability vector has K = {len(probs)}, controller has K = {k}")
+        if not (probs.min() >= 0.0 and probs.max() <= 1.0):  # NaN fails both
+            raise ValueError(f"probabilities must lie in [0, 1], got {probs!r}")
         return build_universe(self.universe_kind, probs, self.value_spec, self.cost_spec)
 
     def build_record(self, sample: Sample, universe: UniverseSeq) -> SampleRecord:
@@ -262,8 +219,9 @@ class CostController:
             )
         proxies = universe.proxy_costs
         if proxies is None:
-            proxies = _universe_sums(spec.class_proxy_margins(sample.probs), universe)
-        costs = _universe_sums(spec.class_true_margins(sample.labels), universe)
+            proxies = _universe_sums(spec.class_margins(sample.probs), universe)
+        labels = label_bits(sample.labels, spec.n_classes)
+        costs = _universe_sums(spec.class_margins(labels), universe)
         return SampleRecord(proxies, np.maximum.accumulate(costs))
 
     def observe(self, sample: Sample, universe: UniverseSeq | None = None) -> None:
@@ -329,7 +287,7 @@ class CostController:
         """Value proxy for every set in the universe, aligned with its order."""
         spec = self.value_spec
         if spec.additive:
-            return _universe_sums(spec.class_proxy_margins(probs), universe)
+            return _universe_sums(spec.class_margins(probs), universe)
         return spec.proxy_many(universe.sets, probs)
 
     def predict(self, sample: Sample, universe: UniverseSeq | None = None) -> int | None:

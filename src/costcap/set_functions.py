@@ -1,17 +1,20 @@
 """Monotone set-valued value and cost functions and their proxies.
 
-Label sets are bitmasks over at most 64 classes. The raw functions below
-return un-normalized scores; :class:`SetFunctionSpec` wraps one of them with
-the normalization rule that maps the best attainable score to exactly 100,
-and provides the probability-based proxy (computable without the true
-labels) plus per-class marginal decompositions for the additive kinds.
+Label sets are bitmasks over at most 64 classes. :class:`SetFunctionSpec` is
+the one definition of each kind: a polarity (a value kind counts the classes
+of S present in the labels, a cost kind those absent) and per-class raw
+terms, the weights or ones for the additive kinds and ``gen``'s
+``(k+5)/10`` factors and ``(k-5)^2`` squares. Its raw score runs over the
+counted classes in ascending order on Python floats, and its normalization
+maps the best attainable score to exactly 100. It also provides the
+probability-based proxy (computable without the true labels) and, for the
+additive kinds, per-class margins.
 
 ``SetFunctionSpec.proxy_many`` is the one proxy implementation: it scores a
 ``uint64`` mask array in one call, and every score is reduced in a fixed
 order (classes ascending, then Monte-Carlo draws in order) with
 ``np.add.accumulate``/``np.multiply.accumulate``, so it equals the per-set
-loop bit for bit. ``proxy`` is ``proxy_many`` on one set; ``proxy_mc`` is
-the per-set Monte-Carlo reference the tests hold it to.
+loop bit for bit. ``proxy`` is ``proxy_many`` on one set.
 
 All operations are pure; safe for unrestricted parallel use.
 """
@@ -19,6 +22,7 @@ All operations are pure; safe for unrestricted parallel use.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -33,28 +37,6 @@ COST_KINDS = ("fp", "fpc")
 
 def full_set(n_classes: int) -> int:
     return (1 << n_classes) - 1
-
-
-def set_from_indices(indices) -> int:
-    mask = 0
-    for k in indices:
-        mask |= 1 << k
-    return mask
-
-
-def set_indices(mask: int) -> list[int]:
-    out = []
-    k = 0
-    while mask:
-        if mask & 1:
-            out.append(k)
-        mask >>= 1
-        k += 1
-    return out
-
-
-def set_size(mask: int) -> int:
-    return mask.bit_count()
 
 
 _BIT_INDEX = np.arange(MAX_CLASSES, dtype=np.uint64)
@@ -82,91 +64,26 @@ class Sample:
     def n_classes(self) -> int:
         return len(self.probs)
 
-    def label_vector(self) -> np.ndarray:
-        return label_bits(self.labels, len(self.probs))
-
-
-# ----------------------------------------------------------------------
-# raw (un-normalized) set functions
-
-def value_tp(s: int, y: int) -> float:
-    """Number of true positives |S ∩ y|."""
-    return float((s & y).bit_count())
-
-
-def cost_fp(s: int, y: int) -> float:
-    """Number of false positives |S \\ y|."""
-    return float((s & ~y).bit_count())
-
-
-def value_tpc(s: int, y: int, w: np.ndarray) -> float:
-    """Severity-weighted true positives: sum of w_k over k in S with y_k = 1."""
-    total = 0.0
-    for k in set_indices(s & y):
-        total += w[k]
-    return total
-
-
-def cost_fpc(s: int, y: int, w: np.ndarray) -> float:
-    """Severity-weighted false positives: sum of w_k over k in S with y_k = 0."""
-    total = 0.0
-    for k in set_indices(s & ~y):
-        total += w[k]
-    return total
-
-
-def value_gen(s: int, y: int) -> float:
-    """Non-additive value: prod_{k in S∩y} (k+5)/10 + sum_{k in S∩y} (k-5)^2.
-
-    The empty intersection contributes the empty product, 1.
-    """
-    prod = 1.0
-    sq = 0.0
-    for k in set_indices(s & y):
-        prod *= (k + 5) / 10.0
-        sq += (k - 5) ** 2
-    return prod + sq
-
-
-# ----------------------------------------------------------------------
-# Monte-Carlo proxy for non-additive functions
-
-def proxy_mc(s: int, probs: np.ndarray, true_fn, n_samples: int = 100, seed: int = 0) -> float:
-    """Monte-Carlo proxy: mean of true_fn(S, y) over y with independent
-    Bernoulli(p_k) classes. Deterministic given the seed.
-
-    Class correlations are not recoverable from the marginals, so classes are
-    sampled independently. Per-set reference only: the library scores sets
-    with :meth:`SetFunctionSpec.proxy_many`, which must equal this (times the
-    normalization) bit for bit.
-    """
-    if n_samples < 1:
-        raise ValueError("n_samples must be >= 1")
-    rng = np.random.default_rng(seed)
-    k = len(probs)
-    draws = rng.random((n_samples, k)) < probs
-    total = 0.0
-    for row in draws:
-        y = 0
-        for i in range(k):
-            if row[i]:
-                y |= 1 << i
-        total += true_fn(s, y)
-    return total / n_samples
-
 
 @dataclass(frozen=True)
 class SetFunctionSpec:
     """A value or cost function with its bounds, proxy and normalization.
 
+    Raw scores of the kinds, over the classes k of S that count (present in
+    the labels for ``tp``/``tpc``/``gen``, absent for ``fp``/``fpc``):
+    ``tp``/``fp`` their number, ``tpc``/``fpc`` the sum of their weights w_k,
+    ``gen`` prod (k+5)/10 + sum (k-5)^2, the empty product being 1.
+
     ``max_raw`` is the best attainable raw score (S = [K] against the most
     favorable labels); scaled scores are raw / max_raw * 100, so the bound is
-    hit exactly.
+    hit exactly. Weights that make it zero or not finite are rejected.
+    ``class_values`` holds each class's raw score alone against those labels:
+    its weight (or 1) for an additive kind, its factor plus square for ``gen``.
 
     A ``gen`` spec's proxy is the mean of the value over ``mc_samples``
-    label draws: one (mc_samples, K) matrix of uniforms from
-    ``default_rng(mc_seed)``, drawn at construction and shared by every set
-    and every call.
+    label draws with independent Bernoulli(p_k) classes: one (mc_samples, K)
+    matrix of uniforms from ``default_rng(mc_seed)``, drawn at construction
+    and shared by every set and every call.
     """
 
     kind: str
@@ -182,46 +99,49 @@ class SetFunctionSpec:
             raise ValueError(f"n_classes must be in [1, {MAX_CLASSES}]")
         if self.mc_samples < 1:
             raise ValueError(f"mc_samples must be >= 1, got {self.mc_samples}")
-        if self.kind in ("tpc", "fpc"):
-            if self.weights is None or len(self.weights) != self.n_classes:
-                raise ValueError("weighted kinds need a weight vector of length n_classes")
-            if np.any(np.asarray(self.weights) < 0):
-                raise ValueError("class weights must be nonnegative")
-            if not np.any(np.asarray(self.weights) > 0):
-                raise ValueError("class weights must not all be zero")  # nothing to normalize by
         k = self.n_classes
-        everything = full_set(k)
-        if self.kind == "tp":
-            max_raw = value_tp(everything, everything)
-        elif self.kind == "fp":
-            max_raw = cost_fp(everything, 0)
-        elif self.kind == "tpc":
-            max_raw = value_tpc(everything, everything, self.weights)
-        elif self.kind == "fpc":
-            max_raw = cost_fpc(everything, 0, self.weights)
+        weighted = self.kind in ("tpc", "fpc")
+        if weighted:
+            if self.weights is None or len(self.weights) != k:
+                raise ValueError("weighted kinds need a weight vector of length n_classes")
+            units = np.asarray(self.weights, dtype=np.float64)
+            if np.any(units < 0):
+                raise ValueError("class weights must be nonnegative")
+        elif self.weights is not None:
+            raise ValueError(f"kind {self.kind!r} takes no class weights")
         else:
-            max_raw = value_gen(everything, everything)
-        object.__setattr__(self, "_max_raw", max_raw)
-        if self.additive:
-            units = (
-                np.asarray(self.weights, dtype=np.float64)
-                if self.weights is not None
-                else np.ones(k)
-            )
-            object.__setattr__(self, "_unit_margins", units / max_raw * NORMALIZED_BOUND)
-        else:
-            # the matrix every proxy_mc(s, probs, value_gen, mc_samples,
-            # mc_seed) call draws, and value_gen's per-class terms
-            uniforms = np.random.default_rng(self.mc_seed).random((self.mc_samples, k))
-            object.__setattr__(self, "_uniforms", uniforms)
+            units = np.ones(k)
+
+        def keep(**attrs):
+            for name, value in attrs.items():
+                object.__setattr__(self, name, value)
+
+        keep(_counts_absent=self.is_cost, _units=units.tolist() if weighted else None)
+        if self.kind == "gen":
             cls = np.arange(k)
-            object.__setattr__(self, "_factors", ((cls + 5) / 10.0)[:, None, None])
+            factors = (cls + 5) / 10.0
             squares = ((cls - 5) ** 2).astype(np.float64)
-            object.__setattr__(self, "_squares", squares[:, None, None])
-        object.__setattr__(
-            self,
-            "_singleton_raw",
-            np.array([self.raw(1 << i, everything) for i in range(k)]),
+            keep(
+                _factors=factors.tolist(),
+                _squares=squares.tolist(),
+                # the proxy's copies, shaped to broadcast over (class, set, draw)
+                _mc_factors=factors[:, None, None],
+                _mc_squares=squares[:, None, None],
+                # the matrix every Monte-Carlo proxy call compares probs to
+                _uniforms=np.random.default_rng(self.mc_seed).random((self.mc_samples, k)),
+            )
+        everything = full_set(k)
+        best_labels = 0 if self.is_cost else everything
+        max_raw = self.raw(everything, best_labels)
+        if not 0.0 < max_raw < math.inf:
+            # zero when every weight is; not finite when one is or their sum overflows
+            raise ValueError(
+                f"class weights must not all be zero and must have a finite sum, got {max_raw}"
+            )
+        keep(
+            _max_raw=max_raw,
+            _unit_margins=units / max_raw * NORMALIZED_BOUND,
+            class_values=np.array([self.raw(1 << i, best_labels) for i in range(k)]),
         )
 
     @property
@@ -233,28 +153,35 @@ class SetFunctionSpec:
         return self.kind in COST_KINDS
 
     @property
-    def bound(self) -> float:
-        return NORMALIZED_BOUND
-
-    @property
     def max_raw(self) -> float:
         return self._max_raw
 
     def raw(self, s: int, y: int) -> float:
-        if self.kind == "tp":
-            return value_tp(s, y)
-        if self.kind == "fp":
-            return cost_fp(s, y)
-        if self.kind == "tpc":
-            return value_tpc(s, y, self.weights)
-        if self.kind == "fpc":
-            return cost_fpc(s, y, self.weights)
-        return value_gen(s, y)
+        """Un-normalized score of ``s`` against labels ``y``, a Python float
+        reduced over the counted classes in ascending order."""
+        hits = s & ~y if self._counts_absent else s & y
+        units = self._units
+        if units is not None:
+            total = 0.0
+            while hits:
+                total += units[(hits & -hits).bit_length() - 1]
+                hits &= hits - 1
+            return total
+        if self.kind != "gen":
+            return float(hits.bit_count())
+        prod = 1.0
+        squares = 0.0
+        factor_of, square_of = self._factors, self._squares
+        while hits:
+            k = (hits & -hits).bit_length() - 1
+            prod *= factor_of[k]
+            squares += square_of[k]
+            hits &= hits - 1
+        return prod + squares
 
     def evaluate(self, s: int, y: int) -> float:
-        """Normalized score of prediction set ``s`` against labels ``y``, as
-        a Python float (weighted kinds add NumPy scalars)."""
-        return float(self.raw(s, y) / self.max_raw * NORMALIZED_BOUND)
+        """Normalized score of prediction set ``s`` against labels ``y``."""
+        return self.raw(s, y) / self._max_raw * NORMALIZED_BOUND
 
     # ------------------------------------------------------------------
     # proxies (computable from predicted probabilities alone)
@@ -277,14 +204,14 @@ class SetFunctionSpec:
         if self.kind == "gen":
             raw = self._mc_means(member, probs)
         else:
-            units = probs if self.kind in ("tp", "tpc") else 1.0 - probs
-            if self.weights is not None:
+            units = self._counted(probs)
+            if self._units is not None:
                 units = units * self.weights
             terms = np.where(member, units[:, None], 0.0)
             np.add.accumulate(terms, axis=0, out=terms)
             # the loop's running sum starts at 0.0, which turns -0.0 into 0.0
             raw = terms[-1] + 0.0
-        return raw / self.max_raw * NORMALIZED_BOUND
+        return raw / self._max_raw * NORMALIZED_BOUND
 
     def _mc_means(self, member: np.ndarray, probs: np.ndarray) -> np.ndarray:
         """Raw ``gen`` Monte-Carlo mean for each column of ``member``: the
@@ -298,48 +225,35 @@ class SetFunctionSpec:
         total = np.zeros(n_sets)
         for start in range(0, n_draws, block):
             inter = member[:, :, None] & hits[:, None, start : start + block]
-            prod = np.where(inter, self._factors, 1.0)
+            prod = np.where(inter, self._mc_factors, 1.0)
             np.multiply.accumulate(prod, axis=0, out=prod)
-            squares = np.where(inter, self._squares, 0.0)
+            squares = np.where(inter, self._mc_squares, 0.0)
             np.add.accumulate(squares, axis=0, out=squares)
-            values = prod[-1] + squares[-1]  # value_gen(S, y) per (set, draw)
+            values = prod[-1] + squares[-1]  # the raw gen score per (set, draw)
             values[:, 0] += total  # continue the previous blocks' running sum
             np.add.accumulate(values, axis=1, out=values)
             total = values[:, -1]
         return total / n_draws
 
-    def class_proxy_margins(self, probs: np.ndarray) -> np.ndarray:
-        """Per-class normalized proxy marginals (additive kinds only)."""
+    def _counted(self, present: np.ndarray) -> np.ndarray:
+        """How much each class counts, given its presence (a probability or
+        a 0/1 label): the presence for value kinds, 1 - presence for cost
+        kinds."""
+        return 1.0 - present if self._counts_absent else present
+
+    def class_margins(self, present: np.ndarray) -> np.ndarray:
+        """Per-class normalized margins of an additive kind, given each
+        class's presence: the probabilities for the proxy, or
+        ``label_bits(y, K)`` for the true score."""
         if not self.additive:
             raise ValueError("marginal vector requires an additive kind")
-        base = probs if self.kind in ("tp", "tpc") else 1.0 - probs
-        return base * self._unit_margins
-
-    def class_true_margins(self, y: int) -> np.ndarray:
-        """Per-class normalized true-score marginals given labels (additive)."""
-        if not self.additive:
-            raise ValueError("marginal vector requires an additive kind")
-        bits = label_bits(y, self.n_classes)
-        base = bits if self.kind in ("tp", "tpc") else 1.0 - bits
-        return base * self._unit_margins
-
-
-def marginal_proxy(spec: SetFunctionSpec, k: int, s: int, probs: np.ndarray) -> float:
-    """Marginal proxy of adding class k to S: proxy(S ∪ {k}) − proxy(S).
-
-    Independent of S for additive kinds. Raises if k is already in S.
-    """
-    if (s >> k) & 1:
-        raise ValueError(f"class {k} already in the set")
-    if spec.additive:
-        return float(spec.class_proxy_margins(probs)[k])
-    return spec.proxy(s | (1 << k), probs) - spec.proxy(s, probs)
+        return self._counted(present) * self._unit_margins
 
 
 def load_weights_csv(path: str | Path, n_classes: int) -> np.ndarray:
     """Read a (class_index, weight) CSV column into a weight vector.
     Malformed rows, weights that are not finite and nonnegative, and weights
-    that are all zero raise ValueError."""
+    that are all zero or whose sum overflows raise ValueError."""
     w = np.full(n_classes, np.nan)
     with open(path, newline="") as fh:
         for row in csv.reader(fh):
@@ -356,6 +270,5 @@ def load_weights_csv(path: str | Path, n_classes: int) -> np.ndarray:
     if np.any(np.isnan(w)):
         missing = [int(i) for i in np.flatnonzero(np.isnan(w))]
         raise ValueError(f"weights missing for classes {missing}")
-    if not np.any(w > 0.0):
-        raise ValueError("weights must not all be zero")
+    SetFunctionSpec("fpc", n_classes, w)  # the spec's own checks on the total
     return w

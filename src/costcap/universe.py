@@ -67,7 +67,7 @@ def full_universe(probs: np.ndarray, cost_spec: SetFunctionSpec) -> UniverseSeq:
         raise ValueError(
             f"full universe needs K <= {FULL_UNIVERSE_MAX_CLASSES}, got {k}"
         )
-    proxies = subset_sums(cost_spec.class_proxy_margins(probs))
+    proxies = subset_sums(cost_spec.class_margins(probs))
     order = np.lexsort((np.arange(1 << k), proxies))
     return UniverseSeq(order.astype(np.uint64), "full", proxy_costs=proxies[order])
 
@@ -170,11 +170,11 @@ def build_universe(
     if kind == "prob":
         return greedy_prob(probs)
     if kind == "value":
-        return greedy_value(probs, _value_units(value_spec))
+        return greedy_value(probs, value_spec.class_values)
     if kind == "ratio":
         if value_spec.additive:
             return greedy_ratio_additive(
-                probs, _value_units(value_spec), cost_spec.class_proxy_margins(probs)
+                probs, value_spec.class_values, cost_spec.class_margins(probs)
             )
         return greedy_ratio_general(
             probs,
@@ -183,7 +183,3 @@ def build_universe(
         )
     raise ValueError(f"unknown universe kind {kind!r}")
 
-
-def _value_units(value_spec: SetFunctionSpec) -> np.ndarray:
-    """Per-class value weights v_k: the raw singleton score of each class."""
-    return value_spec._singleton_raw

@@ -32,7 +32,7 @@ from costcap.cli import (
     slice_stream,
     write_stream_csv,
 )
-from costcap.set_functions import Sample, full_set
+from costcap.set_functions import Sample, full_set, label_bits
 from costcap.synth import GeneratorConfig, generate
 
 
@@ -40,6 +40,12 @@ def write_stream(tmp_path, n=200, k=4, seed=0, heterogeneity=1.0, name="stream.c
     path = tmp_path / name
     write_stream_csv(path, generate(GeneratorConfig(n=n, n_classes=k, seed=seed, heterogeneity=heterogeneity)))
     return path
+
+
+def csv_rows(path) -> list[dict[str, str]]:
+    """The rows of a CSV file with a header row, read through a closed handle."""
+    with path.open() as fh:
+        return list(csv.DictReader(fh))
 
 
 # ----------------------------------------------------------------------
@@ -69,7 +75,7 @@ def test_stream_round_trip_and_calibration(tmp_path):
     samples = read_stream_csv(path)
     assert len(samples) == 10000
     probs = np.stack([s.probs for s in samples]).ravel()
-    hits = np.concatenate([s.label_vector() for s in samples])
+    hits = np.concatenate([label_bits(s.labels, s.n_classes) for s in samples])
     # binomial check per probability decile
     edges = np.quantile(probs, np.linspace(0, 1, 11))
     for lo, hi in zip(edges, edges[1:]):
@@ -192,12 +198,12 @@ def test_run_writes_metrics_and_aggregates(tmp_path):
     stream = write_stream(tmp_path)
     out = tmp_path / "metrics.csv"
     assert main(run_args(stream, out)) == EXIT_OK
-    rows = list(csv.DictReader(out.open()))
+    rows = csv_rows(out)
     assert len(rows) == 4  # 2 seeds x 2 targets
     assert {r["seed"] for r in rows} == {"0", "1"}
-    agg = list(csv.DictReader((tmp_path / "metrics_aggregate.csv").open()))
+    agg = csv_rows(tmp_path / "metrics_aggregate.csv")
     assert agg[-1]["target_cost"] == "all"
-    timing = list(csv.DictReader((tmp_path / "metrics_timing.csv").open()))
+    timing = csv_rows(tmp_path / "metrics_timing.csv")
     assert len(timing) == 4
     assert all(float(t["mean_update_seconds"]) > 0 for t in timing)
 
@@ -217,7 +223,7 @@ def test_run_degenerate_all_empty_labels(tmp_path):
     write_stream_csv(stream, samples)
     out = tmp_path / "m.csv"
     assert main(run_args(stream, out)) == EXIT_OK
-    for row in csv.DictReader(out.open()):
+    for row in csv_rows(out):
         assert float(row["mean_value"]) == 0.0
         assert float(row["excess_cost"]) <= 0.0
 
@@ -233,10 +239,10 @@ def test_run_log_self_consistency(tmp_path, value_kind, cost_kind):
     for path in (out, log):
         assert "np." not in path.read_text()
     metrics = {
-        (r["seed"], r["target_cost"]): r for r in csv.DictReader(out.open())
+        (r["seed"], r["target_cost"]): r for r in csv_rows(out)
     }
     by_key: dict[tuple[str, str], list[dict]] = {}
-    for row in csv.DictReader(log.open()):
+    for row in csv_rows(log):
         by_key.setdefault((row["seed"], row["target_cost"]), []).append(row)
     assert set(by_key) == set(metrics)
     for key, entries in by_key.items():
@@ -287,7 +293,7 @@ def test_duplicate_seeds_exit_1_and_duplicate_targets_keep_a_row_each(tmp_path):
         [seed, target] for seed in "01" for target in ("20.0", "40.0", "40.0")
     ]
     assert rows[1] == rows[2] and rows[4] == rows[5]
-    entries = list(csv.DictReader(log.open()))
+    entries = csv_rows(log)
     per_target = {}
     for e in entries:
         per_target.setdefault((e["seed"], e["target_cost"]), []).append(e)
@@ -406,6 +412,10 @@ def test_weights_csv_flag(tmp_path):
     assert main(missing) == EXIT_DATA
     wpath.write_text("class_index,weight\n0,4.0\n1,1.0\n3,3.0\n")
     assert main(args) == EXIT_DATA
+    # finite weights whose sum overflows would make every cost NaN
+    wpath.write_text("class_index,weight\n0,1e308\n1,1e308\n2,1\n3,1\n")
+    assert main(args) == EXIT_DATA
+    assert main(run_args(stream, out, value_kind="tpc") + ["--weights", str(wpath)]) == EXIT_DATA
 
 
 def test_weights_csv_read_once_per_run(tmp_path, monkeypatch, capsys):
@@ -508,7 +518,7 @@ def test_oracle_check_cli(tmp_path):
         "--classes", "4", "--checkpoints", "8", "--out", str(out),
     ])
     assert code == EXIT_OK
-    row = next(csv.DictReader(out.open()))
+    row = csv_rows(out)[0]
     assert int(row["checked"]) == 8
     assert int(row["mismatches"]) == 0
 
@@ -534,7 +544,7 @@ def test_bench_points_and_csv(tmp_path):
         "--oracle-reps", "2", "--out", str(out),
     ])
     assert code == EXIT_OK
-    rows = list(csv.DictReader(out.open()))
+    rows = csv_rows(out)
     assert [(r["method"], r["n"]) for r in rows] == [
         ("tree", "500"), ("tree", "2000"), ("oracle", "500"), ("oracle", "2000"),
     ]

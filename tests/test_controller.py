@@ -14,9 +14,6 @@ from costcap.controller import (
     SampleRecord,
     classwise_predict,
     classwise_thresholds,
-    cplus_at,
-    first_exceed_threshold,
-    max_cost_curve,
     oracle_threshold_expected,
     oracle_threshold_violation,
     select_max_value,
@@ -26,6 +23,8 @@ from costcap.quantile_tree import ABOVE_ALL, BELOW_ALL, EmptyDistributionError
 from costcap.set_functions import Sample, SetFunctionSpec, full_set
 from costcap.synth import GeneratorConfig, generate, mnist_weights
 from costcap.universe import UniverseSeq, full_universe, greedy_prob, subset_sums
+
+from .oracles import cplus_at, first_exceed_threshold, max_cost_curve
 
 
 def chain_universe(sets, order):
@@ -128,7 +127,7 @@ def test_powerset_step_computes_cost_subset_sums_once(monkeypatch):
     rng = np.random.default_rng(3)
     for _ in range(10):
         sample = Sample(rng.uniform(0.0, 1.0, k), int(rng.integers(0, 1 << k)))
-        margins = cost_spec.class_proxy_margins(sample.probs)
+        margins = cost_spec.class_margins(sample.probs)
         calls.clear()
         ctrl.step(sample)
         # the universe's sort key is also the record's proxy costs
@@ -187,6 +186,29 @@ def test_controller_rejects_inputs_of_another_k():
     assert ctrl.n_seen == 0
 
 
+@pytest.mark.parametrize("mode", ["expected", "violation"])
+def test_bad_probabilities_rejected_before_any_state_changes(mode):
+    k = 6
+    cost_spec = SetFunctionSpec("fpc", k, np.arange(1.0, k + 1.0))
+    ctrl = CostController(mode, [20.0, 40.0], SetFunctionSpec("tp", k), cost_spec, burn_in=3)
+    for sample in generate(GeneratorConfig(n=20, n_classes=k, seed=5)):
+        ctrl.step_all(sample)
+
+    def state():
+        trees = ctrl.trees
+        return ctrl.n_seen, [list(t.items()) for t in trees], [t.total_weight() for t in trees]
+
+    before = state()
+    for bad in (math.nan, 1.7, -0.1, math.inf):
+        probs = np.full(k, 0.5)
+        probs[k // 2] = bad
+        # no labels: every predicted class costs, so a record would carry mass
+        for call in (ctrl.step, ctrl.step_all, ctrl.observe, ctrl.predict):
+            with pytest.raises(ValueError, match=r"\[0, 1\]"):
+                call(Sample(probs, 0))
+        assert state() == before
+
+
 def test_record_telescoping_and_step_function():
     rng = np.random.default_rng(3)
     for _ in range(50):
@@ -231,7 +253,7 @@ def test_observe_violation_vacuous_chain():
     rec = SampleRecord(np.array([0.0, 0.3]), np.array([0.0, 1.0]))
     ctrl = controller_for_records("violation", 50.0, [rec])
     assert list(ctrl.tree.items()) == [(ABOVE_ALL, 1.0)]
-    assert rec.exceed_threshold == ABOVE_ALL
+    assert rec.exceed_thresholds == [ABOVE_ALL]
 
 
 @pytest.mark.parametrize("mode,target", [("expected", 20.0), ("violation", 30.0)])

@@ -3,6 +3,7 @@
 import io
 import math
 import random
+from collections import deque
 
 import pytest
 from hypothesis import given, settings
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 from costcap.quantile_tree import (
     ABOVE_ALL,
     BELOW_ALL,
+    REMOVE_EPS,
     EmptyDistributionError,
     QuantileTree,
     TreeInputError,
@@ -308,6 +310,34 @@ def test_property_delete_keeps_invariants(data):
     assert sorted(tree.items()) == list(zip(oracle.values, oracle.weights))
     if oracle.values:
         q = data.draw(st.floats(min_value=1e-6, max_value=1.0, allow_nan=False))
+        assert tree.query_quantile(q) == oracle.quantile(q)
+
+
+def test_windowed_duplicate_heavy_long_run():
+    # 100k inserts and as many evictions over 10 values, with weights at and
+    # below REMOVE_EPS whose nodes drop and come back: no drift from the oracle
+    rng = random.Random(17)
+    values = [0.5 * i for i in range(10)]
+    weights = [1.0, 0.5, 3.0, 0.25, 1e-13, REMOVE_EPS, 2.5e-15]
+    tree = QuantileTree()
+    oracle = SortedListCdf()
+    live: deque[tuple[float, float]] = deque()
+    for step in range(100_000):
+        value, weight = rng.choice(values), rng.choice(weights)
+        tree.insert(value, weight)
+        oracle.insert(value, weight)
+        live.append((value, weight))
+        if len(live) > 40:
+            value, weight = live.popleft()
+            tree.delete(value, weight)
+            oracle.delete(value, weight)
+        if step % 10_000 == 0:
+            tree.validate()
+    tree.validate()
+    assert len(tree) <= 10
+    assert list(tree.items()) == list(zip(oracle.values, oracle.weights))
+    for _ in range(200):
+        q = rng.uniform(1e-9, 1.0)
         assert tree.query_quantile(q) == oracle.quantile(q)
 
 

@@ -1,4 +1,4 @@
-"""Set functions: raw scores, proxies, marginals, normalization."""
+"""Set functions: raw scores, proxies, margins, normalization."""
 
 import math
 import random
@@ -13,73 +13,86 @@ from costcap.set_functions import (
     NORMALIZED_BOUND,
     Sample,
     SetFunctionSpec,
-    cost_fp,
-    cost_fpc,
     full_set,
+    label_bits,
     load_weights_csv,
-    marginal_proxy,
-    proxy_mc,
-    set_from_indices,
-    set_indices,
-    value_gen,
-    value_tp,
-    value_tpc,
 )
 
-from .oracles import additive_proxy, popcount_difference, popcount_intersection, weighted_hits
+from .oracles import (
+    additive_proxy,
+    gen_value,
+    popcount_difference,
+    popcount_intersection,
+    proxy_mc,
+    weighted_hits,
+)
+
+KINDS = ("tp", "fp", "tpc", "fpc", "gen")
 
 
 def test_value_tp_basics():
-    s = set_from_indices([0, 2])
-    y = set_from_indices([2])
-    assert value_tp(s, y) == 1.0
-    assert value_tp(0, y) == 0.0
+    spec = SetFunctionSpec("tp", 3)
+    assert spec.raw(0b101, 0b100) == 1.0
+    assert spec.raw(0, 0b100) == 0.0
 
 
 def test_cost_fp_basics():
-    s = set_from_indices([0, 2])
-    y = set_from_indices([2])
-    assert cost_fp(s, y) == 1.0
-    assert cost_fp(y, y) == 0.0
-
-
-def test_tp_fp_match_bit_loop_oracle():
-    rng = random.Random(42)
-    k = 10
-    for _ in range(300):
-        s = rng.randrange(1 << k)
-        y = rng.randrange(1 << k)
-        assert value_tp(s, y) == popcount_intersection(s, y, k)
-        assert cost_fp(s, y) == popcount_difference(s, y, k)
+    spec = SetFunctionSpec("fp", 3)
+    assert spec.raw(0b101, 0b100) == 1.0
+    assert spec.raw(0b100, 0b100) == 0.0
 
 
 def test_weighted_variants():
     w = np.array([1.0, 2.0, 3.0])
-    s = set_from_indices([0, 1])
-    y = set_from_indices([0])
-    assert cost_fpc(s, y, w) == 2.0  # only class 1 is a false positive
-    assert value_tpc(s, y, w) == 1.0
-
-
-def test_weighted_match_loop_oracle():
-    rng = random.Random(3)
-    k = 8
-    w = np.array([rng.uniform(0, 5) for _ in range(k)])
-    for _ in range(300):
-        s = rng.randrange(1 << k)
-        y = rng.randrange(1 << k)
-        assert value_tpc(s, y, w) == pytest.approx(weighted_hits(s, y, w, True))
-        assert cost_fpc(s, y, w) == pytest.approx(weighted_hits(s, y, w, False))
+    s, y = 0b011, 0b001
+    assert SetFunctionSpec("fpc", 3, w).raw(s, y) == 2.0  # only class 1 is a false positive
+    assert SetFunctionSpec("tpc", 3, w).raw(s, y) == 1.0
 
 
 def test_value_gen_frozen_cases():
     # direct formula evaluation: prod (k+5)/10 + sum (k-5)^2 over S∩Y
-    assert value_gen(0, full_set(10)) == 1.0  # empty product
-    assert value_gen(1 << 9, full_set(10)) == pytest.approx(17.4)
-    assert value_gen((1 << 0) | (1 << 9), full_set(10)) == pytest.approx(41.7)
+    spec = SetFunctionSpec("gen", 10)
+    assert spec.raw(0, full_set(10)) == 1.0  # empty product
+    assert spec.raw(1 << 9, full_set(10)) == pytest.approx(17.4)
+    assert spec.raw((1 << 0) | (1 << 9), full_set(10)) == pytest.approx(41.7)
 
 
-@pytest.mark.parametrize("kind", ["tp", "fp", "tpc", "fpc", "gen"])
+RAW_REFERENCES = {
+    "tp": lambda s, y, w: float(popcount_intersection(s, y, len(w))),
+    "fp": lambda s, y, w: float(popcount_difference(s, y, len(w))),
+    "tpc": lambda s, y, w: weighted_hits(s, y, w, True),
+    "fpc": lambda s, y, w: weighted_hits(s, y, w, False),
+    "gen": lambda s, y, w: gen_value(s, y),
+}
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    st.sampled_from(KINDS),
+    st.integers(1, 64).flatmap(
+        lambda k: st.tuples(
+            st.lists(st.sampled_from([0.0, 1.0, 2.5]) | st.floats(0.0, 1e6), min_size=k, max_size=k),
+            st.integers(0, (1 << k) - 1),
+            st.integers(0, (1 << k) - 1),
+        )
+    ),
+)
+@example("gen", ([1.0] * 64, full_set(64), full_set(64)))
+@example("fpc", ([0.1] * 64, full_set(64), 0))
+def test_evaluate_equals_loop_reference_bit_for_bit(kind, drawn):
+    weights, s, y = drawn
+    k = len(weights)
+    weights[-1] = 1.0  # all-zero weights are rejected
+    spec = SetFunctionSpec(kind, k, np.array(weights) if kind in ("tpc", "fpc") else None)
+    reference = RAW_REFERENCES[kind]
+    best_labels = 0 if spec.is_cost else full_set(k)
+    want = reference(s, y, weights) / reference(full_set(k), best_labels, weights) * 100.0
+    got = spec.evaluate(s, y)
+    assert type(got) is float and type(spec.raw(s, y)) is float
+    assert got.hex() == want.hex()
+
+
+@pytest.mark.parametrize("kind", KINDS)
 def test_monotone_exhaustive(kind):
     k = 8 if kind != "gen" else 10
     w = np.arange(1.0, k + 1) if kind in ("tpc", "fpc") else None
@@ -94,7 +107,7 @@ def test_monotone_exhaustive(kind):
                     assert spec.raw(s | (1 << add), y) >= base - 1e-12
 
 
-@pytest.mark.parametrize("kind", ["tp", "fp", "tpc", "fpc", "gen"])
+@pytest.mark.parametrize("kind", KINDS)
 def test_bounds_and_exact_normalization(kind):
     k = 10
     w = np.arange(1.0, k + 1) if kind in ("tpc", "fpc") else None
@@ -112,7 +125,7 @@ def test_bounds_and_exact_normalization(kind):
 @given(st.integers(min_value=0, max_value=1023), st.integers(min_value=0, max_value=1023))
 def test_additive_specs_decompose(s, y):
     spec = SetFunctionSpec("fpc", 10, np.arange(1.0, 11.0))
-    total = sum(spec.evaluate(1 << k, y) for k in set_indices(s))
+    total = sum(spec.evaluate(1 << k, y) for k in range(10) if (s >> k) & 1)
     assert spec.evaluate(s, y) == pytest.approx(total, abs=1e-9)
 
 
@@ -122,7 +135,7 @@ def test_proxy_fp_cases():
     assert spec.proxy(0, probs) == 0.0
     assert spec.proxy(full_set(3), probs) == 0.0
     probs = np.array([0.25, 0.5, 0.75])
-    s = set_from_indices([0, 2])
+    s = 0b101
     # loop oracle: (0.75 + 0.25) / 3 * 100
     assert spec.proxy(s, probs) == pytest.approx((0.75 + 0.25) / 3 * 100)
 
@@ -140,31 +153,40 @@ def test_proxy_random_vs_loop_oracle():
 
 
 def test_proxy_mc_degenerate():
+    # certain labels: every draw is the same y, so the mean is gen(S, y)
     k = 4
+    spec = SetFunctionSpec("gen", k, mc_samples=50, mc_seed=1)
     s = full_set(k)
-    assert proxy_mc(s, np.zeros(k), cost_fp, 50, seed=1) == float(k)
-    assert proxy_mc(s, np.ones(k), cost_fp, 50, seed=1) == 0.0
+    assert spec.proxy(s, np.zeros(k)) == spec.evaluate(s, 0)
+    assert spec.proxy(s, np.ones(k)) == pytest.approx(NORMALIZED_BOUND, rel=1e-12)
 
 
 def test_proxy_mc_converges_to_expectation():
-    # E[C_FP(S)] = sum (1 - p_k) = 1.5 for p = 0.5, K = 3, S = full
-    probs = np.full(3, 0.5)
-    n = 20000
-    est = proxy_mc(full_set(3), probs, cost_fp, n, seed=7)
-    sigma = math.sqrt(3 * 0.25)  # variance of a sum of 3 Bernoulli(0.5)
-    assert abs(est - 1.5) <= 3 * sigma / math.sqrt(n)
+    # the exact mean and spread of gen(S, y) over all 2^3 label sets
+    k, n = 3, 20000
+    probs = np.array([0.2, 0.5, 0.9])
+    spec = SetFunctionSpec("gen", k, mc_samples=n, mc_seed=7)
+    s = full_set(k)
+    chance = [
+        math.prod(probs[i] if (y >> i) & 1 else 1.0 - probs[i] for i in range(k))
+        for y in range(1 << k)
+    ]
+    scores = [spec.evaluate(s, y) for y in range(1 << k)]
+    mean = sum(c * v for c, v in zip(chance, scores))
+    sigma = math.sqrt(sum(c * (v - mean) ** 2 for c, v in zip(chance, scores)))
+    assert abs(spec.proxy(s, probs) - mean) <= 4 * sigma / math.sqrt(n)
 
 
 def test_proxy_mc_deterministic():
     probs = np.array([0.3, 0.6, 0.9])
-    a = proxy_mc(5, probs, cost_fp, 100, seed=17)
-    b = proxy_mc(5, probs, cost_fp, 100, seed=17)
-    assert a == b
+    a = SetFunctionSpec("gen", 3, mc_samples=100, mc_seed=17)
+    b = SetFunctionSpec("gen", 3, mc_samples=100, mc_seed=17)
+    assert a.proxy(5, probs) == a.proxy(5, probs) == b.proxy(5, probs)
 
 
 @settings(max_examples=120, deadline=None)
 @given(
-    st.sampled_from(["tp", "fp", "tpc", "fpc", "gen"]),
+    st.sampled_from(KINDS),
     st.sampled_from([1, 2, 100]),
     st.integers(1, 64).flatmap(
         lambda k: st.tuples(
@@ -194,7 +216,7 @@ def test_proxy_many_equals_per_set_reference(kind, mc_samples, drawn, mc_seed):
     got = spec.proxy_many(np.array(sets, dtype=np.uint64), probs)
     if kind == "gen":
         want = [
-            proxy_mc(s, probs, value_gen, mc_samples, mc_seed) / spec.max_raw * NORMALIZED_BOUND
+            proxy_mc(s, probs, gen_value, mc_samples, mc_seed) / spec.max_raw * NORMALIZED_BOUND
             for s in sets
         ]
     else:
@@ -220,27 +242,13 @@ def test_proxy_many_memory_bounded():
 
 
 def test_marginal_additive_is_unit():
+    # an additive proxy grows by the class margin, whatever S it is added to
     spec = SetFunctionSpec("fp", 5)
     probs = np.array([0.1, 0.4, 0.6, 0.8, 0.95])
+    margin = spec.class_margins(probs)[4]
+    assert margin == pytest.approx((1 - 0.95) / 5 * 100)
     for s in (0, 1, 6):
-        assert marginal_proxy(spec, 4, s, probs) == pytest.approx((1 - 0.95) / 5 * 100)
-
-
-def test_marginal_rejects_member():
-    spec = SetFunctionSpec("fp", 3)
-    with pytest.raises(ValueError):
-        marginal_proxy(spec, 1, set_from_indices([1]), np.full(3, 0.5))
-
-
-def test_marginal_gen_matches_difference_oracle():
-    spec = SetFunctionSpec("gen", 10, mc_samples=200, mc_seed=5)
-    rng = random.Random(31)
-    probs = np.array([rng.random() for _ in range(10)])
-    for _ in range(20):
-        s = rng.randrange(1 << 10)
-        k = rng.choice([i for i in range(10) if not (s >> i) & 1])
-        expect = spec.proxy(s | (1 << k), probs) - spec.proxy(s, probs)
-        assert marginal_proxy(spec, k, s, probs) == pytest.approx(expect)
+        assert spec.proxy(s | (1 << 4), probs) - spec.proxy(s, probs) == pytest.approx(margin)
 
 
 def test_marginal_nonnegative_for_monotone():
@@ -258,7 +266,11 @@ def test_marginal_nonnegative_for_monotone():
             free = [i for i in range(k) if not (s >> i) & 1]
             if not free:
                 continue
-            assert marginal_proxy(spec, rng.choice(free), s, probs) >= -1e-9
+            add = rng.choice(free)
+            gain = spec.proxy(s | (1 << add), probs) - spec.proxy(s, probs)
+            assert gain >= -1e-9
+            if spec.additive:
+                assert gain == pytest.approx(spec.class_margins(probs)[add], abs=1e-9)
 
 
 def test_spec_validation():
@@ -272,6 +284,13 @@ def test_spec_validation():
         SetFunctionSpec("fpc", 3, np.zeros(3))
     with pytest.raises(ValueError):
         SetFunctionSpec("gen", 3, mc_samples=0)
+    for kind in ("tp", "fp", "gen"):  # weights an unweighted kind would ignore
+        with pytest.raises(ValueError):
+            SetFunctionSpec(kind, 3, np.ones(3))
+    # a sum that overflows, or is not a number, leaves nothing to normalize by
+    for bad in ([1e308, 1e308, 1.0], [1.0, math.inf, 1.0], [1.0, math.nan, 1.0]):
+        with pytest.raises(ValueError):
+            SetFunctionSpec("tpc", 3, np.array(bad))
 
 
 def test_load_weights_csv(tmp_path):
@@ -283,9 +302,12 @@ def test_load_weights_csv(tmp_path):
         path.write_text(bad)
         with pytest.raises(ValueError):
             load_weights_csv(path, 2)
+    path.write_text("0,1e308\n1,1e308\n2,1\n")  # each finite, the sum is not
+    with pytest.raises(ValueError):
+        load_weights_csv(path, 3)
 
 
 def test_sample_label_vector():
-    sm = Sample(np.array([0.1, 0.9, 0.5]), set_from_indices([0, 2]))
-    assert list(sm.label_vector()) == [1.0, 0.0, 1.0]
+    sm = Sample(np.array([0.1, 0.9, 0.5]), 0b101)
+    assert list(label_bits(sm.labels, sm.n_classes)) == [1.0, 0.0, 1.0]
     assert sm.n_classes == 3

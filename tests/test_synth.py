@@ -5,7 +5,6 @@ import math
 import numpy as np
 import pytest
 
-from costcap.set_functions import set_size
 from costcap.synth import GeneratorConfig, generate, mnist_weights
 
 
@@ -13,7 +12,7 @@ def test_homogeneous_stream_probs_and_label_mean():
     cfg = GeneratorConfig(n=10_000, n_classes=10, base_rate=0.4, seed=1)
     samples = generate(cfg)
     assert all(np.all(s.probs == 0.4) for s in samples[:20])
-    sizes = [set_size(s.labels) for s in samples]
+    sizes = [s.labels.bit_count() for s in samples]
     mean = np.mean(sizes)
     se = np.std(sizes) / math.sqrt(len(sizes))
     assert abs(mean - 4.0) <= 3 * se
