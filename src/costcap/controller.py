@@ -284,7 +284,10 @@ class CostController:
         return tree.query_quantile(q)
 
     def proxy_values(self, universe: UniverseSeq, probs: np.ndarray) -> np.ndarray:
-        """Value proxy for every set in the universe, aligned with its order."""
+        """Value proxy for every set in the universe, aligned with its order:
+        the universe's own when it carries them."""
+        if universe.proxy_values is not None:
+            return universe.proxy_values
         spec = self.value_spec
         if spec.additive:
             return _universe_sums(spec.class_margins(probs), universe)

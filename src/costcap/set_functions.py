@@ -10,11 +10,17 @@ maps the best attainable score to exactly 100. It also provides the
 probability-based proxy (computable without the true labels) and, for the
 additive kinds, per-class margins.
 
-``SetFunctionSpec.proxy_many`` is the one proxy implementation: it scores a
-``uint64`` mask array in one call, and every score is reduced in a fixed
-order (classes ascending, then Monte-Carlo draws in order) with
-``np.add.accumulate``/``np.multiply.accumulate``, so it equals the per-set
-loop bit for bit. ``proxy`` is ``proxy_many`` on one set.
+Every proxy is one fold over per-sample class terms (an additive kind's
+units, ``gen``'s Monte-Carlo hit tables), read through sets given as
+ascending class-index rows. ``SetFunctionSpec.row_proxy`` builds a sample's
+terms once and scores such rows; ``proxy_many`` scores a ``uint64`` mask
+array by folding every class in ascending order, a non-member reading the
+identity term (0 for a sum, 1 for a product). Every score is reduced in a
+fixed order, classes ascending and then Monte-Carlo draws in order, one
+class row or ``accumulate`` step at a time and never by a pairwise
+``reduce``, so both equal the per-set loop bit for bit. Only ``gen``'s
+squares, integers whose sum is exact in any order, are reduced freely.
+``proxy`` is ``proxy_many`` on one set.
 
 All operations are pure; safe for unrestricted parallel use.
 """
@@ -41,10 +47,11 @@ def full_set(n_classes: int) -> int:
 
 _BIT_INDEX = np.arange(MAX_CLASSES, dtype=np.uint64)
 _BIT_MASKS = np.uint64(1) << _BIT_INDEX
+_CLASS_INDEX = np.arange(MAX_CLASSES)[:, None]
 
-# elements of one (class, set, draw) block of the Monte-Carlo proxy; bounds
-# its temporaries at a few MB whatever K, the set count and mc_samples are
-_MC_BLOCK = 1 << 18
+# elements of one (class, set, draw) block of a fold; bounds its temporaries
+# at a few MB whatever K, the set count and mc_samples are
+_MC_BLOCK = 1 << 17
 
 
 def label_bits(mask: int, n_classes: int) -> np.ndarray:
@@ -65,7 +72,7 @@ class Sample:
         return len(self.probs)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SetFunctionSpec:
     """A value or cost function with its bounds, proxy and normalization.
 
@@ -84,6 +91,8 @@ class SetFunctionSpec:
     label draws with independent Bernoulli(p_k) classes: one (mc_samples, K)
     matrix of uniforms from ``default_rng(mc_seed)``, drawn at construction
     and shared by every set and every call.
+
+    Specs compare and hash by value, the weights by their entries.
     """
 
     kind: str
@@ -121,14 +130,15 @@ class SetFunctionSpec:
             cls = np.arange(k)
             factors = (cls + 5) / 10.0
             squares = ((cls - 5) ** 2).astype(np.float64)
+            uniforms = np.random.default_rng(self.mc_seed).random((self.mc_samples, k))
             keep(
                 _factors=factors.tolist(),
                 _squares=squares.tolist(),
-                # the proxy's copies, shaped to broadcast over (class, set, draw)
-                _mc_factors=factors[:, None, None],
-                _mc_squares=squares[:, None, None],
-                # the matrix every Monte-Carlo proxy call compares probs to
-                _uniforms=np.random.default_rng(self.mc_seed).random((self.mc_samples, k)),
+                # the proxy's copies, shaped to broadcast over (class, draw)
+                _mc_factors=factors[:, None],
+                _mc_squares=squares[:, None],
+                # the draws every Monte-Carlo proxy compares probs to, class-major
+                _uniforms=np.ascontiguousarray(uniforms.T),
             )
         everything = full_set(k)
         best_labels = 0 if self.is_cost else everything
@@ -143,6 +153,18 @@ class SetFunctionSpec:
             _unit_margins=units / max_raw * NORMALIZED_BOUND,
             class_values=np.array([self.raw(1 << i, best_labels) for i in range(k)]),
         )
+
+    def _key(self) -> tuple:
+        units = None if self._units is None else tuple(self._units)
+        return (self.kind, self.n_classes, units, self.mc_samples, self.mc_seed)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, SetFunctionSpec):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
 
     @property
     def additive(self) -> bool:
@@ -193,47 +215,103 @@ class SetFunctionSpec:
     def proxy_many(self, sets: np.ndarray, probs: np.ndarray) -> np.ndarray:
         """Normalized proxy score of every ``uint64`` mask in ``sets``.
 
-        Each score is the per-set loop's float, bit for bit: class terms are
-        added (or multiplied) in ascending class order and ``gen``'s draws
-        summed in draw order, all with ``accumulate``, never a pairwise
-        ``reduce``.
+        Each score is the per-set loop's float, bit for bit: every class is
+        folded in ascending order, a non-member as the identity term, and
+        ``gen``'s draws summed in draw order. The sets are folded a block
+        at a time.
         """
         sets = np.asarray(sets, dtype=np.uint64)
-        probs = np.asarray(probs, dtype=np.float64)
-        member = (sets & _BIT_MASKS[: self.n_classes, None]) != 0  # (K, sets)
-        if self.kind == "gen":
-            raw = self._mc_means(member, probs)
-        else:
-            units = self._counted(probs)
-            if self._units is not None:
-                units = units * self.weights
-            terms = np.where(member, units[:, None], 0.0)
-            np.add.accumulate(terms, axis=0, out=terms)
-            # the loop's running sum starts at 0.0, which turns -0.0 into 0.0
-            raw = terms[-1] + 0.0
+        terms = self._terms(np.asarray(probs, dtype=np.float64))
+        k = self.n_classes
+        raw = np.empty(len(sets))
+        step = max(1, _MC_BLOCK // k)
+        for start in range(0, len(sets), step):
+            member = (sets[start : start + step] & _BIT_MASKS[:k, None]) != 0
+            # index k reads the identity term
+            slots = np.where(member, _CLASS_INDEX[:k], k)
+            raw[start : start + step] = self._fold(slots, terms)
         return raw / self._max_raw * NORMALIZED_BOUND
 
-    def _mc_means(self, member: np.ndarray, probs: np.ndarray) -> np.ndarray:
-        """Raw ``gen`` Monte-Carlo mean for each column of ``member``: the
-        product and squares terms over S ∩ y in ascending class order, then
-        the sum over draws in order. The (class, set, draw) intersection is
-        built a block of draws at a time, carrying the running sum."""
-        hits = (self._uniforms < probs).T  # (K, draws): class k drawn present
-        k, n_sets = member.shape
-        n_draws = hits.shape[1]
-        block = max(1, _MC_BLOCK // (k * n_sets))
-        total = np.zeros(n_sets)
-        for start in range(0, n_draws, block):
-            inter = member[:, :, None] & hits[:, None, start : start + block]
-            prod = np.where(inter, self._mc_factors, 1.0)
-            np.multiply.accumulate(prod, axis=0, out=prod)
-            squares = np.where(inter, self._mc_squares, 0.0)
-            np.add.accumulate(squares, axis=0, out=squares)
-            values = prod[-1] + squares[-1]  # the raw gen score per (set, draw)
-            values[:, 0] += total  # continue the previous blocks' running sum
-            np.add.accumulate(values, axis=1, out=values)
-            total = values[:, -1]
-        return total / n_draws
+    def row_proxy(self, probs: np.ndarray):
+        """Scorer of sets given as rows of class indices, for one sample.
+
+        The returned callable maps an (n_sets, m) integer array, each row
+        the m classes of one set in ascending order (m may be 0, for ∅), to
+        the sets' normalized proxy scores, equal bit for bit to
+        :meth:`proxy_many` of the same sets: the fold skips only identity
+        terms. The sample's terms, ``gen``'s hit tables included, are
+        built here once and shared by every call.
+        """
+        terms = self._terms(np.asarray(probs, dtype=np.float64))
+        identity = self.n_classes
+
+        def score(rows: np.ndarray) -> np.ndarray:
+            slots = rows.T
+            if not len(slots):
+                slots = np.full((1, rows.shape[0]), identity)
+            return self._fold(slots, terms) / self._max_raw * NORMALIZED_BOUND
+
+        return score
+
+    def _terms(self, probs: np.ndarray) -> tuple[np.ndarray, ...]:
+        """The sample's per-class terms, with row K the identity term.
+
+        An additive kind has one unit per class, how much the class counts
+        times its weight. ``gen`` has two (K+1, draws) hit tables: a class's
+        factor where the draw has it present and 1 elsewhere, and its square
+        where present and 0 elsewhere."""
+        k = self.n_classes
+        if self.kind != "gen":
+            units = np.zeros(k + 1)
+            units[:k] = self._counted(probs)
+            if self._units is not None:
+                units[:k] *= self.weights
+            return (units,)
+        hits = self._uniforms < probs[:, None]  # (K, draws): class k drawn present
+        factors = np.ones((k + 1, self.mc_samples))
+        np.copyto(factors[:k], self._mc_factors, where=hits)
+        squares = np.zeros((k + 1, self.mc_samples))
+        np.copyto(squares[:k], self._mc_squares, where=hits)
+        return factors, squares
+
+    def _fold(self, slots: np.ndarray, terms: tuple[np.ndarray, ...]) -> np.ndarray:
+        """Raw score of each column of ``slots``, an (m, n_sets) array of
+        indices into ``terms``, folded down the column.
+
+        An additive kind adds its units from 0.0; ``gen`` takes, per draw,
+        the product of the factors plus the sum of the squares, then the
+        mean over the draws summed in order. The squares are integers, so
+        their sum is exact in any order. The (slot, set, draw) arrays are
+        built a block of sets and draws at a time, carrying each set's
+        running sum over the draws.
+        """
+        if self.kind != "gen":
+            (units,) = terms
+            sums = units[slots]
+            np.add.accumulate(sums, axis=0, out=sums)
+            # the loop's running sum starts at 0.0, which turns -0.0 into 0.0
+            return sums[-1] + 0.0
+        factors, squares = terms
+        m, n_sets = slots.shape
+        n_draws = factors.shape[1]
+        sums = np.empty(n_sets)
+        step = max(1, _MC_BLOCK // m)
+        for start in range(0, n_sets, step):
+            cols = slots[:, start : start + step]
+            block = max(1, _MC_BLOCK // cols.size)
+            for first in range(0, n_draws, block):
+                draws = slice(first, first + block)
+                hit = factors[cols, draws]  # (slot, set, draw)
+                prod = hit[0]
+                for factor in hit[1:]:
+                    prod *= factor
+                values = prod + np.add.reduce(squares[cols, draws], axis=0)
+                if first:
+                    values[:, 0] += total  # continue the previous blocks' running sum
+                np.add.accumulate(values, axis=1, out=values)
+                total = values[:, -1]
+            sums[start : start + step] = total
+        return sums / n_draws
 
     def _counted(self, present: np.ndarray) -> np.ndarray:
         """How much each class counts, given its presence (a probability or

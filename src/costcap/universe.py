@@ -30,22 +30,26 @@ class UniverseSeq:
     order they are added, and ``sets`` holds the K+1 nested prefixes. For
     the full universe ``order`` is None, ``sets`` holds all 2^K subsets
     sorted by proxy cost, and ``proxy_costs`` holds those sorted costs,
-    which the controller reuses as the record's.
+    which the controller reuses as the record's. ``proxy_values``, when
+    set, holds the value proxy of every set, which the controller uses
+    instead of scoring the sets again: the general ratio chain keeps the
+    scores its rounds computed.
     """
 
     sets: np.ndarray
     kind: str
     order: np.ndarray | None = None
     proxy_costs: np.ndarray | None = None
+    proxy_values: np.ndarray | None = None
 
     def __len__(self) -> int:
         return len(self.sets)
 
 
-def _chain(order: np.ndarray, kind: str) -> UniverseSeq:
+def _chain(order: np.ndarray, kind: str, proxy_values: np.ndarray | None = None) -> UniverseSeq:
     sets = np.zeros(len(order) + 1, dtype=np.uint64)
     np.bitwise_or.accumulate(np.uint64(1) << order.astype(np.uint64), out=sets[1:])
-    return UniverseSeq(sets, kind, order)
+    return UniverseSeq(sets, kind, order, proxy_values=proxy_values)
 
 
 def subset_sums(margins: np.ndarray) -> np.ndarray:
@@ -114,48 +118,52 @@ def greedy_ratio_additive(
 
 
 def greedy_ratio_general(
-    probs: np.ndarray,
-    value_proxy: Callable[[np.ndarray], np.ndarray],
-    cost_proxy: Callable[[np.ndarray], np.ndarray],
+    n_classes: int,
+    score: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
 ) -> UniverseSeq:
     """Chain by per-step argmax of marginal proxy value over marginal proxy cost.
 
     Works for any (possibly non-additive) proxies; reduces to
-    :func:`greedy_ratio_additive` when both are additive. Both proxies are
-    batched: they map a ``uint64`` mask array to an array of scores, and
-    each round scores all remaining candidates with one call of each. A
-    candidate's key is ``(0, -dv, cand)`` when its marginal cost dc <= 0
-    and ``(1, -dv / dc, cand)`` otherwise; the smallest key joins the chain,
-    and the running scores move by its dv and dc. The last class needs no
-    scoring.
+    :func:`greedy_ratio_additive` when both are additive. ``score`` takes
+    sets as an (n_sets, m) integer array, each row the m classes of one set
+    in ascending order, and returns their value and cost proxies as two
+    arrays. It is called once for ∅ (a (1, 0) array), then once per
+    round for every S ∪ {c}, c not yet in the chain S. A candidate's key
+    is ``(0, -dv, c)`` when its marginal cost dc <= 0 and
+    ``(1, -dv / dc, c)`` otherwise; the smallest key joins the chain, and
+    the running scores move by its dv and dc. The chain keeps ∅'s and the
+    winners' value proxies as its ``proxy_values``.
     """
-    k = len(probs)
-    bits = np.uint64(1) << np.arange(k, dtype=np.uint64)
+    k = n_classes
     order = np.arange(k)  # order[i:] holds the classes not yet added, ascending
-    mask = np.uint64(0)
-    sets = np.concatenate(([mask], bits))  # round one also scores ∅
-    values, costs = value_proxy(sets), cost_proxy(sets)
+    members = order[:0]  # the chain's classes, ascending
+    values, costs = score(members[None])
     v_cur, c_cur = values[0], costs[0]
-    values, costs = values[1:], costs[1:]
-    for i in range(k - 1):  # the last class needs no scoring
-        if i:
-            sets = mask | bits[order[i:]]
-            values, costs = value_proxy(sets), cost_proxy(sets)
+    proxy_values = np.empty(k + 1)
+    proxy_values[0] = v_cur
+    for i in range(k):
+        rows = np.empty((k - i, i + 1), dtype=members.dtype)
+        rows[:, :i] = members
+        rows[:, i] = order[i:]
+        rows.sort(axis=1)
+        values, costs = score(rows)
         dv = values - v_cur
         dc = costs - c_cur
         free = dc <= 0.0
+        # argmax picks the first of equal keys: the smallest class
         if free.any():
-            best = np.flatnonzero(free)[np.argmin(-dv[free])]
+            best = np.flatnonzero(free)[np.argmax(dv[free])]
         else:
-            best = np.argmin(-dv / dc)
+            best = np.argmax(dv / dc)
+        proxy_values[i + 1] = values[best]
         v_cur = v_cur + dv[best]
         c_cur = c_cur + dc[best]
+        members = rows[best]
         # the winner moves to position i; the classes it passes stay ascending
         winner = order[i + best]
         order[i + 1 : i + best + 1] = order[i : i + best]
         order[i] = winner
-        mask |= bits[winner]
-    return _chain(order, "ratio_general")
+    return _chain(order, "ratio_general", proxy_values)
 
 
 def build_universe(
@@ -176,10 +184,8 @@ def build_universe(
             return greedy_ratio_additive(
                 probs, value_spec.class_values, cost_spec.class_margins(probs)
             )
-        return greedy_ratio_general(
-            probs,
-            lambda sets: value_spec.proxy_many(sets, probs),
-            lambda sets: cost_spec.proxy_many(sets, probs),
-        )
+        value_proxy = value_spec.row_proxy(probs)
+        cost_proxy = cost_spec.row_proxy(probs)
+        return greedy_ratio_general(len(probs), lambda rows: (value_proxy(rows), cost_proxy(rows)))
     raise ValueError(f"unknown universe kind {kind!r}")
 

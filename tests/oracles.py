@@ -11,7 +11,10 @@ its ``ABOVE_ALL`` marker.
   ``gen`` kinds.
 - ``additive_proxy`` and ``proxy_mc``: per-set proxies of the additive
   kinds and of any set function by Monte Carlo.
-- ``greedy_ratio_order``: the ratio chain scored one set at a time.
+- ``greedy_ratio_order``: the ratio chain scored one set at a time;
+  ``greedy_ratio_sets``: the same chain scored a round at a time through
+  mask-array proxies; ``mask_scorer``: per-mask proxies as the row scorer
+  ``greedy_ratio_general`` calls.
 - ``max_cost_curve``, ``first_exceed_threshold`` and ``cplus_at``: a
   calibration record built one set at a time, its exceed point for one
   target, and its worst cost strictly below a threshold.
@@ -141,9 +144,54 @@ def additive_proxy(kind: str, s: int, probs, weights, max_raw: float) -> float:
     return total / max_raw * 100.0
 
 
-def batched(per_set):
-    """Adapter from a per-set score function to a mask-array one."""
-    return lambda sets: np.array([per_set(s) for s in sets.tolist()])
+def mask_scorer(value_proxy, cost_proxy):
+    """Adapter from per-mask value and cost proxies to a scorer of sets
+    given as rows of class indices."""
+
+    def score(rows):
+        masks = [sum(1 << c for c in row) for row in rows.tolist()]
+        return (
+            np.array([value_proxy(s) for s in masks], dtype=np.float64),
+            np.array([cost_proxy(s) for s in masks], dtype=np.float64),
+        )
+
+    return score
+
+
+def greedy_ratio_sets(n_classes: int, value_proxy, cost_proxy) -> tuple[list[int], list[int]]:
+    """Ratio chain order and nested sets, each round scoring all remaining
+    candidates with one call of each mask-array proxy (round one also
+    scores ∅). Keys and running scores as in ``greedy_ratio_order``; the
+    last class needs no scoring."""
+    k = n_classes
+    bits = np.uint64(1) << np.arange(k, dtype=np.uint64)
+    order = np.arange(k)  # order[i:] holds the classes not yet added, ascending
+    mask = np.uint64(0)
+    sets = np.concatenate(([mask], bits))
+    values, costs = value_proxy(sets), cost_proxy(sets)
+    v_cur, c_cur = values[0], costs[0]
+    values, costs = values[1:], costs[1:]
+    for i in range(k - 1):
+        if i:
+            sets = mask | bits[order[i:]]
+            values, costs = value_proxy(sets), cost_proxy(sets)
+        dv = values - v_cur
+        dc = costs - c_cur
+        free = dc <= 0.0
+        if free.any():
+            best = np.flatnonzero(free)[np.argmin(-dv[free])]
+        else:
+            best = np.argmin(-dv / dc)
+        v_cur = v_cur + dv[best]
+        c_cur = c_cur + dc[best]
+        winner = order[i + best]
+        order[i + 1 : i + best + 1] = order[i : i + best]
+        order[i] = winner
+        mask |= bits[winner]
+    chain = [0]
+    for cls in order.tolist():
+        chain.append(chain[-1] | 1 << cls)
+    return order.tolist(), chain
 
 
 def greedy_ratio_order(n_classes: int, value_proxy, cost_proxy) -> list[int]:

@@ -304,7 +304,10 @@ def test_duplicate_seeds_exit_1_and_duplicate_targets_keep_a_row_each(tmp_path):
 
 # sha256 of the metrics CSV and of the --log CSV, computed with the
 # per-(seed, target) controllers of the earlier sweep; its weighted-cost
-# fields were written as np.float64(x) and are hashed as x
+# fields were written as np.float64(x) and are hashed as x. The gen-fpc,
+# gen-prob and gen-full digests were computed with the Monte-Carlo proxy
+# that folded every candidate over all K classes and scored the chain's
+# sets a second time for selection
 SHARED_CORE_GOLDENS = {
     "expected-ratio": (
         [],
@@ -350,6 +353,21 @@ SHARED_CORE_GOLDENS = {
         ["--value-kind", "gen", "--cost-kind", "fp"],
         "be048f2685d31ec095b7572dfd3b74429125f6784d3c7cb5466b51dd333b24e1",
         "af6b78d29a1404b72cc16411d37a341cfe69e35c9dc505b4e2a64d4d616665e9",
+    ),
+    "gen-fpc": (
+        ["--value-kind", "gen"],
+        "ae9d490a7a944ff511662b9504ce2571a2935ba2caf10531bd86b42a811561be",
+        "948f9110f89c5d0d55641bff8ff5e2c09ec81dafc5f7c01ae8d1e78f6ff379e4",
+    ),
+    "gen-prob": (
+        ["--value-kind", "gen", "--cost-kind", "fp", "--universe", "prob"],
+        "5cd34a110ff86d3d12145d1711321fbadfd160e7af691397a53197c632c8875a",
+        "414e50d1766cc362d11cac167b39247511e32cc6c05f299e6cdddc9b3c821573",
+    ),
+    "gen-full": (
+        ["--value-kind", "gen", "--cost-kind", "fp", "--universe", "full"],
+        "833980a47f9ff773a43b5a678bd3b18ce221f74867d3d487434b20dfbe2643f8",
+        "8f4e146f768b662b3bcd087aa7ff9177831ec93a3c1b47c173b9119a75b0db6a",
     ),
 }
 

@@ -18,6 +18,8 @@ from costcap.set_functions import (
     load_weights_csv,
 )
 
+from costcap.universe import build_universe, full_universe
+
 from .oracles import (
     additive_proxy,
     gen_value,
@@ -224,6 +226,10 @@ def test_proxy_many_equals_per_set_reference(kind, mc_samples, drawn, mc_seed):
     # exact: the same additions and products in the same order, to the bit
     assert got.tobytes() == np.array(want).tobytes()
     assert [spec.proxy(s, probs) for s in sets] == want
+    score = spec.row_proxy(probs)
+    for s, w in zip(sets, want):
+        row = np.array([c for c in range(k) if s >> c & 1], dtype=np.int64)
+        assert score(row[None]).tobytes() == np.array([w]).tobytes()
 
 
 def test_proxy_many_memory_bounded():
@@ -239,6 +245,35 @@ def test_proxy_many_memory_bounded():
     finally:
         tracemalloc.stop()
     assert peak < 64 * 2**20
+
+
+def _peak_bytes(call) -> int:
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_proxy_many_over_a_full_universe_memory_bounded():
+    # 2^16 sets: one (class, set) block of them all would be 16 * 65536 * 8 B = 8 MB
+    # per draw, the output alone 0.5 MB
+    k = 16
+    spec = SetFunctionSpec("gen", k, mc_samples=100, mc_seed=4)
+    probs = np.random.default_rng(4).random(k)
+    sets = full_universe(probs, SetFunctionSpec("fp", k)).sets
+    assert _peak_bytes(lambda: spec.proxy_many(sets, probs)) < 6 * 2**20
+
+
+def test_gen_ratio_chain_memory_bounded():
+    # a round's whole (slot, set, draw) array would reach 32 * 33 * 10000 * 8 B = 84 MB;
+    # the sample's two hit tables take 2 * 65 * 10000 * 8 B = 10.4 MB
+    k = 64
+    spec = SetFunctionSpec("gen", k, mc_samples=10_000, mc_seed=4)
+    cost_spec = SetFunctionSpec("fp", k)
+    probs = np.random.default_rng(4).random(k)
+    assert _peak_bytes(lambda: build_universe("ratio", probs, spec, cost_spec)) < 24 * 2**20
 
 
 def test_marginal_additive_is_unit():
@@ -291,6 +326,23 @@ def test_spec_validation():
     for bad in ([1e308, 1e308, 1.0], [1.0, math.inf, 1.0], [1.0, math.nan, 1.0]):
         with pytest.raises(ValueError):
             SetFunctionSpec("tpc", 3, np.array(bad))
+
+
+def test_specs_compare_and_hash_by_value():
+    weighted = SetFunctionSpec("tpc", 3, np.ones(3))
+    assert weighted == SetFunctionSpec("tpc", 3, np.ones(3))
+    assert weighted == SetFunctionSpec("tpc", 3, [1.0, 1.0, 1.0])
+    assert hash(weighted) == hash(SetFunctionSpec("tpc", 3, np.ones(3)))
+    assert weighted != SetFunctionSpec("tpc", 3, np.array([1.0, 2.0, 1.0]))
+    assert weighted != SetFunctionSpec("fpc", 3, np.ones(3))
+    assert weighted != "tpc"
+    gen = SetFunctionSpec("gen", 3, mc_samples=10, mc_seed=1)
+    assert gen == SetFunctionSpec("gen", 3, mc_samples=10, mc_seed=1)
+    assert gen != SetFunctionSpec("gen", 3, mc_samples=10, mc_seed=2)
+    assert gen != SetFunctionSpec("gen", 3, mc_samples=11, mc_seed=1)
+    specs = {weighted: "a", gen: "b", SetFunctionSpec("tp", 3): "c"}
+    assert specs[SetFunctionSpec("tpc", 3, np.ones(3))] == "a"
+    assert len({weighted, SetFunctionSpec("tpc", 3, np.ones(3)), gen}) == 2
 
 
 def test_load_weights_csv(tmp_path):

@@ -19,7 +19,7 @@ from costcap.universe import (
     subset_sums,
 )
 
-from .oracles import batched, greedy_ratio_order
+from .oracles import greedy_ratio_order, greedy_ratio_sets, mask_scorer
 
 probs_strategy = st.lists(
     st.floats(min_value=0.001, max_value=0.999, allow_nan=False),
@@ -168,10 +168,9 @@ def test_proxy_cost_nondecreasing_along_chain(probs):
 
 
 def test_ratio_general_single_class():
-    seq = greedy_ratio_general(
-        np.array([0.5]), batched(lambda s: float(s & 1)), batched(lambda s: 0.5 * (s & 1))
-    )
+    seq = greedy_ratio_general(1, mask_scorer(lambda s: float(s & 1), lambda s: 0.5 * (s & 1)))
     assert seq.sets.tolist() == [0, 1]
+    assert seq.proxy_values.tolist() == [0.0, 1.0]
 
 
 def test_ratio_general_matches_additive():
@@ -184,9 +183,8 @@ def test_ratio_general_matches_additive():
         probs = np.array([rng.uniform(0.01, 0.99) for _ in range(k)])
         additive = greedy_ratio_additive(probs, w, cost_spec.class_margins(probs))
         general = greedy_ratio_general(
-            probs,
-            batched(lambda s: value_spec.proxy(s, probs)),
-            batched(lambda s: cost_spec.proxy(s, probs)),
+            k,
+            mask_scorer(lambda s: value_spec.proxy(s, probs), lambda s: cost_spec.proxy(s, probs)),
         )
         assert additive.order.tolist() == general.order.tolist()
 
@@ -200,7 +198,7 @@ def test_ratio_general_per_step_argmax_oracle():
     probs = np.array([rng.uniform(0.05, 0.95) for _ in range(k)])
     vp = lambda s: value_spec.proxy(s, probs)
     cp = lambda s: cost_spec.proxy(s, probs)
-    seq = greedy_ratio_general(probs, batched(vp), batched(cp))
+    seq = greedy_ratio_general(k, mask_scorer(vp, cp))
     mask = 0
     for step, nxt in enumerate(seq.order):
         best = None
@@ -246,15 +244,48 @@ def test_ratio_general_matches_per_candidate_reference(kinds, drawn, mc_samples)
         value_kind, k, weights if value_kind == "tpc" else None, mc_samples=mc_samples, mc_seed=k
     )
     cost_spec = SetFunctionSpec(cost_kind, k, weights if cost_kind == "fpc" else None)
-    seq = greedy_ratio_general(
-        probs,
-        lambda sets: value_spec.proxy_many(sets, probs),
-        lambda sets: cost_spec.proxy_many(sets, probs),
-    )
+    value_proxy, cost_proxy = value_spec.row_proxy(probs), cost_spec.row_proxy(probs)
+    seq = greedy_ratio_general(k, lambda rows: (value_proxy(rows), cost_proxy(rows)))
     want = greedy_ratio_order(
         k, lambda s: value_spec.proxy(s, probs), lambda s: cost_spec.proxy(s, probs)
     )
     assert seq.order.tolist() == want
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(1, 64).flatmap(
+        lambda k: st.tuples(
+            st.lists(st.sampled_from([0.0, 1.0, 0.5]) | st.floats(0.0, 1.0), min_size=k, max_size=k)
+            | (st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0)).map(lambda p: [p] * k),
+            st.lists(st.sampled_from([0.0, 1.0, 2.5]), min_size=k, max_size=k),
+        )
+    ),
+    st.sampled_from(["fp", "fpc"]),
+    st.integers(1, 300),
+    st.integers(0, 2**32 - 1),
+)
+@example(([0.3] * 64, [0.0] * 63 + [1.0]), "fpc", 300, 0)
+@example(([0.0] * 9, [1.0] * 9), "fp", 1, 1)
+@example(([1.0] * 9, [1.0] * 9), "fpc", 2, 1)
+def test_gen_ratio_chain_equals_the_per_set_rounds_bit_for_bit(
+    drawn, cost_kind, mc_samples, mc_seed
+):
+    probs, weights = drawn
+    assume(any(weights))  # all-zero weights are rejected
+    k = len(probs)
+    probs = np.array(probs)
+    value_spec = SetFunctionSpec("gen", k, mc_samples=mc_samples, mc_seed=mc_seed)
+    cost_spec = SetFunctionSpec(cost_kind, k, np.array(weights) if cost_kind == "fpc" else None)
+    seq = build_universe("ratio", probs, value_spec, cost_spec)
+    order, sets = greedy_ratio_sets(
+        k,
+        lambda sets: value_spec.proxy_many(sets, probs),
+        lambda sets: cost_spec.proxy_many(sets, probs),
+    )
+    assert seq.order.tobytes() == np.array(order, dtype=np.int64).tobytes()
+    assert seq.sets.tobytes() == np.array(sets, dtype=np.uint64).tobytes()
+    assert seq.proxy_values.tobytes() == value_spec.proxy_many(seq.sets, probs).tobytes()
 
 
 def test_ratio_general_running_scores_move_by_the_winners_margins():
@@ -263,8 +294,10 @@ def test_ratio_general_running_scores_move_by_the_winners_margins():
     v = {0: -1.234792922781735, 0b001: 1.0, 0b010: 0.0, 0b100: 0.0, 0b011: 2.0, 0b101: 3.0}
     c = {0: 0.0, 0b001: 0.0, 0b010: 1.0, 0b100: 1.0, 0b011: 1.0, 0b101: 2.0}
     v[0b111], c[0b111] = 4.0, 3.0
-    seq = greedy_ratio_general(np.zeros(3), batched(v.__getitem__), batched(c.__getitem__))
+    seq = greedy_ratio_general(3, mask_scorer(v.__getitem__, c.__getitem__))
     assert seq.order.tolist() == greedy_ratio_order(3, v.__getitem__, c.__getitem__) == [0, 2, 1]
+    # the chain keeps the scores its rounds computed, not the running ones
+    assert seq.proxy_values.tolist() == [v[0], 1.0, 3.0, 4.0]
 
 
 def test_build_universe_dispatch():
