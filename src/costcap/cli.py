@@ -34,7 +34,7 @@ from .controller import (
 from .quantile_tree import QuantileTree
 from .set_functions import MAX_CLASSES, Sample, SetFunctionSpec, load_weights_csv
 from .synth import GeneratorConfig, generate, mnist_weights
-from .universe import FULL_UNIVERSE_MAX_CLASSES
+from .universe import FULL_UNIVERSE_MAX_CLASSES, UNIVERSE_KINDS
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -145,7 +145,7 @@ class RunConfig:
             raise UsageError("cost targets must lie in (0, 100]")
         if not 0.0 < self.delta < 1.0:
             raise UsageError("delta must be in (0, 1)")
-        if self.universe not in ("ratio", "prob", "value", "full"):
+        if self.universe not in UNIVERSE_KINDS:
             raise UsageError(f"unknown universe kind {self.universe!r}")
         if not 1 <= self.n_classes <= MAX_CLASSES:
             raise UsageError(f"n_classes must be in [1, {MAX_CLASSES}], got {self.n_classes}")
@@ -621,7 +621,7 @@ def _build_parser() -> _Parser:
         p.add_argument("--mode", choices=["expected", "violation"])
         p.add_argument("--targets", help="comma-separated cost targets")
         p.add_argument("--delta", type=float)
-        p.add_argument("--universe", choices=["ratio", "prob", "value", "full"])
+        p.add_argument("--universe", choices=UNIVERSE_KINDS)
         p.add_argument("--value-kind", choices=["tp", "tpc", "gen"], dest="value_kind")
         p.add_argument("--cost-kind", choices=["fp", "fpc"], dest="cost_kind")
         p.add_argument("--seeds", help="comma-separated seed list")

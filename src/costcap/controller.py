@@ -39,8 +39,14 @@ from .quantile_tree import (
     EmptyDistributionError,
     QuantileTree,
 )
-from .set_functions import Sample, SetFunctionSpec, label_bits
-from .universe import UniverseSeq, build_universe, subset_sums
+from .set_functions import Sample, SetFunctionSpec, full_set, label_bits
+from .universe import (
+    FULL_UNIVERSE_MAX_CLASSES,
+    UNIVERSE_KINDS,
+    UniverseSeq,
+    build_universe,
+    subset_sums,
+)
 
 MODES = ("expected", "violation")
 
@@ -159,6 +165,11 @@ class CostController:
                 f"need a value kind and a cost kind, got {value_spec.kind!r} "
                 f"and {cost_spec.kind!r}"
             )
+        if universe_kind not in UNIVERSE_KINDS:
+            raise ValueError(f"unknown universe kind {universe_kind!r}")
+        k = cost_spec.n_classes
+        if universe_kind == "full" and k > FULL_UNIVERSE_MAX_CLASSES:
+            raise ValueError(f"full universe needs K <= {FULL_UNIVERSE_MAX_CLASSES}, got {k}")
         self.mode = mode
         self.targets = targets
         self._target_array = np.array(targets, dtype=float)
@@ -169,6 +180,11 @@ class CostController:
         self.universe_kind = universe_kind
         self.value_spec = value_spec
         self.cost_spec = cost_spec
+        # a power set's true costs by lookup: entry m is m's cost when no
+        # class is present, and a set S costs the entry of S & ~labels
+        self._absent_costs = (
+            subset_sums(cost_spec.class_margins(np.zeros(k))) if universe_kind == "full" else None
+        )
         # expected mode: one CDF of record mass for every target; violation
         # mode: one CDF of exceed points per target
         n_trees = 1 if mode == "expected" else len(targets)
@@ -200,28 +216,35 @@ class CostController:
         k = self.cost_spec.n_classes
         if len(probs) != k:
             raise ValueError(f"probability vector has K = {len(probs)}, controller has K = {k}")
-        if not (probs.min() >= 0.0 and probs.max() <= 1.0):  # NaN fails both
+        if not all(0.0 <= p <= 1.0 for p in probs.tolist()):  # NaN fails both
             raise ValueError(f"probabilities must lie in [0, 1], got {probs!r}")
         return build_universe(self.universe_kind, probs, self.value_spec, self.cost_spec)
 
     def build_record(self, sample: Sample, universe: UniverseSeq) -> SampleRecord:
         """The sample's calibration record over ``universe``, which must be
-        built from ``sample.probs`` with this controller's cost spec: a power
-        set's sorted cost proxies are reused as the record's."""
+        built by this controller from ``sample.probs``: a power set's sorted
+        cost proxies are reused as the record's, and its true costs are read
+        from the controller's table of costs with no class present."""
         # every cost kind is additive; along a chain the cumsums of its
         # nonnegative margins are already their own running max
         spec = self.cost_spec
-        if sample.labels >> spec.n_classes:
-            labels = int(sample.labels)
+        k = spec.n_classes
+        labels = int(sample.labels)
+        if labels >> k:
             raise ValueError(
-                f"labels {labels:#x} need K >= {labels.bit_length()}, "
-                f"controller has K = {spec.n_classes}"
+                f"labels {labels:#x} need K >= {labels.bit_length()}, controller has K = {k}"
             )
-        proxies = universe.proxy_costs
-        if proxies is None:
-            proxies = _universe_sums(spec.class_margins(sample.probs), universe)
-        labels = label_bits(sample.labels, spec.n_classes)
-        costs = _universe_sums(spec.class_margins(labels), universe)
+        if universe.order is None:
+            if self._absent_costs is None:
+                raise ValueError(
+                    f"a power set needs a 'full' controller, this one is {self.universe_kind!r}"
+                )
+            # a present class adds +0.0 to the ascending sum, so the cost of S
+            # is bit for bit the sum over S & ~labels
+            costs = self._absent_costs[universe.sets & np.uint64(full_set(k) & ~labels)]
+            return SampleRecord(universe.proxy_costs, np.maximum.accumulate(costs))
+        proxies = _universe_sums(spec.class_margins(sample.probs), universe)
+        costs = _universe_sums(spec.class_margins(label_bits(labels, k)), universe)
         return SampleRecord(proxies, np.maximum.accumulate(costs))
 
     def observe(self, sample: Sample, universe: UniverseSeq | None = None) -> None:

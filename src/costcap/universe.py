@@ -18,6 +18,7 @@ import numpy as np
 
 from .set_functions import SetFunctionSpec
 
+UNIVERSE_KINDS = ("ratio", "prob", "value", "full")
 FULL_UNIVERSE_MAX_CLASSES = 20
 
 
@@ -72,7 +73,8 @@ def full_universe(probs: np.ndarray, cost_spec: SetFunctionSpec) -> UniverseSeq:
             f"full universe needs K <= {FULL_UNIVERSE_MAX_CLASSES}, got {k}"
         )
     proxies = subset_sums(cost_spec.class_margins(probs))
-    order = np.lexsort((np.arange(1 << k), proxies))
+    # stable: sets of equal proxy cost keep ascending mask order
+    order = np.argsort(proxies, kind="stable")
     return UniverseSeq(order.astype(np.uint64), "full", proxy_costs=proxies[order])
 
 

@@ -18,6 +18,8 @@ its ``ABOVE_ALL`` marker.
 - ``max_cost_curve``, ``first_exceed_threshold`` and ``cplus_at``: a
   calibration record built one set at a time, its exceed point for one
   target, and its worst cost strictly below a threshold.
+- ``label_margin_record``: a power set's record with its true costs summed
+  from the labels' margins, one doubling per class.
 """
 
 from __future__ import annotations
@@ -273,3 +275,26 @@ def cplus_at(record: SampleRecord, t: float) -> float:
     if idx < 0:
         return 0.0
     return float(record.max_costs[idx])
+
+
+def label_margin_record(universe, sample, cost_spec) -> SampleRecord:
+    """A power set's calibration record from per-class margins: the proxy
+    costs from (1 - p_k) u_k, the true costs from (1 - y_k) u_k with y_k the
+    0/1 label, where u_k = w_k / max_raw * 100 (w_k = 1 for ``fp``). Each
+    mask's margins are summed over its bits in ascending class order from
+    0.0, one doubling per class, then read in the universe's order; the
+    true costs take their running max."""
+    k = cost_spec.n_classes
+    weights = cost_spec.weights
+    units = np.ones(k) if weights is None else np.asarray(weights, dtype=np.float64)
+    units = units / cost_spec.max_raw * 100.0
+    labels = np.array([(sample.labels >> i) & 1 for i in range(k)], dtype=np.float64)
+
+    def sums(present):
+        margins = (1.0 - present) * units
+        out = np.zeros(1 << k)
+        for i in range(k):
+            out[1 << i : 2 << i] = out[: 1 << i] + margins[i]
+        return out[universe.sets]
+
+    return SampleRecord(sums(sample.probs), np.maximum.accumulate(sums(labels)))

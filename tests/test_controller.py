@@ -6,7 +6,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from costcap.controller import (
@@ -20,11 +20,17 @@ from costcap.controller import (
     threshold_comparison,
 )
 from costcap.quantile_tree import ABOVE_ALL, BELOW_ALL, EmptyDistributionError
-from costcap.set_functions import Sample, SetFunctionSpec, full_set
+from costcap.set_functions import Sample, SetFunctionSpec, full_set, label_bits
 from costcap.synth import GeneratorConfig, generate, mnist_weights
-from costcap.universe import UniverseSeq, full_universe, greedy_prob, subset_sums
+from costcap.universe import (
+    FULL_UNIVERSE_MAX_CLASSES,
+    UniverseSeq,
+    full_universe,
+    greedy_prob,
+    subset_sums,
+)
 
-from .oracles import cplus_at, first_exceed_threshold, max_cost_curve
+from .oracles import cplus_at, first_exceed_threshold, label_margin_record, max_cost_curve
 
 
 def chain_universe(sets, order):
@@ -110,6 +116,50 @@ def test_powerset_record_matches_per_set_reference(kind):
             np.testing.assert_allclose(rec.max_costs, ref.max_costs, rtol=0, atol=1e-9)
 
 
+@settings(max_examples=120, deadline=None)
+@given(
+    st.sampled_from(["expected", "violation"]),
+    st.sampled_from(["fp", "fpc"]),
+    st.integers(1, 12).flatmap(
+        lambda k: st.tuples(
+            st.lists(
+                st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+                min_size=k,
+                max_size=k,
+            ),
+            st.lists(st.integers(0, 3).map(float), min_size=k, max_size=k),
+            st.one_of(st.just(0), st.just((1 << k) - 1), st.integers(0, (1 << k) - 1)),
+        )
+    ),
+)
+@example(
+    "violation",
+    "fpc",
+    (
+        [0.0, 1.0, 0.5, 0.25, 1.0, 0.0, 0.1, 0.9, 0.3, 0.7] * 2,
+        [0.0, 2.0, 1.0, 0.0, 3.0, 1.0, 0.0, 2.0, 2.0, 1.0] * 2,
+        0b1011_0010_1110_0101_1001,
+    ),
+)
+def test_powerset_record_equals_label_margin_reference(mode, cost_kind, drawn):
+    # the cost table read at S & ~labels equals summing the labels' margins
+    probs, weights, labels = drawn
+    k = len(probs)
+    if cost_kind == "fpc":
+        assume(any(weights))  # all-zero weights are rejected by SetFunctionSpec
+        weights = np.array(weights)
+    else:
+        weights = None
+    cost_spec = SetFunctionSpec(cost_kind, k, weights)
+    ctrl = CostController(mode, 20.0, SetFunctionSpec("tp", k), cost_spec, universe_kind="full")
+    sample = Sample(np.array(probs), labels)
+    universe = ctrl.build_universe(sample.probs)
+    rec = ctrl.build_record(sample, universe)
+    ref = label_margin_record(universe, sample, cost_spec)
+    assert rec.proxy_costs.tobytes() == ref.proxy_costs.tobytes()
+    assert rec.max_costs.tobytes() == ref.max_costs.tobytes()
+
+
 def test_powerset_step_computes_cost_subset_sums_once(monkeypatch):
     calls = []
 
@@ -121,17 +171,27 @@ def test_powerset_step_computes_cost_subset_sums_once(monkeypatch):
     monkeypatch.setattr("costcap.controller.subset_sums", counted)
     k = 6
     cost_spec = SetFunctionSpec("fpc", k, np.arange(1.0, k + 1.0))
+    burn_in = 5
     ctrl = CostController(
-        "violation", 30.0, SetFunctionSpec("tp", k), cost_spec, universe_kind="full", burn_in=5
+        "violation", 30.0, SetFunctionSpec("tp", k), cost_spec, universe_kind="full",
+        burn_in=burn_in,
     )
+    # the true-cost table, built once: every mask's cost with no class present
+    assert calls == [cost_spec.class_margins(np.zeros(k)).tobytes()]
     rng = np.random.default_rng(3)
     for _ in range(10):
         sample = Sample(rng.uniform(0.0, 1.0, k), int(rng.integers(0, 1 << k)))
         margins = cost_spec.class_margins(sample.probs)
+        label_margins = cost_spec.class_margins(label_bits(sample.labels, k))
+        calibrated = ctrl.n_seen > burn_in
         calls.clear()
         ctrl.step(sample)
         # the universe's sort key is also the record's proxy costs
         assert calls.count(margins.tobytes()) == 1
+        # after burn-in the value proxies make the only other call; the true
+        # costs are looked up, never summed from the labels
+        assert len(calls) == (2 if calibrated else 1)
+        assert label_margins.tobytes() not in calls
         sets = full_universe(sample.probs, cost_spec).sets
         assert ctrl.records[-1].proxy_costs.tobytes() == subset_sums(margins)[sets].tobytes()
 
@@ -142,6 +202,22 @@ def test_controller_rejects_specs_of_the_wrong_role():
     for value_spec, cost_spec in ((tp, gen), (tp, tp), (fp, fp)):
         with pytest.raises(ValueError):
             CostController("expected", 20.0, value_spec, cost_spec)
+    # a universe the controller could not build fails at construction
+    too_many = FULL_UNIVERSE_MAX_CLASSES + 1
+    for kind, k, match in (
+        ("bogus", 3, "unknown universe kind 'bogus'"),
+        ("full", too_many, f"K <= {FULL_UNIVERSE_MAX_CLASSES}, got {too_many}"),
+        ("full", 30, f"K <= {FULL_UNIVERSE_MAX_CLASSES}, got 30"),
+    ):
+        with pytest.raises(ValueError, match=match):
+            CostController(
+                "expected", 20.0, SetFunctionSpec("tp", k), SetFunctionSpec("fp", k),
+                universe_kind=kind,
+            )
+    # and a chain controller has no true-cost table for a power set
+    sample = Sample(np.full(3, 0.5), 0b101)
+    with pytest.raises(ValueError, match="needs a 'full' controller"):
+        CostController("expected", 20.0, tp, fp).observe(sample, full_universe(sample.probs, fp))
 
 
 @settings(max_examples=200, deadline=None)
