@@ -165,6 +165,8 @@ class RunConfig:
             raise UsageError("window must be >= 1")
         if self.mc_samples < 1:
             raise UsageError(f"mc_samples must be >= 1, got {self.mc_samples}")
+        if not isinstance(self.weights, str):
+            raise UsageError(f"weights must be 'mnist' or a CSV path, got {self.weights!r}")
 
 
 def load_run_config(path=None, overrides: dict | None = None) -> RunConfig:
@@ -468,12 +470,13 @@ def oracle_check_run(
     checkpoints: int = 10,
     weights: np.ndarray | None = None,
 ) -> OracleCheckReport:
-    """Run the tree and the direct search side by side on one stream slice."""
+    """Run the tree and the direct search side by side on one stream slice:
+    one controller for every target, each target checked at each checkpoint,
+    so ``checked`` counts (checkpoint, target) pairs."""
     value_spec, cost_spec = build_specs(cfg, mc_seed=cfg.seeds[0], weights=weights)
-    target = cfg.cost_targets[0]
     ctrl = CostController(
         cfg.mode,
-        target,
+        cfg.cost_targets,
         value_spec,
         cost_spec,
         universe_kind=cfg.universe,
@@ -486,8 +489,10 @@ def oracle_check_run(
     report = OracleCheckReport()
     for i, sample in enumerate(chunk):
         ctrl.observe(sample)
-        if (i + 1) % every == 0:
-            tree_t, oracle_t, status = threshold_comparison(ctrl)
+        if (i + 1) % every:
+            continue
+        for index, target in enumerate(ctrl.targets):
+            tree_t, oracle_t, status = threshold_comparison(ctrl, index)
             report.checked += 1
             if status == "match":
                 report.matches += 1
@@ -497,7 +502,7 @@ def oracle_check_run(
                 report.mismatches += 1
                 if len(report.examples) < 5:
                     report.examples.append(
-                        f"n={ctrl.n_seen}: tree={tree_t!r} oracle={oracle_t!r}"
+                        f"n={ctrl.n_seen} c={target!r}: tree={tree_t!r} oracle={oracle_t!r}"
                     )
     return report
 
@@ -731,6 +736,9 @@ def _read_run_stream(cfg: RunConfig, path) -> list[Sample]:
 
 def _cmd_run(args) -> int:
     cfg = _run_config_from_args(args)
+    if cfg.window is not None and cfg.window <= cfg.burn_in:
+        # oracle-check calibrates from burn_in 0, so only run needs this
+        raise UsageError(f"window ({cfg.window}) must exceed burn_in ({cfg.burn_in}) to ever predict")
     weights = class_weights(cfg)
     samples = _read_run_stream(cfg, args.stream)
     rows, log = run_experiment(cfg, samples, weights)
@@ -764,7 +772,7 @@ def _cmd_oracle_check(args) -> int:
     samples = _read_run_stream(cfg, args.stream)
     report = oracle_check_run(cfg, samples, checkpoints=args.checkpoints, weights=weights)
     print(
-        f"checked {report.checked} checkpoints: {report.matches} matches, "
+        f"checked {report.checked} (checkpoint, target) pairs: {report.matches} matches, "
         f"{report.boundary_skips} boundary skips, {report.mismatches} mismatches"
     )
     for ex in report.examples:

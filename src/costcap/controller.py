@@ -131,7 +131,8 @@ class CostController:
     Before ``burn_in`` samples have been observed, ``predict``/``step`` return
     the no-prediction marker (None) while calibration keeps accumulating.
     With ``window`` set, the oldest record is evicted once more than
-    ``window`` records are live (rolling instead of expanding calibration).
+    ``window`` records are live (rolling instead of expanding calibration);
+    a window must exceed ``burn_in``, or the controller would never predict.
     """
 
     def __init__(
@@ -160,6 +161,9 @@ class CostController:
             raise ValueError("burn_in must be >= 0")
         if window is not None and window < 1:
             raise ValueError("window must be >= 1")
+        if window is not None and window <= burn_in:
+            # n_seen counts live records, which the window caps at window
+            raise ValueError(f"window ({window}) must exceed burn_in ({burn_in}) to ever predict")
         if value_spec.is_cost or not cost_spec.is_cost:
             raise ValueError(
                 f"need a value kind and a cost kind, got {value_spec.kind!r} "
@@ -241,8 +245,11 @@ class CostController:
                 )
             # a present class adds +0.0 to the ascending sum, so the cost of S
             # is bit for bit the sum over S & ~labels
-            costs = self._absent_costs[universe.sets & np.uint64(full_set(k) & ~labels)]
-            return SampleRecord(universe.proxy_costs, np.maximum.accumulate(costs))
+            # the masks are below 2^20, so their int64 view gathers without a
+            # cast; the running max overwrites the gathered costs, one array
+            # fewer per step to fragment the heap the records live in
+            costs = self._absent_costs[universe.sets.view(np.int64) & (full_set(k) & ~labels)]
+            return SampleRecord(universe.proxy_costs, np.maximum.accumulate(costs, out=costs))
         proxies = _universe_sums(spec.class_margins(sample.probs), universe)
         costs = _universe_sums(spec.class_margins(label_bits(labels, k)), universe)
         return SampleRecord(proxies, np.maximum.accumulate(costs))
@@ -443,34 +450,34 @@ def classwise_predict(probs: np.ndarray, thresholds: np.ndarray) -> int:
     return mask
 
 
-def threshold_comparison(controller: CostController) -> tuple[float, float, str]:
-    """Tree threshold vs direct-search threshold for the controller's state.
+def threshold_comparison(controller: CostController, index: int = 0) -> tuple[float, float, str]:
+    """Tree threshold vs direct-search threshold of target ``index`` for the
+    controller's state.
 
     Returns (tree_threshold, oracle_threshold, status) with status one of
     "match", "boundary" (the queried level lands exactly on a stored CDF
     value, where the two sides legitimately differ by one grid step), or
     "mismatch".
     """
-    tree_t = controller.threshold()
+    tree_t = controller.threshold(index)
+    target = controller.targets[index]
     if controller.mode == "expected":
-        oracle_t = oracle_threshold_expected(
-            controller.records, controller.target_cost, controller.cost_max
-        )
-        numerator = (controller.n_seen + 1) * controller.target_cost - controller.cost_max
+        tree = controller.trees[0]
+        oracle_t = oracle_threshold_expected(controller.records, target, controller.cost_max)
+        numerator = (controller.n_seen + 1) * target - controller.cost_max
     else:
-        oracle_t = oracle_threshold_violation(
-            controller.records, controller.target_cost, controller.delta
-        )
+        tree = controller.trees[index]
+        oracle_t = oracle_threshold_violation(controller.records, target, controller.delta)
         numerator = (controller.n_seen + 1) * controller.delta - 1.0
     if tree_t == oracle_t:
         return tree_t, oracle_t, "match"
-    mass = controller.tree.total_weight()
+    mass = tree.total_weight()
     if mass > 0.0 and 0.0 < numerator <= mass:
         # exact hit: the budget coincides with a stored cumulative mass, and
         # rounding may push the two routes to either side of it
         tol = 1e-9 * max(abs(numerator), 1.0)
-        at = controller.tree.cdf_at(tree_t) * mass
-        below = controller.tree.cdf_below(tree_t) * mass
+        at = tree.cdf_at(tree_t) * mass
+        below = tree.cdf_below(tree_t) * mass
         if abs(at - numerator) <= tol or abs(below - numerator) <= tol:
             return tree_t, oracle_t, "boundary"
     if numerator == 0.0:

@@ -34,7 +34,8 @@ class UniverseSeq:
     which the controller reuses as the record's. ``proxy_values``, when
     set, holds the value proxy of every set, which the controller uses
     instead of scoring the sets again: the general ratio chain keeps the
-    scores its rounds computed.
+    scores its rounds computed, and the power set under an additive value
+    function the sums of its cost doubling's imaginary parts.
     """
 
     sets: np.ndarray
@@ -57,25 +58,59 @@ def subset_sums(margins: np.ndarray) -> np.ndarray:
     """Score of every subset under an additive function with per-class
     ``margins``, indexed by bitmask: entry m is the sum of margins[k] over the
     bits k of m, added in ascending class order. One doubling per class, so
-    2^K additions and no (2^K, K) bit matrix."""
-    out = np.empty(1 << len(margins))
+    2^K additions and no (2^K, K) bit matrix. The sums have the margins'
+    dtype: complex margins sum their real and imaginary parts separately,
+    each part bit for bit its own real doubling."""
+    out = np.empty(1 << len(margins), dtype=margins.dtype)
     out[0] = 0.0
     for k, margin in enumerate(margins.tolist()):
         np.add(out[: 1 << k], margin, out=out[1 << k : 2 << k])
     return out
 
 
-def full_universe(probs: np.ndarray, cost_spec: SetFunctionSpec) -> UniverseSeq:
-    """All 2^K subsets sorted ascending by proxy cost (K <= 20)."""
+def full_universe(
+    probs: np.ndarray, cost_spec: SetFunctionSpec, value_spec: SetFunctionSpec | None = None
+) -> UniverseSeq:
+    """All 2^K subsets sorted ascending by proxy cost (K <= 20), sets of
+    equal proxy cost in ascending mask order.
+
+    With an additive ``value_spec`` the value proxies come from the same
+    doubling: the cost margins fill the real parts of one complex margin
+    vector and the value margins its imaginary parts, and complex addition
+    adds each part as one real addition.
+    """
     k = len(probs)
     if k > FULL_UNIVERSE_MAX_CLASSES:
         raise ValueError(
             f"full universe needs K <= {FULL_UNIVERSE_MAX_CLASSES}, got {k}"
         )
-    proxies = subset_sums(cost_spec.class_margins(probs))
-    # stable: sets of equal proxy cost keep ascending mask order
-    order = np.argsort(proxies, kind="stable")
-    return UniverseSeq(order.astype(np.uint64), "full", proxy_costs=proxies[order])
+    cost_margins = cost_spec.class_margins(probs)
+    if value_spec is not None and value_spec.additive:
+        margins = np.empty(k, dtype=np.complex128)
+        margins.real = cost_margins
+        margins.imag = value_spec.class_margins(probs)
+        sums = subset_sums(margins)
+        proxies = sums.real
+    else:
+        sums = None
+        proxies = subset_sums(cost_margins)
+    # equal costs are certain with a zero or repeated margin, and usual when
+    # every class has the same probability, as the margins then keep the
+    # weights' ratios; otherwise try the faster sort, whose order is the
+    # stable one when no two costs are equal
+    listed = cost_margins.tolist()
+    tied = 0.0 in listed or len(set(listed)) < k or len(set(probs.tolist())) == 1
+    order = np.argsort(proxies, kind="stable" if tied else None)
+    proxy_costs = proxies[order]
+    if not tied and not (proxy_costs[1:] > proxy_costs[:-1]).all():  # NaN fails too
+        order = np.argsort(proxies, kind="stable")
+        proxy_costs = proxies[order]
+    return UniverseSeq(
+        order.view(np.uint64),  # argsort's int64 indices are the masks
+        "full",
+        proxy_costs=proxy_costs,
+        proxy_values=None if sums is None else sums.imag[order],
+    )
 
 
 def greedy_prob(probs: np.ndarray) -> UniverseSeq:
@@ -176,7 +211,7 @@ def build_universe(
 ) -> UniverseSeq:
     """Dispatch on universe kind, deriving orderings from the two functions."""
     if kind == "full":
-        return full_universe(probs, cost_spec)
+        return full_universe(probs, cost_spec, value_spec)
     if kind == "prob":
         return greedy_prob(probs)
     if kind == "value":

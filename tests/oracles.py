@@ -20,6 +20,8 @@ its ``ABOVE_ALL`` marker.
   target, and its worst cost strictly below a threshold.
 - ``label_margin_record``: a power set's record with its true costs summed
   from the labels' margins, one doubling per class.
+- ``two_doubling_full_universe``: a power set's sets and cost and value
+  proxies from two real doublings and a stable sort.
 """
 
 from __future__ import annotations
@@ -277,24 +279,44 @@ def cplus_at(record: SampleRecord, t: float) -> float:
     return float(record.max_costs[idx])
 
 
+def _unit_margins(spec) -> np.ndarray:
+    """u_k = w_k / max_raw * 100 of an additive kind (w_k = 1 unweighted)."""
+    weights = spec.weights
+    units = np.ones(spec.n_classes) if weights is None else np.asarray(weights, dtype=np.float64)
+    return units / spec.max_raw * 100.0
+
+
+def _doubling(margins: np.ndarray) -> np.ndarray:
+    """Every mask's margins summed over its bits in ascending class order
+    from 0.0, one real doubling per class, indexed by mask."""
+    out = np.zeros(1 << len(margins))
+    for i in range(len(margins)):
+        out[1 << i : 2 << i] = out[: 1 << i] + margins[i]
+    return out
+
+
 def label_margin_record(universe, sample, cost_spec) -> SampleRecord:
     """A power set's calibration record from per-class margins: the proxy
     costs from (1 - p_k) u_k, the true costs from (1 - y_k) u_k with y_k the
-    0/1 label, where u_k = w_k / max_raw * 100 (w_k = 1 for ``fp``). Each
-    mask's margins are summed over its bits in ascending class order from
-    0.0, one doubling per class, then read in the universe's order; the
-    true costs take their running max."""
+    0/1 label. Each mask's margins are doubled up, then read in the
+    universe's order; the true costs take their running max."""
     k = cost_spec.n_classes
-    weights = cost_spec.weights
-    units = np.ones(k) if weights is None else np.asarray(weights, dtype=np.float64)
-    units = units / cost_spec.max_raw * 100.0
+    units = _unit_margins(cost_spec)
     labels = np.array([(sample.labels >> i) & 1 for i in range(k)], dtype=np.float64)
 
     def sums(present):
-        margins = (1.0 - present) * units
-        out = np.zeros(1 << k)
-        for i in range(k):
-            out[1 << i : 2 << i] = out[: 1 << i] + margins[i]
-        return out[universe.sets]
+        return _doubling((1.0 - present) * units)[universe.sets]
 
     return SampleRecord(sums(sample.probs), np.maximum.accumulate(sums(labels)))
+
+
+def two_doubling_full_universe(probs, cost_spec, value_spec):
+    """A power set as one real doubling per proxy and one stable sort:
+    ``(sets, proxy_costs, proxy_values)``, the sets as ``uint64`` masks in
+    ascending proxy cost, equal costs in ascending mask order. The cost
+    margins are (1 - p_k) u_k and an additive value kind's p_k u_k."""
+    probs = np.asarray(probs, dtype=np.float64)
+    costs = _doubling((1.0 - probs) * _unit_margins(cost_spec))
+    order = np.argsort(costs, kind="stable")
+    values = _doubling(probs * _unit_margins(value_spec))
+    return order.astype(np.uint64), costs[order], values[order]

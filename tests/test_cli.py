@@ -139,6 +139,8 @@ def test_run_config_validation():
         dict(burn_in=True), dict(window=3.0), dict(n_classes="10"), dict(seeds=[0, 1.0]),
         dict(seeds=(0, 1)), dict(cost_targets=[20, "40"]), dict(cost_targets=[True]),
         dict(delta="0.1"), dict(delta=None),
+        dict(weights=None, cost_kind="fpc"), dict(weights=["a"], cost_kind="fpc"),
+        dict(weights=3, cost_kind="fpc"),
     ]
     for kwargs in bad_types:
         with pytest.raises(UsageError):
@@ -150,7 +152,14 @@ def test_run_config_validation():
 
 @pytest.mark.parametrize(
     "raw",
-    [{"mc_samples": 2.5}, {"n_test": 120.0, "burn_in": 40}, {"cost_targets": "20"}, {"seeds": [0, 0]}],
+    [
+        {"mc_samples": 2.5}, {"n_test": 120.0, "burn_in": 40}, {"cost_targets": "20"},
+        {"seeds": [0, 0]}, {"weights": None, "cost_kind": "fpc"},
+        # a window no larger than burn_in keeps n_seen <= burn_in: never a prediction
+        {"n_test": 50, "burn_in": 10, "seeds": [0], "cost_targets": [20], "universe": "full",
+         "mode": "violation", "window": 5},
+        {"n_test": 50, "burn_in": 10, "window": 10},
+    ],
 )
 def test_run_config_json_of_the_wrong_type_exits_1(tmp_path, raw, capsys):
     cfg_path = tmp_path / "cfg.json"
@@ -539,6 +548,21 @@ def test_oracle_check_cli(tmp_path):
     row = csv_rows(out)[0]
     assert int(row["checked"]) == 8
     assert int(row["mismatches"]) == 0
+
+
+def test_oracle_check_checks_every_target_of_a_violation_run(tmp_path):
+    # violation mode keeps one tree per target: each is checked at each checkpoint
+    stream = write_stream(tmp_path, n=200, k=4, seed=1)
+    report = oracle_check_run(
+        RunConfig(
+            mode="violation", cost_targets=[30.0, 10.0], delta=0.2, seeds=[0], n_test=200,
+            burn_in=0, window=60, value_kind="tp", cost_kind="fp", n_classes=4,
+        ),
+        read_stream_csv(stream),
+        checkpoints=8,
+    )
+    assert report.checked == 16
+    assert report.mismatches == 0
 
 
 def test_oracle_check_wrong_class_count_exits_2(tmp_path, capsys):

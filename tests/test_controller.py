@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, rule
 
 from costcap.controller import (
     CostController,
@@ -20,7 +21,7 @@ from costcap.controller import (
     threshold_comparison,
 )
 from costcap.quantile_tree import ABOVE_ALL, BELOW_ALL, EmptyDistributionError
-from costcap.set_functions import Sample, SetFunctionSpec, full_set, label_bits
+from costcap.set_functions import Sample, SetFunctionSpec, full_set
 from costcap.synth import GeneratorConfig, generate, mnist_weights
 from costcap.universe import (
     FULL_UNIVERSE_MAX_CLASSES,
@@ -164,34 +165,33 @@ def test_powerset_step_computes_cost_subset_sums_once(monkeypatch):
     calls = []
 
     def counted(margins):
-        calls.append(margins.tobytes())
+        calls.append(margins)
         return subset_sums(margins)
 
     monkeypatch.setattr("costcap.universe.subset_sums", counted)
     monkeypatch.setattr("costcap.controller.subset_sums", counted)
     k = 6
+    value_spec = SetFunctionSpec("tp", k)
     cost_spec = SetFunctionSpec("fpc", k, np.arange(1.0, k + 1.0))
     burn_in = 5
     ctrl = CostController(
-        "violation", 30.0, SetFunctionSpec("tp", k), cost_spec, universe_kind="full",
-        burn_in=burn_in,
+        "violation", 30.0, value_spec, cost_spec, universe_kind="full", burn_in=burn_in,
     )
     # the true-cost table, built once: every mask's cost with no class present
-    assert calls == [cost_spec.class_margins(np.zeros(k)).tobytes()]
+    assert [m.tobytes() for m in calls] == [cost_spec.class_margins(np.zeros(k)).tobytes()]
     rng = np.random.default_rng(3)
     for _ in range(10):
         sample = Sample(rng.uniform(0.0, 1.0, k), int(rng.integers(0, 1 << k)))
         margins = cost_spec.class_margins(sample.probs)
-        label_margins = cost_spec.class_margins(label_bits(sample.labels, k))
-        calibrated = ctrl.n_seen > burn_in
         calls.clear()
         ctrl.step(sample)
-        # the universe's sort key is also the record's proxy costs
-        assert calls.count(margins.tobytes()) == 1
-        # after burn-in the value proxies make the only other call; the true
+        # one doubling per step, before and after burn-in: the cost margins in
+        # the real parts, the value margins in the imaginary parts; the true
         # costs are looked up, never summed from the labels
-        assert len(calls) == (2 if calibrated else 1)
-        assert label_margins.tobytes() not in calls
+        (both,) = calls
+        assert both.dtype == np.complex128
+        assert both.real.tobytes() == margins.tobytes()
+        assert both.imag.tobytes() == value_spec.class_margins(sample.probs).tobytes()
         sets = full_universe(sample.probs, cost_spec).sets
         assert ctrl.records[-1].proxy_costs.tobytes() == subset_sums(margins)[sets].tobytes()
 
@@ -214,6 +214,10 @@ def test_controller_rejects_specs_of_the_wrong_role():
                 "expected", 20.0, SetFunctionSpec("tp", k), SetFunctionSpec("fp", k),
                 universe_kind=kind,
             )
+    # a window no larger than burn_in would keep n_seen <= burn_in: never a prediction
+    for window, burn_in in ((5, 10), (10, 10)):
+        with pytest.raises(ValueError, match="must exceed burn_in"):
+            CostController("expected", 20.0, tp, fp, burn_in=burn_in, window=window)
     # and a chain controller has no true-cost table for a power set
     sample = Sample(np.full(3, 0.5), 0b101)
     with pytest.raises(ValueError, match="needs a 'full' controller"):
@@ -651,6 +655,7 @@ def test_multi_target_controller_equals_single_target_controllers(mode, kind):
             for j, (c, single) in enumerate(zip(MULTI_TARGETS, singles)):
                 tree_t, oracle_t, status = threshold_comparison(single)
                 assert status in ("match", "boundary")
+                assert threshold_comparison(multi, j) == (tree_t, oracle_t, status)
                 assert multi.threshold(j) == tree_t
                 if mode == "expected":
                     oracle = oracle_threshold_expected(multi.records, c, multi.cost_max)
@@ -665,6 +670,83 @@ def test_multi_target_controller_equals_single_target_controllers(mode, kind):
                     ]
     assert multi.n_seen == 60  # the window evicted
     assert checked >= 40
+
+
+# probabilities that tie proxy costs, so that the stable sort runs
+tie_prob = st.sampled_from([0.0, 0.25, 0.5, 1.0])
+
+
+@st.composite
+def powerset_samples(draw, k):
+    if draw(st.booleans()):
+        probs = [draw(st.one_of(tie_prob, st.floats(0.0, 1.0)))] * k
+    else:
+        probs = draw(st.lists(st.one_of(tie_prob, st.floats(0.0, 1.0)), min_size=k, max_size=k))
+    return Sample(np.array(probs), draw(st.integers(0, (1 << k) - 1)))
+
+
+class FullUniverseControllerMachine(RuleBasedStateMachine):
+    """A two-target power-set controller, expected or violation mode, with
+    or without a window, under any mix of observe and step_all (each of
+    which evicts through the window): after every rule each target's tree
+    threshold agrees with the direct search."""
+
+    def __init__(self):
+        super().__init__()
+        self.ctrl = None
+
+    @initialize(
+        mode=st.sampled_from(["expected", "violation"]),
+        k=st.integers(1, 6),
+        weighted=st.booleans(),
+        window=st.one_of(st.none(), st.integers(1, 12)),
+        target_costs=st.lists(
+            st.sampled_from([5.0, 20.0, 37.5, 60.0, 100.0]), min_size=2, max_size=2
+        ),
+        delta=st.sampled_from([0.1, 0.25, 0.5]),
+    )
+    def build(self, mode, k, weighted, window, target_costs, delta):
+        weights = mnist_weights(k) if weighted else None
+        value_spec = SetFunctionSpec("tpc" if weighted else "tp", k, weights)
+        cost_spec = SetFunctionSpec("fpc" if weighted else "fp", k, weights)
+        self.ctrl = CostController(
+            mode, target_costs, value_spec, cost_spec,
+            universe_kind="full", burn_in=0, window=window, delta=delta,
+        )
+
+    @rule(data=st.data())
+    def observe(self, data):
+        self.ctrl.observe(data.draw(powerset_samples(self.ctrl.cost_spec.n_classes)))
+
+    @rule(data=st.data())
+    def step_all(self, data):
+        ctrl = self.ctrl
+        sample = data.draw(powerset_samples(ctrl.cost_spec.n_classes))
+        seen = ctrl.n_seen
+        universe = ctrl.build_universe(sample.probs)
+        for out in ctrl.step_all(sample):
+            if seen == 0:
+                assert out.prediction is None
+            else:
+                # the prediction is admissible: its proxy cost is below the threshold
+                pos = int(np.flatnonzero(universe.sets == out.prediction)[0])
+                assert out.prediction == 0 or universe.proxy_costs[pos] < out.threshold
+
+    @invariant()
+    def trees_agree_with_direct_search(self):
+        ctrl = self.ctrl
+        if ctrl is None or not ctrl.n_seen:
+            return
+        if ctrl.window is not None:
+            assert ctrl.n_seen <= ctrl.window
+        for i in range(len(ctrl.targets)):
+            assert threshold_comparison(ctrl, i)[2] in ("match", "boundary")
+
+
+FullUniverseControllerMachine.TestCase.settings = settings(
+    max_examples=100, stateful_step_count=40, deadline=None
+)
+test_full_universe_controller_state_machine = FullUniverseControllerMachine.TestCase
 
 
 def test_multi_target_step_matches_step_for_the_first_target():

@@ -19,7 +19,12 @@ from costcap.universe import (
     subset_sums,
 )
 
-from .oracles import greedy_ratio_order, greedy_ratio_sets, mask_scorer
+from .oracles import (
+    greedy_ratio_order,
+    greedy_ratio_sets,
+    mask_scorer,
+    two_doubling_full_universe,
+)
 
 probs_strategy = st.lists(
     st.floats(min_value=0.001, max_value=0.999, allow_nan=False),
@@ -155,6 +160,80 @@ def test_subset_sums_equal_ascending_python_sums(k):
     expected = [sum(margins[c] for c in range(k) if (m >> c) & 1) for m in range(1 << k)]
     # exact: entry m adds the margins of m's classes in ascending order
     assert subset_sums(margins).tolist() == [float(x) for x in expected]
+
+
+def test_complex_subset_sums_are_two_real_doublings():
+    rng = np.random.default_rng(5)
+    margins = np.empty(9, dtype=np.complex128)
+    margins.real = rng.random(9) * 3.1
+    margins.imag = rng.random(9) * 0.7
+    sums = subset_sums(margins)
+    assert sums.dtype == np.complex128
+    assert sums.real.tobytes() == subset_sums(margins.real.copy()).tobytes()
+    assert sums.imag.tobytes() == subset_sums(margins.imag.copy()).tobytes()
+
+
+# probabilities that tie the proxies: certain values, -0.0 and repeats
+tie_probs = st.sampled_from([0.0, -0.0, 1.0, 0.5, 0.25])
+some_probs = st.one_of(tie_probs, st.floats(0.0, 1.0))
+# zero and repeated weights alongside arbitrary ones
+some_weights = st.one_of(st.integers(0, 3).map(float), st.floats(0.0, 10.0))
+
+
+@st.composite
+def powerset_cases(draw):
+    k = draw(st.integers(1, 12))
+    if draw(st.booleans()):
+        probs = [draw(some_probs)] * k
+    else:
+        probs = draw(st.lists(some_probs, min_size=k, max_size=k))
+    kinds = draw(st.sampled_from([("tp", "fp"), ("tpc", "fp"), ("tp", "fpc"), ("tpc", "fpc")]))
+    weights = [draw(st.lists(some_weights, min_size=k, max_size=k)) for _ in kinds]
+    return kinds, probs, weights
+
+
+def additive_spec(kind, weights):
+    if kind in ("tp", "fp"):
+        return SetFunctionSpec(kind, len(weights))
+    return SetFunctionSpec(kind, len(weights), np.array(weights))
+
+
+@settings(max_examples=300, deadline=None)
+@given(powerset_cases())
+@example(  # K = 20, distinct nonzero margins: the unstable sort is tried
+    (
+        ("tpc", "fpc"),
+        [0.013 + 0.049 * i for i in range(20)],
+        [[0.5 + 0.37 * i for i in range(20)], [9.0 - 0.41 * i for i in range(20)]],
+    )
+)
+def test_full_universe_equals_two_doublings_and_a_stable_sort(case):
+    # the one complex doubling and the sort that is stable only on ties
+    # give the same arrays as two real doublings and a stable sort
+    (value_kind, cost_kind), probs, (value_weights, cost_weights) = case
+    for kind, weights in ((value_kind, value_weights), (cost_kind, cost_weights)):
+        assume(kind in ("tp", "fp") or any(weights))  # all-zero weights are rejected
+    value_spec = additive_spec(value_kind, value_weights)
+    cost_spec = additive_spec(cost_kind, cost_weights)
+    probs = np.array(probs)
+    seq = full_universe(probs, cost_spec, value_spec)
+    sets, costs, values = two_doubling_full_universe(probs, cost_spec, value_spec)
+    assert seq.sets.dtype == np.uint64
+    assert seq.sets.tobytes() == sets.tobytes()
+    assert seq.proxy_costs.tobytes() == costs.tobytes()
+    assert seq.proxy_values.tobytes() == values.tobytes()
+    # without a value function only the costs are summed
+    alone = full_universe(probs, cost_spec)
+    assert alone.proxy_values is None
+    assert alone.sets.tobytes() == sets.tobytes()
+    assert alone.proxy_costs.tobytes() == costs.tobytes()
+
+
+def test_full_universe_leaves_gen_values_to_the_controller():
+    probs = np.array([0.2, 0.7, 0.4])
+    seq = full_universe(probs, SetFunctionSpec("fp", 3), SetFunctionSpec("gen", 3))
+    assert seq.proxy_values is None
+    assert seq.proxy_costs.tobytes() == full_universe(probs, SetFunctionSpec("fp", 3)).proxy_costs.tobytes()
 
 
 @settings(max_examples=100, deadline=None)
