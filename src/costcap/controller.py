@@ -45,23 +45,14 @@ from .universe import (
     UNIVERSE_KINDS,
     UniverseSeq,
     build_universe,
+    prefix_sums,
     subset_sums,
 )
 
 MODES = ("expected", "violation")
 
-
-def _universe_sums(margins: np.ndarray, universe: UniverseSeq) -> np.ndarray:
-    """Score of every set in the universe under an additive function with
-    per-class ``margins``, aligned with the universe's order: prefix sums
-    [0, m_1, m_1 + m_2, ...] along a chain, :func:`subset_sums` over the
-    power set."""
-    if universe.order is not None:
-        out = np.empty(len(margins) + 1)
-        out[0] = 0.0
-        np.cumsum(margins[universe.order], out=out[1:])
-        return out
-    return subset_sums(margins)[universe.sets]
+# candidates per pass of the violation direct search: bounds its temporaries
+_SCAN_BLOCK = 1 << 16
 
 
 @dataclass
@@ -194,7 +185,7 @@ class CostController:
         n_trees = 1 if mode == "expected" else len(targets)
         self.trees = [QuantileTree() for _ in range(n_trees)]
         self.records: deque[SampleRecord] = deque()
-        # the last step's per-target outcome, overwritten in place
+        # the last prediction's per-target outcome, overwritten in place
         self._thresholds: list[float | None] = [None] * len(targets)
         self._predictions: list[int | None] = [None] * len(targets)
 
@@ -226,11 +217,10 @@ class CostController:
 
     def build_record(self, sample: Sample, universe: UniverseSeq) -> SampleRecord:
         """The sample's calibration record over ``universe``, which must be
-        built by this controller from ``sample.probs``: a power set's sorted
-        cost proxies are reused as the record's, and its true costs are read
-        from the controller's table of costs with no class present."""
-        # every cost kind is additive; along a chain the cumsums of its
-        # nonnegative margins are already their own running max
+        built by this controller from ``sample.probs``: the universe's sorted
+        cost proxies are reused as the record's. A power set's true costs are
+        read from the controller's table of costs with no class present, a
+        chain's are the prefix sums of the labels' margins."""
         spec = self.cost_spec
         k = spec.n_classes
         labels = int(sample.labels)
@@ -245,20 +235,17 @@ class CostController:
                 )
             # a present class adds +0.0 to the ascending sum, so the cost of S
             # is bit for bit the sum over S & ~labels
-            # the masks are below 2^20, so their int64 view gathers without a
-            # cast; the running max overwrites the gathered costs, one array
-            # fewer per step to fragment the heap the records live in
+            # masks below 2^20: their int64 view gathers without a cast
             costs = self._absent_costs[universe.sets.view(np.int64) & (full_set(k) & ~labels)]
-            return SampleRecord(universe.proxy_costs, np.maximum.accumulate(costs, out=costs))
-        proxies = _universe_sums(spec.class_margins(sample.probs), universe)
-        costs = _universe_sums(spec.class_margins(label_bits(labels, k)), universe)
-        return SampleRecord(proxies, np.maximum.accumulate(costs))
+        else:
+            costs = prefix_sums(spec.class_margins(label_bits(labels, k)), universe.order)
+        # the running max overwrites the costs, one array fewer per step to
+        # fragment the heap the records live in
+        return SampleRecord(universe.proxy_costs, np.maximum.accumulate(costs, out=costs))
 
-    def observe(self, sample: Sample, universe: UniverseSeq | None = None) -> None:
+    def observe(self, sample: Sample) -> None:
         """Fold one labeled sample into the calibration state."""
-        if universe is None:
-            universe = self.build_universe(sample.probs)
-        self.observe_record(self.build_record(sample, universe))
+        self.observe_record(self.build_record(sample, self.build_universe(sample.probs)))
 
     def observe_record(self, record: SampleRecord) -> None:
         """Fold an already-evaluated record (stream replay surface)."""
@@ -290,19 +277,21 @@ class CostController:
             for tree, value in zip(self.trees, record.exceed_thresholds):
                 tree.delete(value, 1.0)
 
+    def _budget(self, index: int) -> tuple[QuantileTree, float]:
+        """Target ``index``'s tree and the numerator of its quantile level:
+        (N+1)c − C_max in expected mode, (N+1)δ − 1 in violation mode."""
+        n = self.n_seen
+        if self.mode == "expected":
+            return self.trees[0], (n + 1) * self.targets[index] - self.cost_max
+        return self.trees[index], (n + 1) * self.delta - 1.0
+
     def threshold(self, index: int = 0) -> float:
         """Current proxy-cost threshold of target ``index`` (below-all/above-all
         markers at the extremes). Raises :class:`EmptyDistributionError` with
         no records."""
-        n = self.n_seen
-        if n < 1:
+        if self.n_seen < 1:
             raise EmptyDistributionError("no calibration records observed")
-        if self.mode == "expected":
-            tree = self.trees[0]
-            numerator = (n + 1) * self.targets[index] - self.cost_max
-        else:
-            tree = self.trees[index]
-            numerator = (n + 1) * self.delta - 1.0
+        tree, numerator = self._budget(index)
         mass = tree.total_weight()
         if mass <= 0.0:
             return ABOVE_ALL if numerator >= 0.0 else BELOW_ALL
@@ -315,30 +304,22 @@ class CostController:
 
     def proxy_values(self, universe: UniverseSeq, probs: np.ndarray) -> np.ndarray:
         """Value proxy for every set in the universe, aligned with its order:
-        the universe's own when it carries them."""
+        the universe's own, else scored with ``proxy_many`` (a ``gen`` value
+        on any family but the ratio chain)."""
         if universe.proxy_values is not None:
             return universe.proxy_values
-        spec = self.value_spec
-        if spec.additive:
-            return _universe_sums(spec.class_margins(probs), universe)
-        return spec.proxy_many(universe.sets, probs)
+        return self.value_spec.proxy_many(universe.sets, probs)
 
-    def predict(self, sample: Sample, universe: UniverseSeq | None = None) -> int | None:
+    def predict(self, sample: Sample) -> int | None:
         """First target's value-maximizing admissible set, or None during
         burn-in."""
-        if self.n_seen <= self.burn_in:
-            return None
-        if universe is None:
-            universe = self.build_universe(sample.probs)
-        record = self.build_record(sample, universe)
-        values = self.proxy_values(universe, sample.probs)
-        return select_max_value(universe.sets, record.proxy_costs, values, self.threshold())
+        self._predict_all(sample)
+        return self._predictions[0]
 
-    def _step(self, sample: Sample) -> float:
-        """Predict for every target, then calibrate on the label; returns the
-        elapsed seconds. The thresholds and predictions land in
-        ``_thresholds``/``_predictions`` (None during burn-in)."""
-        t0 = perf_counter()
+    def _predict_all(self, sample: Sample) -> SampleRecord:
+        """Predict for every target; returns the sample's record. The
+        thresholds and predictions land in ``_thresholds``/``_predictions``
+        (None during burn-in)."""
         universe = self.build_universe(sample.probs)
         record = self.build_record(sample, universe)
         thresholds = self._thresholds
@@ -353,7 +334,13 @@ class CostController:
         else:
             for i in range(len(thresholds)):
                 thresholds[i] = predictions[i] = None
-        self.observe_record(record)
+        return record
+
+    def _step(self, sample: Sample) -> float:
+        """Predict for every target, then calibrate on the label; returns the
+        elapsed seconds."""
+        t0 = perf_counter()
+        self.observe_record(self._predict_all(sample))
         return perf_counter() - t0
 
     def _result(self, index: int, labels: int, elapsed: float) -> StepResult:
@@ -462,20 +449,17 @@ def threshold_comparison(controller: CostController, index: int = 0) -> tuple[fl
     tree_t = controller.threshold(index)
     target = controller.targets[index]
     if controller.mode == "expected":
-        tree = controller.trees[0]
         oracle_t = oracle_threshold_expected(controller.records, target, controller.cost_max)
-        numerator = (controller.n_seen + 1) * target - controller.cost_max
     else:
-        tree = controller.trees[index]
         oracle_t = oracle_threshold_violation(controller.records, target, controller.delta)
-        numerator = (controller.n_seen + 1) * controller.delta - 1.0
     if tree_t == oracle_t:
         return tree_t, oracle_t, "match"
+    tree, numerator = controller._budget(index)
     mass = tree.total_weight()
-    if mass > 0.0 and 0.0 < numerator <= mass:
-        # exact hit: the budget coincides with a stored cumulative mass, and
-        # rounding may push the two routes to either side of it
-        tol = 1e-9 * max(abs(numerator), 1.0)
+    tol = 1e-9 * max(abs(numerator), 1.0)
+    if mass > 0.0 and 0.0 < numerator <= mass + tol:
+        # exact hit: the budget coincides with a stored cumulative mass (the
+        # whole mass too), and rounding may push the routes to either side
         at = tree.cdf_at(tree_t) * mass
         below = tree.cdf_below(tree_t) * mass
         if abs(at - numerator) <= tol or abs(below - numerator) <= tol:
@@ -527,10 +511,12 @@ def oracle_threshold_violation(records, target_cost: float, delta: float) -> flo
     candidates = np.unique(np.concatenate([rec.proxy_costs for rec in records]))
     candidates = np.append(candidates, ABOVE_ALL)
     counts = np.zeros(len(candidates))
-    for rec in records:
-        idx = np.searchsorted(rec.proxy_costs, candidates, side="left") - 1
-        cplus = np.where(idx >= 0, rec.max_costs[np.maximum(idx, 0)], 0.0)
-        counts += cplus <= target_cost
+    for start in range(0, len(candidates), _SCAN_BLOCK):
+        block = slice(start, start + _SCAN_BLOCK)
+        for rec in records:
+            idx = np.searchsorted(rec.proxy_costs, candidates[block], side="left") - 1
+            cplus = np.where(idx >= 0, rec.max_costs[np.maximum(idx, 0)], 0.0)
+            counts[block] += cplus <= target_cost
     admissible = np.flatnonzero(counts >= need)
     if len(admissible) == 0:
         return BELOW_ALL

@@ -28,18 +28,15 @@ class UniverseSeq:
 
     ``sets`` is a 1-D ``uint64`` array of bitmasks (chains reach K = 64).
     For greedy chains ``order`` is the ``int64`` array of classes in the
-    order they are added, and ``sets`` holds the K+1 nested prefixes. For
-    the full universe ``order`` is None, ``sets`` holds all 2^K subsets
-    sorted by proxy cost, and ``proxy_costs`` holds those sorted costs,
-    which the controller reuses as the record's. ``proxy_values``, when
-    set, holds the value proxy of every set, which the controller uses
-    instead of scoring the sets again: the general ratio chain keeps the
-    scores its rounds computed, and the power set under an additive value
-    function the sums of its cost doubling's imaginary parts.
+    order they are added, and ``sets`` holds the K+1 nested prefixes; for
+    the full universe ``order`` is None and ``sets`` holds all 2^K subsets
+    sorted by proxy cost. A family from :func:`build_universe` carries its
+    sets' ascending ``proxy_costs``, which the controller reuses as the
+    record's, and their ``proxy_values`` under an additive value function
+    or on the general ratio chain, which keeps its rounds' scores.
     """
 
     sets: np.ndarray
-    kind: str
     order: np.ndarray | None = None
     proxy_costs: np.ndarray | None = None
     proxy_values: np.ndarray | None = None
@@ -48,10 +45,20 @@ class UniverseSeq:
         return len(self.sets)
 
 
-def _chain(order: np.ndarray, kind: str, proxy_values: np.ndarray | None = None) -> UniverseSeq:
+def _chain(order: np.ndarray, proxy_values: np.ndarray | None = None) -> UniverseSeq:
     sets = np.zeros(len(order) + 1, dtype=np.uint64)
     np.bitwise_or.accumulate(np.uint64(1) << order.astype(np.uint64), out=sets[1:])
-    return UniverseSeq(sets, kind, order, proxy_values=proxy_values)
+    return UniverseSeq(sets, order, proxy_values=proxy_values)
+
+
+def prefix_sums(margins: np.ndarray, order: np.ndarray) -> np.ndarray:
+    """Score of every prefix of a chain under an additive function with
+    per-class ``margins``: [0, m[o_1], m[o_1] + m[o_2], ...], added along
+    the chain's ``order``. A new ``float64`` array of len(order) + 1."""
+    out = np.empty(len(order) + 1)
+    out[0] = 0.0
+    np.cumsum(margins[order], out=out[1:])
+    return out
 
 
 def subset_sums(margins: np.ndarray) -> np.ndarray:
@@ -107,7 +114,6 @@ def full_universe(
         proxy_costs = proxies[order]
     return UniverseSeq(
         order.view(np.uint64),  # argsort's int64 indices are the masks
-        "full",
         proxy_costs=proxy_costs,
         proxy_values=None if sums is None else sums.imag[order],
     )
@@ -116,7 +122,7 @@ def full_universe(
 def greedy_prob(probs: np.ndarray) -> UniverseSeq:
     """Chain adding classes by descending predicted probability."""
     order = np.argsort(-np.asarray(probs, dtype=np.float64), kind="stable")
-    return _chain(order, "prob")
+    return _chain(order)
 
 
 def greedy_value(probs: np.ndarray, values: np.ndarray) -> UniverseSeq:
@@ -128,7 +134,7 @@ def greedy_value(probs: np.ndarray, values: np.ndarray) -> UniverseSeq:
     if np.any(values < 0):
         raise ValueError("class values must be nonnegative")
     order = np.argsort(-(probs * values), kind="stable")
-    return _chain(order, "value")
+    return _chain(order)
 
 
 def greedy_ratio_additive(
@@ -151,7 +157,7 @@ def greedy_ratio_additive(
         order = np.lexsort((key, (~free).astype(np.int8)))
     else:
         order = np.argsort(-gains / marginal_costs, kind="stable")
-    return _chain(order, "ratio")
+    return _chain(order)
 
 
 def greedy_ratio_general(
@@ -200,7 +206,7 @@ def greedy_ratio_general(
         winner = order[i + best]
         order[i + 1 : i + best + 1] = order[i : i + best]
         order[i] = winner
-    return _chain(order, "ratio_general", proxy_values)
+    return _chain(order, proxy_values)
 
 
 def build_universe(
@@ -209,20 +215,24 @@ def build_universe(
     value_spec: SetFunctionSpec,
     cost_spec: SetFunctionSpec,
 ) -> UniverseSeq:
-    """Dispatch on universe kind, deriving orderings from the two functions."""
+    """The family of ``kind``, ordered by the two functions, with the proxies
+    :class:`UniverseSeq` lists; a chain's additive ones are prefix sums."""
     if kind == "full":
         return full_universe(probs, cost_spec, value_spec)
+    cost_margins = cost_spec.class_margins(probs)
     if kind == "prob":
-        return greedy_prob(probs)
-    if kind == "value":
-        return greedy_value(probs, value_spec.class_values)
-    if kind == "ratio":
-        if value_spec.additive:
-            return greedy_ratio_additive(
-                probs, value_spec.class_values, cost_spec.class_margins(probs)
-            )
+        chain = greedy_prob(probs)
+    elif kind == "value":
+        chain = greedy_value(probs, value_spec.class_values)
+    elif kind == "ratio" and value_spec.additive:
+        chain = greedy_ratio_additive(probs, value_spec.class_values, cost_margins)
+    elif kind == "ratio":
         value_proxy = value_spec.row_proxy(probs)
         cost_proxy = cost_spec.row_proxy(probs)
-        return greedy_ratio_general(len(probs), lambda rows: (value_proxy(rows), cost_proxy(rows)))
-    raise ValueError(f"unknown universe kind {kind!r}")
-
+        chain = greedy_ratio_general(len(probs), lambda rows: (value_proxy(rows), cost_proxy(rows)))
+    else:
+        raise ValueError(f"unknown universe kind {kind!r}")
+    values = chain.proxy_values
+    if value_spec.additive:
+        values = prefix_sums(value_spec.class_margins(probs), chain.order)
+    return UniverseSeq(chain.sets, chain.order, prefix_sums(cost_margins, chain.order), values)

@@ -22,6 +22,8 @@ its ``ABOVE_ALL`` marker.
   from the labels' margins, one doubling per class.
 - ``two_doubling_full_universe``: a power set's sets and cost and value
   proxies from two real doublings and a stable sort.
+- ``chain_margin_record``: a chain's record and additive value proxies as
+  one cumsum of per-class margins each, along the chain's order.
 """
 
 from __future__ import annotations
@@ -320,3 +322,30 @@ def two_doubling_full_universe(probs, cost_spec, value_spec):
     order = np.argsort(costs, kind="stable")
     values = _doubling(probs * _unit_margins(value_spec))
     return order.astype(np.uint64), costs[order], values[order]
+
+
+def _chain_sums(margins: np.ndarray, order) -> np.ndarray:
+    """[0, m[o_1], m[o_1] + m[o_2], ...]: one ``np.cumsum`` of the margins
+    along the chain's order, after a leading 0.0."""
+    out = np.empty(len(order) + 1)
+    out[0] = 0.0
+    np.cumsum(margins[order], out=out[1:])
+    return out
+
+
+def chain_margin_record(order, sample, cost_spec, value_spec):
+    """A chain's ``(record, proxy_values)`` from per-class margins summed
+    along ``order``: the proxy costs from (1 - p_k) u_k, the true costs from
+    (1 - y_k) u_k with y_k the 0/1 label, then their running max, and an
+    additive value kind's proxies from p_k u_k (None for ``gen``)."""
+    k = cost_spec.n_classes
+    probs = np.asarray(sample.probs, dtype=np.float64)
+    labels = np.array([(sample.labels >> i) & 1 for i in range(k)], dtype=np.float64)
+    units = _unit_margins(cost_spec)
+    record = SampleRecord(
+        _chain_sums((1.0 - probs) * units, order),
+        np.maximum.accumulate(_chain_sums((1.0 - labels) * units, order)),
+    )
+    if value_spec.kind == "gen":
+        return record, None
+    return record, _chain_sums(probs * _unit_margins(value_spec), order)

@@ -31,12 +31,18 @@ from costcap.universe import (
     subset_sums,
 )
 
-from .oracles import cplus_at, first_exceed_threshold, label_margin_record, max_cost_curve
+from .oracles import (
+    chain_margin_record,
+    cplus_at,
+    first_exceed_threshold,
+    label_margin_record,
+    max_cost_curve,
+)
 
 
 def chain_universe(sets, order):
     """Hand-built chain in the universe's array format."""
-    return UniverseSeq(np.array(sets, dtype=np.uint64), "prob", np.array(order, dtype=np.int64))
+    return UniverseSeq(np.array(sets, dtype=np.uint64), np.array(order, dtype=np.int64))
 
 
 def two_set_universe():
@@ -161,6 +167,67 @@ def test_powerset_record_equals_label_margin_reference(mode, cost_kind, drawn):
     assert rec.max_costs.tobytes() == ref.max_costs.tobytes()
 
 
+# certain probabilities, -0.0 among them, and zero, -0.0 and repeated weights
+chain_probs = st.one_of(st.sampled_from([0.0, -0.0, 1.0]), st.floats(0.0, 1.0))
+chain_weights = st.sampled_from([0.0, -0.0, 1.0, 2.5, 0.1, 3.7])
+
+
+@st.composite
+def chain_cases(draw):
+    k = draw(st.integers(1, 64))
+    if draw(st.booleans()):
+        probs = [draw(chain_probs)] * k
+    else:
+        probs = draw(st.lists(chain_probs, min_size=k, max_size=k))
+    universe_kind = draw(st.sampled_from(["prob", "value", "ratio"]))
+    # gen on the ratio chain is the general ratio chain
+    value_kind = draw(st.sampled_from(["tp", "tpc", "gen"]))
+    cost_kind = draw(st.sampled_from(["fp", "fpc"]))
+    weights = {kind: draw(st.lists(chain_weights, min_size=k, max_size=k)) for kind in ("tpc", "fpc")}
+    labels = draw(st.one_of(st.just(0), st.just((1 << k) - 1), st.integers(0, (1 << k) - 1)))
+    return universe_kind, value_kind, cost_kind, probs, weights, labels
+
+
+@settings(max_examples=200, deadline=None)
+@given(chain_cases())
+@example((
+    "ratio", "tpc", "fpc", [0.0, 1.0, -0.0, 0.5],
+    {"tpc": [1.0, 0.0, 2.5, -0.0], "fpc": [-0.0, 1.0, 0.0, 1.0]}, 0b0110,
+))
+@example(("ratio", "gen", "fpc", [1.0] * 64, {"tpc": [1.0] * 64, "fpc": [-0.0] * 63 + [2.5]}, 0))
+def test_chain_proxies_and_record_equal_the_margin_cumsums(case):
+    # every chain carries the cumsums of its margins along its order, and
+    # its record the cumsums of the labels' margins, bit for bit
+    universe_kind, value_kind, cost_kind, probs, weights, labels = case
+    k = len(probs)
+    for kind in ("tpc", "fpc"):
+        assume(kind not in (value_kind, cost_kind) or any(weights[kind]))  # all zero is rejected
+    value_spec = SetFunctionSpec(
+        value_kind, k, np.array(weights["tpc"]) if value_kind == "tpc" else None, mc_samples=3
+    )
+    cost_spec = SetFunctionSpec(cost_kind, k, np.array(weights["fpc"]) if cost_kind == "fpc" else None)
+    ctrl = CostController("expected", 20.0, value_spec, cost_spec, universe_kind=universe_kind)
+    sample = Sample(np.array(probs), labels)
+    universe = ctrl.build_universe(sample.probs)
+    record = ctrl.build_record(sample, universe)
+    ref, ref_values = chain_margin_record(universe.order, sample, cost_spec, value_spec)
+    assert record.proxy_costs is universe.proxy_costs
+    assert record.proxy_costs.tobytes() == ref.proxy_costs.tobytes()
+    assert record.max_costs.tobytes() == ref.max_costs.tobytes()
+    for stored in (record.proxy_costs, record.max_costs):
+        # a record owns plain float64 arrays, no views into larger ones
+        assert stored.dtype == np.float64 and stored.flags.owndata
+    values = ctrl.proxy_values(universe, sample.probs)
+    if ref_values is not None:
+        assert values is universe.proxy_values
+        assert values.tobytes() == ref_values.tobytes()
+    else:
+        # gen: the general ratio chain keeps its rounds' scores, the other
+        # chains leave the scoring to the controller; both equal proxy_many
+        assert (universe.proxy_values is None) == (universe_kind != "ratio")
+        assert values.tobytes() == value_spec.proxy_many(universe.sets, sample.probs).tobytes()
+
+
 def test_powerset_step_computes_cost_subset_sums_once(monkeypatch):
     calls = []
 
@@ -221,7 +288,7 @@ def test_controller_rejects_specs_of_the_wrong_role():
     # and a chain controller has no true-cost table for a power set
     sample = Sample(np.full(3, 0.5), 0b101)
     with pytest.raises(ValueError, match="needs a 'full' controller"):
-        CostController("expected", 20.0, tp, fp).observe(sample, full_universe(sample.probs, fp))
+        CostController("expected", 20.0, tp, fp).build_record(sample, full_universe(sample.probs, fp))
 
 
 @settings(max_examples=200, deadline=None)
@@ -749,6 +816,28 @@ FullUniverseControllerMachine.TestCase.settings = settings(
 test_full_universe_controller_state_machine = FullUniverseControllerMachine.TestCase
 
 
+def test_budget_equal_to_a_rounded_down_mass_is_a_boundary():
+    # the live mass is exactly the budget (N+1)c - C_max = 380, but the
+    # windowed tree's float mass reads 379.9999999999998: the tree's level
+    # exceeds 1 (ABOVE_ALL) while the direct search's cumsum reaches 380 at
+    # a stored value; an exact hit, as when the budget lies below the mass
+    k = 5
+    weights = mnist_weights(k)
+    ctrl = CostController(
+        "expected", [5.0, 60.0], SetFunctionSpec("tpc", k, weights),
+        SetFunctionSpec("fpc", k, weights), universe_kind="full", burn_in=0, window=7,
+    )
+    zeros = [0.0] * k
+    stream = [(zeros, 0)] * 10 + [
+        ([0.0, 0.0, 0.0, 0.0, 0.5], 7), ([0.0, 0.0, 0.0, 0.0, 0.25], 9), (zeros, 7),
+        (zeros, 14), (zeros, 20), (zeros, 20), ([0.0, 0.0, 0.0, 1.0, 0.0], 3),
+    ]
+    for probs, labels in stream:
+        ctrl.observe(Sample(np.array(probs), labels))
+    assert ctrl.tree.total_weight() == 379.9999999999998
+    assert threshold_comparison(ctrl, 1) == (ABOVE_ALL, 60.0, "boundary")
+
+
 def test_multi_target_step_matches_step_for_the_first_target():
     k = 4
     stream = generate(GeneratorConfig(n=60, n_classes=k, heterogeneity=1.0, seed=3))
@@ -864,6 +953,27 @@ def test_oracle_expected_monotone_in_target():
         if prev is not None:
             assert t >= prev
         prev = t
+
+
+@pytest.mark.parametrize("block", [1, 7])
+def test_violation_direct_search_result_does_not_depend_on_its_block(monkeypatch, block):
+    # coarse proxies and costs tie across and within records; high targets
+    # and large deltas reach the above-all plateau
+    rng = np.random.default_rng(31)
+    cases = []
+    for _ in range(60):
+        records = []
+        for _ in range(int(rng.integers(1, 20))):
+            m = int(rng.integers(1, 6))
+            proxies = np.concatenate(([0.0], np.sort(rng.integers(0, 5, m - 1) / 4.0)))
+            costs = np.concatenate(([0.0], rng.integers(0, 5, m - 1) * 25.0))
+            records.append(SampleRecord(proxies, np.maximum.accumulate(costs)))
+        target = float(rng.choice([0.0, 25.0, 60.0, 100.0]))
+        cases.append((records, target, float(rng.choice([0.05, 0.2, 0.5, 0.9]))))
+    want = [oracle_threshold_violation(*case) for case in cases]
+    assert BELOW_ALL in want and ABOVE_ALL in want and 0.5 in want
+    monkeypatch.setattr("costcap.controller._SCAN_BLOCK", block)
+    assert [oracle_threshold_violation(*case) for case in cases] == want
 
 
 def test_oracle_violation_quantile_of_exceed_points():

@@ -143,7 +143,7 @@ def test_nested_chain_shape():
 @pytest.mark.parametrize("k", [1, 10, 63, 64])
 def test_chain_masks_match_python_int_fold(k):
     order = np.random.default_rng(k).permutation(k)
-    seq = _chain(order, "prob")
+    seq = _chain(order)
     fold = [0]
     for cls in order.tolist():
         fold.append(fold[-1] | (1 << cls))
@@ -380,13 +380,27 @@ def test_ratio_general_running_scores_move_by_the_winners_margins():
 
 
 def test_build_universe_dispatch():
+    # each kind is its ordering, priced: every family carries its proxies
     probs = np.array([0.2, 0.6, 0.9])
-    vs = SetFunctionSpec("tp", 3)
+    vs = SetFunctionSpec("tpc", 3, np.array([1.0, 3.0, 0.5]))
     cs = SetFunctionSpec("fp", 3)
-    assert build_universe("full", probs, vs, cs).kind == "full"
-    assert build_universe("prob", probs, vs, cs).kind == "prob"
-    assert build_universe("value", probs, vs, cs).kind == "value"
-    assert build_universe("ratio", probs, vs, cs).kind == "ratio"
+    full = build_universe("full", probs, vs, cs)
+    assert full.order is None
+    assert full.sets.tobytes() == full_universe(probs, cs, vs).sets.tobytes()
+    cost_margins = cs.class_margins(probs)
+    for kind, chain in (
+        ("prob", greedy_prob(probs)),
+        ("value", greedy_value(probs, vs.class_values)),
+        ("ratio", greedy_ratio_additive(probs, vs.class_values, cost_margins)),
+    ):
+        seq = build_universe(kind, probs, vs, cs)
+        assert seq.order.tolist() == chain.order.tolist()
+        assert seq.sets.tolist() == chain.sets.tolist()
+        assert chain.proxy_costs is None and chain.proxy_values is None
+    for seq in (full, *(build_universe(kind, probs, vs, cs) for kind in ("prob", "value", "ratio"))):
+        sets = seq.sets.tolist()
+        np.testing.assert_allclose(seq.proxy_costs, [cs.proxy(s, probs) for s in sets], rtol=1e-12)
+        np.testing.assert_allclose(seq.proxy_values, [vs.proxy(s, probs) for s in sets], rtol=1e-12)
     with pytest.raises(ValueError):
         build_universe("bogus", probs, vs, cs)
 
@@ -396,5 +410,9 @@ def test_build_universe_ratio_with_gen_value():
     vs = SetFunctionSpec("gen", 4, mc_samples=50, mc_seed=1)
     cs = SetFunctionSpec("fp", 4)
     seq = build_universe("ratio", probs, vs, cs)
-    assert seq.kind == "ratio_general"
     assert seq.sets[0] == 0 and len(seq.sets) == 5
+    # the general ratio chain carries the values its rounds scored; the
+    # prob and value chains leave a gen value to the controller
+    assert seq.proxy_values.tobytes() == vs.proxy_many(seq.sets, probs).tobytes()
+    for kind in ("prob", "value"):
+        assert build_universe(kind, probs, vs, cs).proxy_values is None
