@@ -284,12 +284,15 @@ def run_single(
         burn_in=cfg.burn_in,
         window=cfg.window,
     )
-    # every target predicts at the same steps, the first n of the columns
-    shape = (len(targets), len(samples))
+    # every target predicts at the same steps, the first n of the columns. A
+    # controller predicts once more than burn_in records are live, from step
+    # burn_in + 1 on (a window holds more than burn_in), so the columns are
+    # sized for those steps: the log's views keep no burn-in columns alive
+    shape = (len(targets), max(len(samples) - cfg.burn_in - 1, 0))
     predictions = np.zeros(shape, dtype=np.uint64)
     values = np.zeros(shape)
     costs = np.zeros(shape)
-    index = np.zeros(len(samples), dtype=np.int64)
+    index = np.zeros(shape[1], dtype=np.int64)
     n = 0
     elapsed = 0.0
     for idx, sample in enumerate(samples):
@@ -319,6 +322,10 @@ def run_single(
             )
         )
         log.blocks.append((seed, target, index[:n], predictions[j, :n], row_values, row_costs))
+    # free the trees now rather than at the next cyclic collection, while
+    # the next slice builds its own
+    for tree in ctrl.trees:
+        tree.clear()
     return rows, log
 
 

@@ -26,6 +26,7 @@ may run in parallel.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
 from numbers import Real
@@ -39,13 +40,12 @@ from .quantile_tree import (
     EmptyDistributionError,
     QuantileTree,
 )
-from .set_functions import Sample, SetFunctionSpec, full_set, label_bits
+from .set_functions import Sample, SetFunctionSpec, full_set
 from .universe import (
     FULL_UNIVERSE_MAX_CLASSES,
     UNIVERSE_KINDS,
     UniverseSeq,
     build_universe,
-    prefix_sums,
     subset_sums,
 )
 
@@ -55,17 +55,19 @@ MODES = ("expected", "violation")
 _SCAN_BLOCK = 1 << 16
 
 
-@dataclass
+@dataclass(slots=True)
 class SampleRecord:
     """Per-sample calibration payload.
 
     ``proxy_costs`` is nondecreasing with a leading 0 (the empty set);
-    ``max_costs`` is its running-max true-cost companion. The mass the sample
-    contributes at proxy_costs[j] is max_costs[j] − max_costs[j−1], which
-    telescopes to the final running max. ``exceed_thresholds`` is filled in
-    violation mode, one entry per target of the observing controller: the
-    smallest proxy cost whose running max exceeds that target (above-all
-    marker when none does).
+    ``max_costs`` is its running-max true-cost companion. Both are
+    ``float64`` arrays: a chain's floats are copied out of its lists, so a
+    stored record holds two small arrays rather than two lists of float
+    objects. The mass the sample contributes at proxy_costs[j] is
+    max_costs[j] − max_costs[j−1], which telescopes to the final running
+    max. ``exceed_thresholds`` is filled in violation mode, one entry per
+    target of the observing controller: the smallest proxy cost whose
+    running max exceeds that target (above-all marker when none does).
     """
 
     proxy_costs: np.ndarray
@@ -73,15 +75,16 @@ class SampleRecord:
     exceed_thresholds: list[float] | None = None
 
     def mass_pairs(self) -> list[tuple[float, float]]:
-        """(value, weight) insertions this record contributes; zero weights
-        are dropped (they cannot move any quantile)."""
+        """(value, weight) insertions this record contributes, as Python
+        floats; zero weights are dropped (they cannot move any quantile)."""
         pairs = []
-        mc = self.max_costs
-        pc = self.proxy_costs
-        for j in range(1, len(pc)):
-            w = mc[j] - mc[j - 1]
+        mc = self.max_costs.tolist()
+        prev = mc[0]
+        for value, cost in zip(self.proxy_costs.tolist()[1:], mc[1:]):
+            w = cost - prev
+            prev = cost
             if w > 0.0:
-                pairs.append((float(pc[j]), float(w)))
+                pairs.append((value, w))
         return pairs
 
 
@@ -89,14 +92,22 @@ def select_max_value(sets, proxy_costs, proxy_values, threshold: float) -> int:
     """Value-proxy argmax among sets with proxy cost strictly below the
     threshold, as a Python int; ∅ when nothing is admissible.
 
-    Precondition: ``proxy_costs`` is a nondecreasing array, as every
-    universe guarantees, so the admissible sets are a prefix. Ties go to
-    the first index, which is the smallest proxy cost.
+    Precondition: ``proxy_costs`` is nondecreasing, as every universe
+    guarantees, so the admissible sets are a prefix. Ties go to the first
+    index, which is the smallest proxy cost. Costs and values may each be a
+    list or an array: a chain's lists, a power set's arrays, or a record's
+    array costs with its chain's list values.
     """
-    n = proxy_costs.searchsorted(threshold)
+    n = bisect_left(proxy_costs, threshold)
     if n == 0:
         return 0
-    return int(sets[proxy_values[:n].argmax()])
+    if isinstance(proxy_values, list):
+        # max keeps the first of equal values, and index finds the first
+        # value equal to it
+        best = proxy_values.index(max(proxy_values[:n]))
+    else:
+        best = proxy_values[:n].argmax()
+    return int(sets[best])
 
 
 @dataclass
@@ -220,7 +231,7 @@ class CostController:
         built by this controller from ``sample.probs``: the universe's sorted
         cost proxies are reused as the record's. A power set's true costs are
         read from the controller's table of costs with no class present, a
-        chain's are the prefix sums of the labels' margins."""
+        chain's are the running sums of the labels' margins."""
         spec = self.cost_spec
         k = spec.n_classes
         labels = int(sample.labels)
@@ -237,11 +248,23 @@ class CostController:
             # is bit for bit the sum over S & ~labels
             # masks below 2^20: their int64 view gathers without a cast
             costs = self._absent_costs[universe.sets.view(np.int64) & (full_set(k) & ~labels)]
-        else:
-            costs = prefix_sums(spec.class_margins(label_bits(labels, k)), universe.order)
-        # the running max overwrites the costs, one array fewer per step to
-        # fragment the heap the records live in
-        return SampleRecord(universe.proxy_costs, np.maximum.accumulate(costs, out=costs))
+            # the running max overwrites the costs, one array fewer per step
+            # to fragment the heap the records live in
+            return SampleRecord(universe.proxy_costs, np.maximum.accumulate(costs, out=costs))
+        # a class absent from the labels costs its unit margin, a present one
+        # 0.0 times it. The sum starts at -0.0, which adds to any margin
+        # exactly, so it starts from the first margin as a cumsum does; the
+        # running max keeps the later of two equal floats, as np.maximum does
+        units = spec.unit_margins
+        max_costs = [0.0]
+        total = -0.0
+        run = 0.0
+        for c in universe.order:
+            total += units[c] * 0.0 if labels >> c & 1 else units[c]
+            if total >= run:
+                run = total
+            max_costs.append(run)
+        return SampleRecord(np.array(universe.proxy_costs), np.array(max_costs))
 
     def observe(self, sample: Sample) -> None:
         """Fold one labeled sample into the calibration state."""
@@ -302,10 +325,10 @@ class CostController:
             return ABOVE_ALL
         return tree.query_quantile(q)
 
-    def proxy_values(self, universe: UniverseSeq, probs: np.ndarray) -> np.ndarray:
+    def proxy_values(self, universe: UniverseSeq, probs: np.ndarray) -> list[float] | np.ndarray:
         """Value proxy for every set in the universe, aligned with its order:
-        the universe's own, else scored with ``proxy_many`` (a ``gen`` value
-        on any family but the ratio chain)."""
+        the universe's own, else scored with ``proxy_many`` into an array (a
+        ``gen`` value on any family but the ratio chain)."""
         if universe.proxy_values is not None:
             return universe.proxy_values
         return self.value_spec.proxy_many(universe.sets, probs)
@@ -329,7 +352,7 @@ class CostController:
             for i in range(len(thresholds)):
                 threshold = thresholds[i] = self.threshold(i)
                 predictions[i] = select_max_value(
-                    universe.sets, record.proxy_costs, values, threshold
+                    universe.sets, universe.proxy_costs, values, threshold
                 )
         else:
             for i in range(len(thresholds)):

@@ -88,6 +88,25 @@ class QuantileTree:
     # ------------------------------------------------------------------
     # mutation
 
+    def clear(self) -> None:
+        """Remove every stored value, leaving an empty tree.
+
+        Each node links to its parent, so a dropped tree is cyclic garbage
+        that lives until the cyclic collector runs. Unlinking the nodes here
+        lets reference counting free them at once.
+        """
+        nil = self._nil
+        stack = [self._root]
+        self._root = nil
+        self._count = 0
+        while stack:
+            node = stack.pop()
+            if node is not nil:
+                stack.append(node.left)
+                stack.append(node.right)
+                node.left = node.right = node.parent = None
+        nil.parent = nil  # a delete may leave it pointing at a node
+
     def insert(self, value: float, weight: float) -> None:
         """Add ``weight`` at ``value``, merging into an existing node if any.
 

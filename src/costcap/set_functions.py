@@ -45,19 +45,12 @@ def full_set(n_classes: int) -> int:
     return (1 << n_classes) - 1
 
 
-_BIT_INDEX = np.arange(MAX_CLASSES, dtype=np.uint64)
-_BIT_MASKS = np.uint64(1) << _BIT_INDEX
+_BIT_MASKS = np.uint64(1) << np.arange(MAX_CLASSES, dtype=np.uint64)
 _CLASS_INDEX = np.arange(MAX_CLASSES)[:, None]
 
 # elements of one (class, set, draw) block of a fold; bounds its temporaries
 # at a few MB whatever K, the set count and mc_samples are
 _MC_BLOCK = 1 << 17
-
-
-def label_bits(mask: int, n_classes: int) -> np.ndarray:
-    """0/1 float vector of the mask's low ``n_classes`` bits."""
-    bits = (np.uint64(mask) >> _BIT_INDEX[:n_classes]) & np.uint64(1)
-    return bits.astype(np.float64)
 
 
 @dataclass(frozen=True)
@@ -86,6 +79,9 @@ class SetFunctionSpec:
     hit exactly. Weights that make it zero or not finite are rejected.
     ``class_values`` holds each class's raw score alone against those labels:
     its weight (or 1) for an additive kind, its factor plus square for ``gen``.
+    An additive kind's ``unit_margins`` hold u_k = w_k / max_raw * 100, the
+    normalized score of class k counted once. Both are Python lists, which
+    the greedy chains read.
 
     A ``gen`` spec's proxy is the mean of the value over ``mc_samples``
     label draws with independent Bernoulli(p_k) classes: one (mc_samples, K)
@@ -148,10 +144,12 @@ class SetFunctionSpec:
             raise ValueError(
                 f"class weights must not all be zero and must have a finite sum, got {max_raw}"
             )
+        unit_margins = units / max_raw * NORMALIZED_BOUND
         keep(
             _max_raw=max_raw,
-            _unit_margins=units / max_raw * NORMALIZED_BOUND,
-            class_values=np.array([self.raw(1 << i, best_labels) for i in range(k)]),
+            _unit_margin_array=unit_margins,
+            unit_margins=unit_margins.tolist(),
+            class_values=[self.raw(1 << i, best_labels) for i in range(k)],
         )
 
     def _key(self) -> tuple:
@@ -321,11 +319,20 @@ class SetFunctionSpec:
 
     def class_margins(self, present: np.ndarray) -> np.ndarray:
         """Per-class normalized margins of an additive kind, given each
-        class's presence: the probabilities for the proxy, or
-        ``label_bits(y, K)`` for the true score."""
+        class's presence: the probabilities for the proxy, or 0/1 label
+        bits for the true score."""
         if not self.additive:
             raise ValueError("marginal vector requires an additive kind")
-        return self._counted(present) * self._unit_margins
+        return self._counted(present) * self._unit_margin_array
+
+    def class_margin_list(self, probs: list[float]) -> list[float]:
+        """:meth:`class_margins` of a list of probabilities, as a list of
+        the same floats."""
+        if not self.additive:
+            raise ValueError("marginal vector requires an additive kind")
+        if self._counts_absent:
+            return [(1.0 - p) * u for p, u in zip(probs, self.unit_margins)]
+        return [p * u for p, u in zip(probs, self.unit_margins)]
 
 
 def load_weights_csv(path: str | Path, n_classes: int) -> np.ndarray:

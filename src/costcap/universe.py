@@ -5,13 +5,18 @@ chain ∅ = S_0 ⊂ S_1 ⊂ ... ⊂ S_K that adds one class per step, ordered by
 predicted probability, by marginal value, or by marginal value per marginal
 cost. Ties are always broken by ascending class index.
 
-A family is held as numpy arrays from construction to selection: its sets
-as one ``uint64`` bitmask per set, a chain's class order as ``int64``.
+A power set is held as numpy arrays: its sets as one ``uint64`` bitmask per
+set. A chain has at most 65 sets, on which a numpy call costs more than the
+arithmetic it does, so a chain is held as Python lists from its class order
+to the selection: its sets as ``int`` bitmasks and its proxies as floats,
+equal bit for bit to a numpy ``cumsum`` of the same margins.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
+from operator import or_
 from typing import Callable
 
 import numpy as np
@@ -26,39 +31,23 @@ FULL_UNIVERSE_MAX_CLASSES = 20
 class UniverseSeq:
     """Ordered candidate family; ∅ is always the first element.
 
-    ``sets`` is a 1-D ``uint64`` array of bitmasks (chains reach K = 64).
-    For greedy chains ``order`` is the ``int64`` array of classes in the
-    order they are added, and ``sets`` holds the K+1 nested prefixes; for
-    the full universe ``order`` is None and ``sets`` holds all 2^K subsets
-    sorted by proxy cost. A family from :func:`build_universe` carries its
-    sets' ascending ``proxy_costs``, which the controller reuses as the
-    record's, and their ``proxy_values`` under an additive value function
-    or on the general ratio chain, which keeps its rounds' scores.
+    A greedy chain holds Python lists: ``order`` the classes in the order
+    they are added, ``sets`` the K+1 nested prefixes as ``int`` bitmasks
+    (chains reach K = 64), ``proxy_costs`` and ``proxy_values`` floats. The
+    full universe holds numpy arrays: ``sets`` all 2^K subsets as ``uint64``
+    bitmasks sorted by proxy cost, and ``order`` is None. Every family from
+    :func:`build_universe` carries its sets' ascending ``proxy_costs``, and
+    their ``proxy_values`` under an additive value function or on the
+    general ratio chain, which keeps its rounds' scores.
     """
 
-    sets: np.ndarray
-    order: np.ndarray | None = None
-    proxy_costs: np.ndarray | None = None
-    proxy_values: np.ndarray | None = None
+    sets: list[int] | np.ndarray
+    order: list[int] | None = None
+    proxy_costs: list[float] | np.ndarray | None = None
+    proxy_values: list[float] | np.ndarray | None = None
 
     def __len__(self) -> int:
         return len(self.sets)
-
-
-def _chain(order: np.ndarray, proxy_values: np.ndarray | None = None) -> UniverseSeq:
-    sets = np.zeros(len(order) + 1, dtype=np.uint64)
-    np.bitwise_or.accumulate(np.uint64(1) << order.astype(np.uint64), out=sets[1:])
-    return UniverseSeq(sets, order, proxy_values=proxy_values)
-
-
-def prefix_sums(margins: np.ndarray, order: np.ndarray) -> np.ndarray:
-    """Score of every prefix of a chain under an additive function with
-    per-class ``margins``: [0, m[o_1], m[o_1] + m[o_2], ...], added along
-    the chain's ``order``. A new ``float64`` array of len(order) + 1."""
-    out = np.empty(len(order) + 1)
-    out[0] = 0.0
-    np.cumsum(margins[order], out=out[1:])
-    return out
 
 
 def subset_sums(margins: np.ndarray) -> np.ndarray:
@@ -119,52 +108,48 @@ def full_universe(
     )
 
 
-def greedy_prob(probs: np.ndarray) -> UniverseSeq:
-    """Chain adding classes by descending predicted probability."""
-    order = np.argsort(-np.asarray(probs, dtype=np.float64), kind="stable")
-    return _chain(order)
+def greedy_prob(probs) -> list[int]:
+    """Class order by descending predicted probability."""
+    # sorted is stable, reverse=True too: equal keys keep ascending class
+    return sorted(range(len(probs)), key=probs.__getitem__, reverse=True)
 
 
-def greedy_value(probs: np.ndarray, values: np.ndarray) -> UniverseSeq:
-    """Chain adding classes by descending expected marginal value p_k * v_k."""
-    probs = np.asarray(probs, dtype=np.float64)
-    values = np.asarray(values, dtype=np.float64)
+def greedy_value(probs, values) -> list[int]:
+    """Class order by descending expected marginal value p_k * v_k."""
     if len(values) != len(probs):
         raise ValueError("value vector length must match probability vector")
-    if np.any(values < 0):
+    if any(v < 0.0 for v in values):
         raise ValueError("class values must be nonnegative")
-    order = np.argsort(-(probs * values), kind="stable")
-    return _chain(order)
+    gains = [p * v for p, v in zip(probs, values)]
+    return sorted(range(len(gains)), key=gains.__getitem__, reverse=True)
 
 
-def greedy_ratio_additive(
-    probs: np.ndarray, values: np.ndarray, marginal_costs: np.ndarray
-) -> UniverseSeq:
-    """Chain by descending marginal value per marginal cost p_k v_k / c_k.
+def greedy_ratio_additive(probs, values, marginal_costs) -> list[int]:
+    """Class order by descending marginal value per marginal cost
+    p_k v_k / c_k.
 
     Classes with zero (or non-positive) marginal cost are free value: they go
-    first, ordered by descending marginal value.
+    first, ordered by descending marginal value. A ratio too large for a
+    float is inf, and such classes tie; on Python floats, as the chains pass
+    them, it overflows without a warning.
     """
-    probs = np.asarray(probs, dtype=np.float64)
-    values = np.asarray(values, dtype=np.float64)
-    marginal_costs = np.asarray(marginal_costs, dtype=np.float64)
-    gains = probs * values
-    free = marginal_costs <= 0.0
-    if free.any():
-        ratios = np.divide(gains, marginal_costs, out=np.zeros_like(gains), where=~free)
-        key = np.where(free, -gains, -ratios)
-        # lexsort is stable, so equal keys keep ascending class index
-        order = np.lexsort((key, (~free).astype(np.int8)))
-    else:
-        order = np.argsort(-gains / marginal_costs, kind="stable")
-    return _chain(order)
+    gains = [p * v for p, v in zip(probs, values)]
+    if min(marginal_costs) > 0.0:
+        ratios = [g / c for g, c in zip(gains, marginal_costs)]
+        return sorted(range(len(ratios)), key=ratios.__getitem__, reverse=True)
+    free = [k for k, c in enumerate(marginal_costs) if c <= 0.0]
+    paid = [k for k, c in enumerate(marginal_costs) if not c <= 0.0]
+    return sorted(free, key=gains.__getitem__, reverse=True) + sorted(
+        paid, key=lambda k: gains[k] / marginal_costs[k], reverse=True
+    )
 
 
 def greedy_ratio_general(
     n_classes: int,
     score: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
-) -> UniverseSeq:
-    """Chain by per-step argmax of marginal proxy value over marginal proxy cost.
+) -> tuple[list[int], list[float]]:
+    """Chain by per-step argmax of marginal proxy value over marginal proxy
+    cost: its class order and its value proxies, as two lists.
 
     Works for any (possibly non-additive) proxies; reduces to
     :func:`greedy_ratio_additive` when both are additive. ``score`` takes
@@ -174,8 +159,9 @@ def greedy_ratio_general(
     round for every S ∪ {c}, c not yet in the chain S. A candidate's key
     is ``(0, -dv, c)`` when its marginal cost dc <= 0 and
     ``(1, -dv / dc, c)`` otherwise; the smallest key joins the chain, and
-    the running scores move by its dv and dc. The chain keeps ∅'s and the
-    winners' value proxies as its ``proxy_values``.
+    the running scores move by its dv and dc. A ratio too large for a
+    float is inf, and such candidates tie. The value proxies are ∅'s and
+    the winners' scores from those rounds.
     """
     k = n_classes
     order = np.arange(k)  # order[i:] holds the classes not yet added, ascending
@@ -184,29 +170,31 @@ def greedy_ratio_general(
     v_cur, c_cur = values[0], costs[0]
     proxy_values = np.empty(k + 1)
     proxy_values[0] = v_cur
-    for i in range(k):
-        rows = np.empty((k - i, i + 1), dtype=members.dtype)
-        rows[:, :i] = members
-        rows[:, i] = order[i:]
-        rows.sort(axis=1)
-        values, costs = score(rows)
-        dv = values - v_cur
-        dc = costs - c_cur
-        free = dc <= 0.0
-        # argmax picks the first of equal keys: the smallest class
-        if free.any():
-            best = np.flatnonzero(free)[np.argmax(dv[free])]
-        else:
-            best = np.argmax(dv / dc)
-        proxy_values[i + 1] = values[best]
-        v_cur = v_cur + dv[best]
-        c_cur = c_cur + dc[best]
-        members = rows[best]
-        # the winner moves to position i; the classes it passes stay ascending
-        winner = order[i + best]
-        order[i + 1 : i + best + 1] = order[i : i + best]
-        order[i] = winner
-    return _chain(order, proxy_values)
+    # entered once per chain: a tiny dc overflows dv / dc to inf
+    with np.errstate(over="ignore"):
+        for i in range(k):
+            rows = np.empty((k - i, i + 1), dtype=members.dtype)
+            rows[:, :i] = members
+            rows[:, i] = order[i:]
+            rows.sort(axis=1)
+            values, costs = score(rows)
+            dv = values - v_cur
+            dc = costs - c_cur
+            free = dc <= 0.0
+            # argmax picks the first of equal keys: the smallest class
+            if free.any():
+                best = np.flatnonzero(free)[np.argmax(dv[free])]
+            else:
+                best = np.argmax(dv / dc)
+            proxy_values[i + 1] = values[best]
+            v_cur = v_cur + dv[best]
+            c_cur = c_cur + dc[best]
+            members = rows[best]
+            # the winner moves to position i; the classes it passes stay ascending
+            winner = order[i + best]
+            order[i + 1 : i + best + 1] = order[i : i + best]
+            order[i] = winner
+    return order.tolist(), proxy_values.tolist()
 
 
 def build_universe(
@@ -216,23 +204,35 @@ def build_universe(
     cost_spec: SetFunctionSpec,
 ) -> UniverseSeq:
     """The family of ``kind``, ordered by the two functions, with the proxies
-    :class:`UniverseSeq` lists; a chain's additive ones are prefix sums."""
+    :class:`UniverseSeq` lists. A chain's additive proxies are the running
+    sums of its classes' margins along its order."""
     if kind == "full":
         return full_universe(probs, cost_spec, value_spec)
-    cost_margins = cost_spec.class_margins(probs)
+    p = probs.tolist()
+    cost_margins = cost_spec.class_margin_list(p)
+    values = None
     if kind == "prob":
-        chain = greedy_prob(probs)
+        order = greedy_prob(p)
     elif kind == "value":
-        chain = greedy_value(probs, value_spec.class_values)
+        order = greedy_value(p, value_spec.class_values)
     elif kind == "ratio" and value_spec.additive:
-        chain = greedy_ratio_additive(probs, value_spec.class_values, cost_margins)
+        order = greedy_ratio_additive(p, value_spec.class_values, cost_margins)
     elif kind == "ratio":
         value_proxy = value_spec.row_proxy(probs)
         cost_proxy = cost_spec.row_proxy(probs)
-        chain = greedy_ratio_general(len(probs), lambda rows: (value_proxy(rows), cost_proxy(rows)))
+        order, values = greedy_ratio_general(
+            len(p), lambda rows: (value_proxy(rows), cost_proxy(rows))
+        )
     else:
         raise ValueError(f"unknown universe kind {kind!r}")
-    values = chain.proxy_values
+    # accumulate starts from the first margin itself, as cumsum does: 0.0 +
+    # a first margin of -0.0 would be 0.0
     if value_spec.additive:
-        values = prefix_sums(value_spec.class_margins(probs), chain.order)
-    return UniverseSeq(chain.sets, chain.order, prefix_sums(cost_margins, chain.order), values)
+        value_margins = value_spec.class_margin_list(p)
+        values = [0.0, *accumulate([value_margins[c] for c in order])]
+    return UniverseSeq(
+        [0, *accumulate([1 << c for c in order], or_)],
+        order,
+        [0.0, *accumulate([cost_margins[c] for c in order])],
+        values,
+    )

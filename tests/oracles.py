@@ -24,6 +24,9 @@ its ``ABOVE_ALL`` marker.
   proxies from two real doublings and a stable sort.
 - ``chain_margin_record``: a chain's record and additive value proxies as
   one cumsum of per-class margins each, along the chain's order.
+- ``numpy_chain``: a chain built by numpy sorts and cumsums, the route the
+  package's Python-float chains must equal bit for bit; ``label_bits``: the
+  0/1 float vector of a label mask.
 """
 
 from __future__ import annotations
@@ -250,7 +253,7 @@ def max_cost_curve(universe, sample, cost_fn, proxy_fn) -> SampleRecord:
     scores. The universe must start at ∅ with zero cost and zero proxy and be
     sorted by proxy cost; anything else is a precondition error.
     """
-    sets = universe.sets.tolist()
+    sets = [int(s) for s in universe.sets]
     proxies = np.array([proxy_fn(s, sample.probs) for s in sets])
     if sets[0] != 0:
         raise ValueError("universe must start with the empty set")
@@ -304,7 +307,7 @@ def label_margin_record(universe, sample, cost_spec) -> SampleRecord:
     universe's order; the true costs take their running max."""
     k = cost_spec.n_classes
     units = _unit_margins(cost_spec)
-    labels = np.array([(sample.labels >> i) & 1 for i in range(k)], dtype=np.float64)
+    labels = label_bits(sample.labels, k)
 
     def sums(present):
         return _doubling((1.0 - present) * units)[universe.sets]
@@ -340,7 +343,7 @@ def chain_margin_record(order, sample, cost_spec, value_spec):
     additive value kind's proxies from p_k u_k (None for ``gen``)."""
     k = cost_spec.n_classes
     probs = np.asarray(sample.probs, dtype=np.float64)
-    labels = np.array([(sample.labels >> i) & 1 for i in range(k)], dtype=np.float64)
+    labels = label_bits(sample.labels, k)
     units = _unit_margins(cost_spec)
     record = SampleRecord(
         _chain_sums((1.0 - probs) * units, order),
@@ -349,3 +352,61 @@ def chain_margin_record(order, sample, cost_spec, value_spec):
     if value_spec.kind == "gen":
         return record, None
     return record, _chain_sums(probs * _unit_margins(value_spec), order)
+
+
+def label_bits(mask: int, n_classes: int) -> np.ndarray:
+    """0/1 float vector of the mask's low ``n_classes`` bits."""
+    return np.array([(mask >> i) & 1 for i in range(n_classes)], dtype=np.float64)
+
+
+def _class_values(spec) -> np.ndarray:
+    """Each class's raw score alone against the most favorable labels: its
+    weight (or 1) for an additive kind, its ``gen`` factor plus square."""
+    k = spec.n_classes
+    if spec.kind == "gen":
+        return np.array([gen_value(1 << i, 1 << i) for i in range(k)])
+    return np.ones(k) if spec.weights is None else np.asarray(spec.weights, dtype=np.float64)
+
+
+def numpy_chain(kind, sample, value_spec, cost_spec):
+    """A greedy chain of ``kind`` as numpy builds it: ``(order, sets,
+    record, proxy_values)``, the order as ``int64`` and the sets as
+    ``uint64`` arrays, the record and the additive values (None for
+    ``gen``) as in ``chain_margin_record``.
+
+    The prob and value orders are a stable ``argsort`` of the negated key.
+    The additive ratio order is a stable ``argsort`` of ``(-gain) / cost``,
+    or, with a free class (cost <= 0), a ``lexsort`` that puts the free
+    classes first by descending gain; an overflowing ratio is inf. The
+    general ratio chain (a ``gen`` value) takes ``greedy_ratio_sets``'
+    order.
+    """
+    probs = np.asarray(sample.probs, dtype=np.float64)
+    if kind == "prob":
+        order = np.argsort(-probs, kind="stable")
+    elif kind == "value":
+        order = np.argsort(-(probs * _class_values(value_spec)), kind="stable")
+    elif value_spec.kind != "gen":
+        gains = probs * _class_values(value_spec)
+        costs = (1.0 - probs) * _unit_margins(cost_spec)
+        free = costs <= 0.0
+        with np.errstate(over="ignore"):
+            if free.any():
+                ratios = np.divide(gains, costs, out=np.zeros_like(gains), where=~free)
+                key = np.where(free, -gains, -ratios)
+                order = np.lexsort((key, (~free).astype(np.int8)))
+            else:
+                order = np.argsort(-gains / costs, kind="stable")
+    else:
+        with np.errstate(over="ignore"):
+            order, _ = greedy_ratio_sets(
+                cost_spec.n_classes,
+                lambda sets: value_spec.proxy_many(sets, probs),
+                lambda sets: cost_spec.proxy_many(sets, probs),
+            )
+        order = np.array(order)
+    order = order.astype(np.int64)
+    sets = np.zeros(len(order) + 1, dtype=np.uint64)
+    np.bitwise_or.accumulate(np.uint64(1) << order.astype(np.uint64), out=sets[1:])
+    record, values = chain_margin_record(order, sample, cost_spec, value_spec)
+    return order, sets, record, values

@@ -1,6 +1,7 @@
 """CLI: stream format, run metrics, exit codes, oracle-check, bench."""
 
 import csv
+import gc
 import hashlib
 import json
 import math
@@ -32,8 +33,10 @@ from costcap.cli import (
     slice_stream,
     write_stream_csv,
 )
-from costcap.set_functions import Sample, full_set, label_bits
+from costcap.set_functions import Sample, full_set
 from costcap.synth import GeneratorConfig, generate
+
+from .oracles import label_bits
 
 
 def write_stream(tmp_path, n=200, k=4, seed=0, heterogeneity=1.0, name="stream.csv"):
@@ -179,6 +182,33 @@ def test_slice_stream_disjoint_and_insufficient():
     cfg = RunConfig(seeds=[0, 1, 2], n_test=5, burn_in=1, n_classes=1)
     with pytest.raises(DataError):
         slice_stream(cfg, samples)
+
+
+@pytest.mark.parametrize("mode", ["expected", "violation"])
+def test_run_single_frees_its_trees(mode, monkeypatch):
+    # a tree's nodes link to their parents, so a finished slice's tree is
+    # cyclic garbage until it is unlinked; run_single unlinks every tree
+    cfg = RunConfig(mode=mode, cost_targets=[20.0, 40.0], seeds=[0], n_test=600, burn_in=50)
+    samples = generate(GeneratorConfig(n=600, n_classes=10, seed=4, heterogeneity=1.0))
+    sizes = []
+    clear = cli.QuantileTree.clear
+
+    def counted(tree):
+        sizes.append(len(tree))
+        clear(tree)
+
+    monkeypatch.setattr(cli.QuantileTree, "clear", counted)
+    gc.collect()
+    gc.disable()
+    try:
+        cli.run_single(cfg, samples, 0, cfg.cost_targets, None)
+        unreachable = gc.collect()
+    finally:
+        gc.enable()
+    assert len(sizes) == (1 if mode == "expected" else 2)
+    nodes = sum(sizes)
+    assert nodes > 500
+    assert unreachable < nodes / 20, (unreachable, nodes)
 
 
 # ----------------------------------------------------------------------

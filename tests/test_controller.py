@@ -3,6 +3,7 @@
 import io
 import math
 import random
+import warnings
 
 import numpy as np
 import pytest
@@ -26,8 +27,8 @@ from costcap.synth import GeneratorConfig, generate, mnist_weights
 from costcap.universe import (
     FULL_UNIVERSE_MAX_CLASSES,
     UniverseSeq,
+    build_universe,
     full_universe,
-    greedy_prob,
     subset_sums,
 )
 
@@ -37,12 +38,13 @@ from .oracles import (
     first_exceed_threshold,
     label_margin_record,
     max_cost_curve,
+    numpy_chain,
 )
 
 
 def chain_universe(sets, order):
-    """Hand-built chain in the universe's array format."""
-    return UniverseSeq(np.array(sets, dtype=np.uint64), np.array(order, dtype=np.int64))
+    """Hand-built chain in the universe's list format."""
+    return UniverseSeq(list(sets), list(order))
 
 
 def two_set_universe():
@@ -87,8 +89,8 @@ def test_max_cost_curve_two_sets():
 
 def test_max_cost_curve_zero_cost_chain_contributes_nothing():
     sample = Sample(np.array([0.5, 0.5]), labels=0b11)
-    universe = greedy_prob(sample.probs)
     spec = SetFunctionSpec("fp", 2)
+    universe = build_universe("prob", sample.probs, SetFunctionSpec("tp", 2), spec)
     rec = max_cost_curve(universe, sample, spec.evaluate, spec.proxy)
     assert rec.mass_pairs() == []
 
@@ -167,9 +169,10 @@ def test_powerset_record_equals_label_margin_reference(mode, cost_kind, drawn):
     assert rec.max_costs.tobytes() == ref.max_costs.tobytes()
 
 
-# certain probabilities, -0.0 among them, and zero, -0.0 and repeated weights
+# certain probabilities, -0.0 among them, and zero, -0.0, repeated and
+# subnormal weights; a subnormal cost weight overflows a ratio to inf
 chain_probs = st.one_of(st.sampled_from([0.0, -0.0, 1.0]), st.floats(0.0, 1.0))
-chain_weights = st.sampled_from([0.0, -0.0, 1.0, 2.5, 0.1, 3.7])
+chain_weights = st.sampled_from([0.0, -0.0, 1.0, 2.5, 0.1, 3.7, 2.2e-311, 5e-324])
 
 
 @st.composite
@@ -188,16 +191,31 @@ def chain_cases(draw):
     return universe_kind, value_kind, cost_kind, probs, weights, labels
 
 
-@settings(max_examples=200, deadline=None)
+def hexes(xs) -> list[str]:
+    return [float(x).hex() for x in xs]
+
+
+@settings(max_examples=300, deadline=None)
 @given(chain_cases())
 @example((
     "ratio", "tpc", "fpc", [0.0, 1.0, -0.0, 0.5],
     {"tpc": [1.0, 0.0, 2.5, -0.0], "fpc": [-0.0, 1.0, 0.0, 1.0]}, 0b0110,
 ))
 @example(("ratio", "gen", "fpc", [1.0] * 64, {"tpc": [1.0] * 64, "fpc": [-0.0] * 63 + [2.5]}, 0))
+# p = -0.0 gives -0.0 value margins: the sums start from the first one
+@example(("prob", "tp", "fp", [-0.0, -0.0], {"tpc": [1.0, 1.0], "fpc": [1.0, 1.0]}, 0b10))
+@example((  # the subnormal weight's ratio overflows to inf, in both ratio chains
+    "ratio", "tpc", "fpc", [0.5, 0.3, 0.7],
+    {"tpc": [1.0, 2.5, 3.7], "fpc": [1.0, 2.2e-311, 1.0]}, 0b001,
+))
+@example((
+    "ratio", "gen", "fpc", [0.5, 0.3, 0.7],
+    {"tpc": [1.0, 2.5, 3.7], "fpc": [1.0, 2.2e-311, 1.0]}, 0b001,
+))
 def test_chain_proxies_and_record_equal_the_margin_cumsums(case):
-    # every chain carries the cumsums of its margins along its order, and
-    # its record the cumsums of the labels' margins, bit for bit
+    # a chain on Python floats equals the numpy route bit for bit from its
+    # class order to its selection: sorts, cumsums of the margins along the
+    # order, the record's cumsums of the labels' margins, and the argmax
     universe_kind, value_kind, cost_kind, probs, weights, labels = case
     k = len(probs)
     for kind in ("tpc", "fpc"):
@@ -210,22 +228,32 @@ def test_chain_proxies_and_record_equal_the_margin_cumsums(case):
     sample = Sample(np.array(probs), labels)
     universe = ctrl.build_universe(sample.probs)
     record = ctrl.build_record(sample, universe)
-    ref, ref_values = chain_margin_record(universe.order, sample, cost_spec, value_spec)
-    assert record.proxy_costs is universe.proxy_costs
+    order, sets, ref, ref_values = numpy_chain(universe_kind, sample, value_spec, cost_spec)
+    assert universe.order == order.tolist()
+    assert universe.sets == sets.tolist()
+    assert all(type(m) is int for m in universe.sets)
+    assert hexes(universe.proxy_costs) == hexes(ref.proxy_costs)
     assert record.proxy_costs.tobytes() == ref.proxy_costs.tobytes()
     assert record.max_costs.tobytes() == ref.max_costs.tobytes()
     for stored in (record.proxy_costs, record.max_costs):
         # a record owns plain float64 arrays, no views into larger ones
         assert stored.dtype == np.float64 and stored.flags.owndata
     values = ctrl.proxy_values(universe, sample.probs)
-    if ref_values is not None:
-        assert values is universe.proxy_values
-        assert values.tobytes() == ref_values.tobytes()
-    else:
+    if ref_values is None:
         # gen: the general ratio chain keeps its rounds' scores, the other
         # chains leave the scoring to the controller; both equal proxy_many
         assert (universe.proxy_values is None) == (universe_kind != "ratio")
-        assert values.tobytes() == value_spec.proxy_many(universe.sets, sample.probs).tobytes()
+        ref_values = value_spec.proxy_many(sets, sample.probs)
+    else:
+        assert values is universe.proxy_values
+    assert hexes(values) == hexes(ref_values)
+    # the selection equals searchsorted plus argmax on the numpy arrays, at
+    # every stored cost, between them and at the sentinels
+    costs = ref.proxy_costs
+    for t in [*costs.tolist(), *(costs + 1e-9).tolist(), -0.0, BELOW_ALL, ABOVE_ALL]:
+        n = int(costs.searchsorted(t))
+        want = int(sets[ref_values[:n].argmax()]) if n else 0
+        assert select_max_value(universe.sets, universe.proxy_costs, values, t) == want
 
 
 def test_powerset_step_computes_cost_subset_sums_once(monkeypatch):
@@ -584,6 +612,50 @@ def test_predict_full_universe_matches_exhaustive_argmax():
         admissible = [i for i in range(8) if costs[i] < t]
         want = max(admissible, key=lambda i: (values[i], -costs[i]), default=0)
         assert got == sets[want]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(1, 12).flatmap(
+        lambda n: st.tuples(
+            # tied costs and values, -0.0 among them
+            st.lists(st.sampled_from([0.0, -0.0, 0.25, 0.5, 1.0]), min_size=n, max_size=n),
+            st.lists(st.sampled_from([0.0, -0.0, 1.0, 2.0]) | st.floats(-5.0, 5.0), min_size=n, max_size=n),
+        )
+    )
+)
+def test_select_max_value_same_set_for_lists_and_arrays(drawn):
+    # a chain selects on lists, a power set on arrays, and a tracer passes a
+    # record's array costs with its chain's list values: all pick the same set
+    costs, values = drawn
+    costs.sort()
+    n = len(costs)
+    sets = list(range(10, 10 + n))
+    # a list, not a set: a set would keep only one of 0.0 and -0.0
+    for t in [*costs, -0.0, 0.0, 0.1, 0.3, 0.75, 2.0, BELOW_ALL, ABOVE_ALL]:
+        admissible = [i for i in range(n) if costs[i] < t]
+        # max keeps the first of equal values
+        want = sets[max(admissible, key=values.__getitem__)] if admissible else 0
+        for s in (sets, np.array(sets, dtype=np.uint64)):
+            for c in (costs, np.array(costs)):
+                for v in (values, np.array(values)):
+                    got = select_max_value(s, c, v, t)
+                    assert type(got) is int and got == want, (t, type(s), type(c), type(v))
+
+
+@pytest.mark.parametrize("value_kind", ["tp", "gen"])
+def test_subnormal_cost_weight_overflows_the_ratio_without_a_warning(value_kind):
+    # a valid weight of 2.2e-311 makes class 1's marginal cost subnormal, and
+    # its ratio overflows to inf in the additive and in the general chain
+    cost_spec = SetFunctionSpec("fpc", 3, np.array([1.0, 2.2e-311, 1.0]))
+    value_spec = SetFunctionSpec(value_kind, 3, mc_samples=20)
+    ctrl = CostController("expected", 20.0, value_spec, cost_spec, burn_in=2)
+    probs = np.array([0.5, 0.9, 0.7])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for labels in (0b000, 0b010, 0b111, 0b101):
+            ctrl.step(Sample(probs, labels))
+        assert ctrl.build_universe(probs).order[0] == 1
 
 
 def test_predict_none_during_burn_in():

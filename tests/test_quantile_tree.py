@@ -1,5 +1,6 @@
 """QuantileTree vs a sorted-list oracle, plus structural invariants."""
 
+import gc
 import io
 import math
 import random
@@ -29,6 +30,30 @@ def test_single_point_mass():
     assert tree.total_weight() == 2.0
     assert len(tree) == 1
     assert tree.query_quantile(1.0) == 5.0
+
+
+def test_clear_empties_the_tree_and_unlinks_its_nodes():
+    tree = QuantileTree()
+    rng = random.Random(3)
+    for _ in range(300):
+        tree.insert(rng.uniform(0.0, 10.0), rng.uniform(0.1, 2.0))
+    for value, weight in list(tree.items())[::3]:
+        tree.delete(value, weight)  # deletes point the sentinel's parent at a node
+    gc.collect()
+    gc.disable()
+    try:
+        tree.clear()
+        # unlinked nodes are freed by reference counting, none left in cycles
+        unreachable = gc.collect()
+    finally:
+        gc.enable()
+    assert unreachable == 0
+    assert len(tree) == 0 and tree.total_weight() == 0.0 and list(tree.items()) == []
+    tree.validate()
+    tree.insert(1.0, 2.0)
+    tree.insert(3.0, 1.0)
+    assert tree.query_quantile(1.0) == 3.0 and tree.total_weight() == 3.0
+    tree.validate()
 
 
 def test_duplicate_values_merge():

@@ -14,7 +14,6 @@ from costcap.set_functions import (
     Sample,
     SetFunctionSpec,
     full_set,
-    label_bits,
     load_weights_csv,
 )
 
@@ -23,6 +22,7 @@ from costcap.universe import build_universe, full_universe
 from .oracles import (
     additive_proxy,
     gen_value,
+    label_bits,
     popcount_difference,
     popcount_intersection,
     proxy_mc,

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from costcap.set_functions import SetFunctionSpec
 from costcap.universe import (
-    _chain,
     build_universe,
     full_universe,
     greedy_prob,
@@ -56,32 +55,31 @@ def test_full_universe_size_guard():
 
 
 def test_greedy_prob_order():
-    seq = greedy_prob(np.array([0.2, 0.9, 0.5]))
-    assert seq.order.tolist() == [1, 2, 0]
-    assert seq.sets.tolist() == [0, 0b010, 0b110, 0b111]
+    probs = np.array([0.2, 0.9, 0.5])
+    assert greedy_prob(probs) == [1, 2, 0]
+    seq = build_universe("prob", probs, SetFunctionSpec("tp", 3), SetFunctionSpec("fp", 3))
+    assert seq.order == [1, 2, 0]
+    assert seq.sets == [0, 0b010, 0b110, 0b111]
 
 
 def test_greedy_prob_tie_by_index():
-    seq = greedy_prob(np.array([0.5, 0.5, 0.7]))
-    assert seq.order.tolist() == [2, 0, 1]
+    assert greedy_prob(np.array([0.5, 0.5, 0.7])) == [2, 0, 1]
 
 
 @settings(max_examples=100, deadline=None)
 @given(probs_strategy)
 def test_greedy_prob_matches_sort_oracle(probs):
-    seq = greedy_prob(probs)
     oracle = sorted(range(len(probs)), key=lambda k: (-probs[k], k))
-    assert list(seq.order) == oracle
+    assert greedy_prob(probs) == greedy_prob(probs.tolist()) == oracle
 
 
 def test_greedy_value_uniform_reduces_to_prob():
     probs = np.array([0.3, 0.8, 0.1, 0.55])
-    assert greedy_value(probs, np.ones(4)).order.tolist() == greedy_prob(probs).order.tolist()
+    assert greedy_value(probs, np.ones(4)) == greedy_prob(probs)
 
 
 def test_greedy_value_weighted():
-    seq = greedy_value(np.array([0.9, 0.6]), np.array([1.0, 10.0]))
-    assert seq.order.tolist() == [1, 0]  # 6.0 beats 0.9
+    assert greedy_value(np.array([0.9, 0.6]), np.array([1.0, 10.0])) == [1, 0]  # 6.0 beats 0.9
 
 
 def test_greedy_value_length_mismatch():
@@ -101,39 +99,37 @@ def test_greedy_value_matches_sort_oracle(probs, data):
             )
         )
     )
-    seq = greedy_value(probs, values)
     oracle = sorted(range(len(probs)), key=lambda k: (-(probs[k] * values[k]), k))
-    assert list(seq.order) == oracle
+    assert greedy_value(probs, values) == greedy_value(probs.tolist(), values.tolist()) == oracle
 
 
 def test_greedy_ratio_additive_arithmetic():
     probs = np.array([0.9, 0.6])
     values = np.array([1.0, 10.0])
     costs = 1.0 - probs
-    seq = greedy_ratio_additive(probs, values, costs)
-    assert seq.order.tolist() == [1, 0]  # ratios 9 vs 15
+    assert greedy_ratio_additive(probs, values, costs) == [1, 0]  # ratios 9 vs 15
 
 
 def test_greedy_ratio_equal_ratios_index_order():
     probs = np.array([0.4, 0.8, 0.2])
     costs = 1.0 - probs
     values = costs / probs  # all ratios exactly 1
-    seq = greedy_ratio_additive(probs, values, costs)
-    assert seq.order.tolist() == [0, 1, 2]
+    assert greedy_ratio_additive(probs, values, costs) == [0, 1, 2]
 
 
 def test_greedy_ratio_zero_cost_goes_first_by_value():
     probs = np.array([0.5, 0.9, 0.8])
     values = np.array([2.0, 1.0, 5.0])
     costs = np.array([0.3, 0.0, 0.0])
-    seq = greedy_ratio_additive(probs, values, costs)
     # classes 1, 2 are free: descending gain 4.0 > 0.9, then the paid one
-    assert seq.order.tolist() == [2, 1, 0]
+    assert greedy_ratio_additive(probs, values, costs) == [2, 1, 0]
 
 
 def test_nested_chain_shape():
     probs = np.array([0.7, 0.2, 0.9, 0.4])
-    for seq in (greedy_prob(probs), greedy_value(probs, np.arange(1.0, 5.0))):
+    value_spec = SetFunctionSpec("tpc", 4, np.arange(1.0, 5.0))
+    for kind in ("prob", "value", "ratio"):
+        seq = build_universe(kind, probs, value_spec, SetFunctionSpec("fp", 4))
         assert seq.sets[0] == 0
         assert len(seq.sets) == 5
         for a, b in zip(seq.sets, seq.sets[1:]):
@@ -142,14 +138,17 @@ def test_nested_chain_shape():
 
 @pytest.mark.parametrize("k", [1, 10, 63, 64])
 def test_chain_masks_match_python_int_fold(k):
-    order = np.random.default_rng(k).permutation(k)
-    seq = _chain(order)
+    order = np.random.default_rng(k).permutation(k).tolist()
+    # distinct probabilities, descending along the order
+    probs = np.empty(k)
+    probs[order] = np.linspace(1.0, 0.0, k) if k > 1 else 0.5
+    seq = build_universe("prob", probs, SetFunctionSpec("tp", k), SetFunctionSpec("fp", k))
     fold = [0]
-    for cls in order.tolist():
+    for cls in order:
         fold.append(fold[-1] | (1 << cls))
-    assert seq.sets.dtype == np.uint64 and seq.order.dtype == np.int64
-    assert seq.sets.tolist() == fold
-    assert seq.order.tolist() == order.tolist()
+    assert all(type(s) is int for s in seq.sets) and all(type(c) is int for c in seq.order)
+    assert seq.sets == fold
+    assert seq.order == order
     if k == 64:
         assert seq.sets[-1] == (1 << 64) - 1  # bit 63 included
 
@@ -247,9 +246,11 @@ def test_proxy_cost_nondecreasing_along_chain(probs):
 
 
 def test_ratio_general_single_class():
-    seq = greedy_ratio_general(1, mask_scorer(lambda s: float(s & 1), lambda s: 0.5 * (s & 1)))
-    assert seq.sets.tolist() == [0, 1]
-    assert seq.proxy_values.tolist() == [0.0, 1.0]
+    order, values = greedy_ratio_general(
+        1, mask_scorer(lambda s: float(s & 1), lambda s: 0.5 * (s & 1))
+    )
+    assert order == [0]
+    assert values == [0.0, 1.0]
 
 
 def test_ratio_general_matches_additive():
@@ -261,11 +262,11 @@ def test_ratio_general_matches_additive():
     for _ in range(1000):
         probs = np.array([rng.uniform(0.01, 0.99) for _ in range(k)])
         additive = greedy_ratio_additive(probs, w, cost_spec.class_margins(probs))
-        general = greedy_ratio_general(
+        general, _ = greedy_ratio_general(
             k,
             mask_scorer(lambda s: value_spec.proxy(s, probs), lambda s: cost_spec.proxy(s, probs)),
         )
-        assert additive.order.tolist() == general.order.tolist()
+        assert additive == general
 
 
 def test_ratio_general_per_step_argmax_oracle():
@@ -277,9 +278,9 @@ def test_ratio_general_per_step_argmax_oracle():
     probs = np.array([rng.uniform(0.05, 0.95) for _ in range(k)])
     vp = lambda s: value_spec.proxy(s, probs)
     cp = lambda s: cost_spec.proxy(s, probs)
-    seq = greedy_ratio_general(k, mask_scorer(vp, cp))
+    order, _ = greedy_ratio_general(k, mask_scorer(vp, cp))
     mask = 0
-    for step, nxt in enumerate(seq.order):
+    for step, nxt in enumerate(order):
         best = None
         best_key = None
         for cand in range(k):
@@ -324,11 +325,11 @@ def test_ratio_general_matches_per_candidate_reference(kinds, drawn, mc_samples)
     )
     cost_spec = SetFunctionSpec(cost_kind, k, weights if cost_kind == "fpc" else None)
     value_proxy, cost_proxy = value_spec.row_proxy(probs), cost_spec.row_proxy(probs)
-    seq = greedy_ratio_general(k, lambda rows: (value_proxy(rows), cost_proxy(rows)))
+    order, _ = greedy_ratio_general(k, lambda rows: (value_proxy(rows), cost_proxy(rows)))
     want = greedy_ratio_order(
         k, lambda s: value_spec.proxy(s, probs), lambda s: cost_spec.proxy(s, probs)
     )
-    assert seq.order.tolist() == want
+    assert order == want
 
 
 @settings(max_examples=40, deadline=None)
@@ -362,9 +363,9 @@ def test_gen_ratio_chain_equals_the_per_set_rounds_bit_for_bit(
         lambda sets: value_spec.proxy_many(sets, probs),
         lambda sets: cost_spec.proxy_many(sets, probs),
     )
-    assert seq.order.tobytes() == np.array(order, dtype=np.int64).tobytes()
-    assert seq.sets.tobytes() == np.array(sets, dtype=np.uint64).tobytes()
-    assert seq.proxy_values.tobytes() == value_spec.proxy_many(seq.sets, probs).tobytes()
+    assert seq.order == [int(c) for c in order]
+    assert seq.sets == [int(s) for s in sets]
+    assert np.array(seq.proxy_values).tobytes() == value_spec.proxy_many(seq.sets, probs).tobytes()
 
 
 def test_ratio_general_running_scores_move_by_the_winners_margins():
@@ -373,10 +374,10 @@ def test_ratio_general_running_scores_move_by_the_winners_margins():
     v = {0: -1.234792922781735, 0b001: 1.0, 0b010: 0.0, 0b100: 0.0, 0b011: 2.0, 0b101: 3.0}
     c = {0: 0.0, 0b001: 0.0, 0b010: 1.0, 0b100: 1.0, 0b011: 1.0, 0b101: 2.0}
     v[0b111], c[0b111] = 4.0, 3.0
-    seq = greedy_ratio_general(3, mask_scorer(v.__getitem__, c.__getitem__))
-    assert seq.order.tolist() == greedy_ratio_order(3, v.__getitem__, c.__getitem__) == [0, 2, 1]
+    order, values = greedy_ratio_general(3, mask_scorer(v.__getitem__, c.__getitem__))
+    assert order == greedy_ratio_order(3, v.__getitem__, c.__getitem__) == [0, 2, 1]
     # the chain keeps the scores its rounds computed, not the running ones
-    assert seq.proxy_values.tolist() == [v[0], 1.0, 3.0, 4.0]
+    assert values == [v[0], 1.0, 3.0, 4.0]
 
 
 def test_build_universe_dispatch():
@@ -388,17 +389,16 @@ def test_build_universe_dispatch():
     assert full.order is None
     assert full.sets.tobytes() == full_universe(probs, cs, vs).sets.tobytes()
     cost_margins = cs.class_margins(probs)
-    for kind, chain in (
+    for kind, order in (
         ("prob", greedy_prob(probs)),
         ("value", greedy_value(probs, vs.class_values)),
         ("ratio", greedy_ratio_additive(probs, vs.class_values, cost_margins)),
     ):
         seq = build_universe(kind, probs, vs, cs)
-        assert seq.order.tolist() == chain.order.tolist()
-        assert seq.sets.tolist() == chain.sets.tolist()
-        assert chain.proxy_costs is None and chain.proxy_values is None
+        assert seq.order == order
+        assert seq.sets == [0, *(sum(1 << c for c in order[:i]) for i in range(1, 4))]
     for seq in (full, *(build_universe(kind, probs, vs, cs) for kind in ("prob", "value", "ratio"))):
-        sets = seq.sets.tolist()
+        sets = [int(m) for m in seq.sets]
         np.testing.assert_allclose(seq.proxy_costs, [cs.proxy(s, probs) for s in sets], rtol=1e-12)
         np.testing.assert_allclose(seq.proxy_values, [vs.proxy(s, probs) for s in sets], rtol=1e-12)
     with pytest.raises(ValueError):
@@ -413,6 +413,6 @@ def test_build_universe_ratio_with_gen_value():
     assert seq.sets[0] == 0 and len(seq.sets) == 5
     # the general ratio chain carries the values its rounds scored; the
     # prob and value chains leave a gen value to the controller
-    assert seq.proxy_values.tobytes() == vs.proxy_many(seq.sets, probs).tobytes()
+    assert np.array(seq.proxy_values).tobytes() == vs.proxy_many(seq.sets, probs).tobytes()
     for kind in ("prob", "value"):
         assert build_universe(kind, probs, vs, cs).proxy_values is None
