@@ -21,18 +21,28 @@ import statistics
 import sys
 import time
 from dataclasses import dataclass, field, fields, replace
+from operator import attrgetter, itemgetter
 from pathlib import Path
 
 import numpy as np
 
 from .controller import (
+    MODES,
     CostController,
     SampleRecord,
     oracle_threshold_expected,
     threshold_comparison,
 )
 from .quantile_tree import QuantileTree
-from .set_functions import MAX_CLASSES, Sample, SetFunctionSpec, load_weights_csv
+from .set_functions import (
+    COST_KINDS,
+    MAX_CLASSES,
+    NORMALIZED_BOUND,
+    VALUE_KINDS,
+    Sample,
+    SetFunctionSpec,
+    load_weights_csv,
+)
 from .synth import GeneratorConfig, generate, mnist_weights
 from .universe import FULL_UNIVERSE_MAX_CLASSES, UNIVERSE_KINDS
 
@@ -53,17 +63,24 @@ class DataError(Exception):
 
 
 # ----------------------------------------------------------------------
-# stream file format
+# CSV files
+
+def write_csv(path, header, rows) -> None:
+    """A header line and one line per row, fields joined by commas: a string
+    as it is, a float by ``repr``, ``None`` as an empty field."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+
 
 def write_stream_csv(path, samples: list[Sample]) -> None:
     k = samples[0].n_classes if samples else 0
-    with open(path, "w", newline="") as fh:
-        header = [f"p_{i}" for i in range(k)] + [f"y_{i}" for i in range(k)]
-        fh.write(",".join(header) + "\n")
-        for s in samples:
-            probs = ",".join(f"{p:.9f}" for p in s.probs)
-            labels = ",".join(str((s.labels >> i) & 1) for i in range(k))
-            fh.write(probs + "," + labels + "\n")
+    header = [f"p_{i}" for i in range(k)] + [f"y_{i}" for i in range(k)]
+    write_csv(path, header, (
+        [f"{p:.9f}" for p in s.probs] + [(s.labels >> i) & 1 for i in range(k)]
+        for s in samples
+    ))
 
 
 def read_stream_csv(path) -> list[Sample]:
@@ -139,10 +156,12 @@ class RunConfig:
             raise UsageError(f"cost targets must be a list of numbers, got {self.cost_targets!r}")
         if not _is_real(self.delta):
             raise UsageError(f"delta must be a number, got {self.delta!r}")
-        if self.mode not in ("expected", "violation"):
-            raise UsageError(f"mode must be expected|violation, got {self.mode!r}")
-        if not self.cost_targets or any(not 0.0 < c <= 100.0 for c in self.cost_targets):
-            raise UsageError("cost targets must lie in (0, 100]")
+        if self.mode not in MODES:
+            raise UsageError(f"mode must be {'|'.join(MODES)}, got {self.mode!r}")
+        if not self.cost_targets or any(
+            not 0.0 < c <= NORMALIZED_BOUND for c in self.cost_targets
+        ):
+            raise UsageError(f"cost targets must lie in (0, {NORMALIZED_BOUND:g}]")
         if not 0.0 < self.delta < 1.0:
             raise UsageError("delta must be in (0, 1)")
         if self.universe not in UNIVERSE_KINDS:
@@ -151,9 +170,9 @@ class RunConfig:
             raise UsageError(f"n_classes must be in [1, {MAX_CLASSES}], got {self.n_classes}")
         if self.universe == "full" and self.n_classes > FULL_UNIVERSE_MAX_CLASSES:
             raise UsageError(f"full universe needs n_classes <= {FULL_UNIVERSE_MAX_CLASSES}")
-        if self.value_kind not in ("tp", "tpc", "gen"):
+        if self.value_kind not in VALUE_KINDS:
             raise UsageError(f"unknown value kind {self.value_kind!r}")
-        if self.cost_kind not in ("fp", "fpc"):
+        if self.cost_kind not in COST_KINDS:
             raise UsageError(f"unknown cost kind {self.cost_kind!r}")
         if not self.seeds:
             raise UsageError("at least one seed is required")
@@ -212,6 +231,28 @@ def build_specs(
     )
     cost_spec = SetFunctionSpec(cfg.cost_kind, cfg.n_classes, cost_w)
     return value_spec, cost_spec
+
+
+def build_controller(
+    cfg: RunConfig,
+    targets: list[float],
+    seed: int,
+    weights: np.ndarray | None,
+    burn_in: int,
+) -> CostController:
+    """The run's controller for ``targets``, its Monte-Carlo draws seeded by
+    ``seed``."""
+    value_spec, cost_spec = build_specs(cfg, mc_seed=seed, weights=weights)
+    return CostController(
+        cfg.mode,
+        targets,
+        value_spec,
+        cost_spec,
+        universe_kind=cfg.universe,
+        delta=cfg.delta,
+        burn_in=burn_in,
+        window=cfg.window,
+    )
 
 
 # ----------------------------------------------------------------------
@@ -273,17 +314,7 @@ def run_single(
     """Stream one slice through one controller for every target; one metrics
     row and one log block per target, in the given target order. Each row's
     update time is the slice's step time divided by the number of targets."""
-    value_spec, cost_spec = build_specs(cfg, mc_seed=seed, weights=weights)
-    ctrl = CostController(
-        cfg.mode,
-        targets,
-        value_spec,
-        cost_spec,
-        universe_kind=cfg.universe,
-        delta=cfg.delta,
-        burn_in=cfg.burn_in,
-        window=cfg.window,
-    )
+    ctrl = build_controller(cfg, targets, seed, weights, cfg.burn_in)
     # every target predicts at the same steps, the first n of the columns. A
     # controller predicts once more than burn_in records are live, from step
     # burn_in + 1 on (a window holds more than burn_in), so the columns are
@@ -379,60 +410,37 @@ def _mean_std(xs: list[float]) -> tuple[float, float]:
 
 def aggregate_rows(rows: list[MetricsRow]) -> list[AggregateRow]:
     """Across-seed mean and std per target, plus an overall row."""
+    groups: dict[float, list[MetricsRow]] = {}
+    for r in rows:
+        groups.setdefault(r.target_cost, []).append(r)
     out = []
-    targets = sorted({r.target_cost for r in rows})
-    for target in targets:
-        group = [r for r in rows if r.target_cost == target]
-        v = _mean_std([r.mean_value for r in group])
-        e = _mean_std([r.excess_cost for r in group])
-        f = _mean_std([r.violation_frequency for r in group])
-        out.append(AggregateRow(target, v[0], v[1], e[0], e[1], f[0], f[1]))
-    v = _mean_std([r.mean_value for r in rows])
-    e = _mean_std([r.excess_cost for r in rows])
-    f = _mean_std([r.violation_frequency for r in rows])
-    out.append(AggregateRow("all", v[0], v[1], e[0], e[1], f[0], f[1]))
+    for target, group in [*sorted(groups.items(), key=itemgetter(0)), ("all", rows)]:
+        stats = []
+        for name in ("mean_value", "excess_cost", "violation_frequency"):
+            stats.extend(_mean_std([getattr(r, name) for r in group]))
+        out.append(AggregateRow(target, *stats))
     return out
 
 
 def write_metrics_csv(path, rows: list[MetricsRow]) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write("seed,target_cost,n_predictions,mean_value,excess_cost,violation_frequency\n")
-        for r in rows:
-            fh.write(
-                f"{r.seed},{r.target_cost!r},{r.n_predictions},"
-                f"{r.mean_value!r},{r.excess_cost!r},{r.violation_frequency!r}\n"
-            )
+    names = ("seed", "target_cost", "n_predictions", "mean_value", "excess_cost",
+             "violation_frequency")
+    write_csv(path, names, map(attrgetter(*names), rows))
 
 
 def write_timing_csv(path, rows: list[MetricsRow]) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write("seed,target_cost,mean_update_seconds\n")
-        for r in rows:
-            fh.write(f"{r.seed},{r.target_cost!r},{r.mean_update_seconds!r}\n")
+    names = ("seed", "target_cost", "mean_update_seconds")
+    write_csv(path, names, map(attrgetter(*names), rows))
 
 
 def write_aggregate_csv(path, aggs: list[AggregateRow]) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write(
-            "target_cost,mean_value,value_std,excess_cost,excess_std,"
-            "violation_frequency,violation_std\n"
-        )
-        for a in aggs:
-            fh.write(
-                f"{a.target_cost},{a.mean_value!r},{a.value_std!r},"
-                f"{a.excess_cost!r},{a.excess_std!r},"
-                f"{a.violation_frequency!r},{a.violation_std!r}\n"
-            )
+    names = [f.name for f in fields(AggregateRow)]
+    write_csv(path, names, map(attrgetter(*names), aggs))
 
 
 def write_log_csv(path, log: PredictionLog) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write("seed,target_cost,index,prediction,value,cost\n")
-        for r in log:
-            fh.write(
-                f"{r.seed},{r.target_cost!r},{r.index},{r.prediction},"
-                f"{r.value!r},{r.cost!r}\n"
-            )
+    names = [f.name for f in fields(PredictionLogRow)]
+    write_csv(path, names, map(attrgetter(*names), log))
 
 
 def check_assertions(cfg: RunConfig, aggs: list[AggregateRow]) -> list[str]:
@@ -480,17 +488,7 @@ def oracle_check_run(
     """Run the tree and the direct search side by side on one stream slice:
     one controller for every target, each target checked at each checkpoint,
     so ``checked`` counts (checkpoint, target) pairs."""
-    value_spec, cost_spec = build_specs(cfg, mc_seed=cfg.seeds[0], weights=weights)
-    ctrl = CostController(
-        cfg.mode,
-        cfg.cost_targets,
-        value_spec,
-        cost_spec,
-        universe_kind=cfg.universe,
-        delta=cfg.delta,
-        burn_in=0,
-        window=cfg.window,
-    )
+    ctrl = build_controller(cfg, cfg.cost_targets, cfg.seeds[0], weights, 0)
     chunk = samples[: cfg.n_test]
     every = max(1, len(chunk) // max(1, checkpoints))
     report = OracleCheckReport()
@@ -538,7 +536,7 @@ def bench_tree(n_grid, inserts_per_update=1, reps=50, seed=0) -> list[BenchPoint
 
     def update():
         for _ in range(inserts_per_update):
-            tree.insert(float(rng.uniform(0.0, 100.0)), float(rng.uniform(0.1, 1.0)))
+            tree.insert(float(rng.uniform(0.0, NORMALIZED_BOUND)), float(rng.uniform(0.1, 1.0)))
         tree.query_quantile(float(rng.uniform(0.5, 1.0)))
 
     for n in sorted(n_grid):
@@ -567,7 +565,7 @@ def bench_oracle(
     def new_record():
         m = inserts_per_update + 1
         proxies = np.concatenate(([0.0], np.sort(rng.uniform(0.1, 99.0, size=m - 1))))
-        costs = np.concatenate(([0.0], rng.uniform(0.0, 100.0, size=m - 1)))
+        costs = np.concatenate(([0.0], rng.uniform(0.0, NORMALIZED_BOUND, size=m - 1)))
         return SampleRecord(proxies, np.maximum.accumulate(costs))
 
     for n in sorted(n_grid):
@@ -579,7 +577,7 @@ def bench_oracle(
         t0 = time.perf_counter()
         for _ in range(reps):
             records.append(new_record())
-            oracle_threshold_expected(records, 30.0, 100.0)
+            oracle_threshold_expected(records, 30.0, NORMALIZED_BOUND)
         per_update = (time.perf_counter() - t0) / reps
         if per_update > budget_s:
             points.append(BenchPoint("oracle", n, None))
@@ -590,11 +588,8 @@ def bench_oracle(
 
 
 def write_bench_csv(path, points: list[BenchPoint]) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write("method,n,per_update_seconds,status\n")
-        for p in points:
-            t = "" if p.per_update_seconds is None else repr(p.per_update_seconds)
-            fh.write(f"{p.method},{p.n},{t},{p.status}\n")
+    names = ("method", "n", "per_update_seconds", "status")
+    write_csv(path, names, map(attrgetter(*names), points))
 
 
 def fit_loglog_exponent(points: list[BenchPoint]) -> float | None:
@@ -614,15 +609,27 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _comma_list(item):
+    """An argparse ``type`` for a comma-separated list of ``item`` values;
+    empty entries are skipped."""
+
+    def parse(text: str) -> list:
+        return [item(x) for x in text.split(",") if x.strip()]
+
+    parse.__name__ = f"{item.__name__} list"  # argparse names it in errors
+    return parse
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="costcap", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
+    # each config flag's dest is the GeneratorConfig or RunConfig field it sets
     gen = sub.add_parser("generate", help="write a synthetic stream CSV")
     gen.add_argument("--config", help="GeneratorConfig JSON file")
     gen.add_argument("--n", type=int)
     gen.add_argument("--classes", type=int, dest="n_classes")
-    gen.add_argument("--base-rate", type=float, dest="base_rate")
+    gen.add_argument("--base-rate", type=float)
     gen.add_argument("--heterogeneity", type=float)
     gen.add_argument("--miscalibration", type=float)
     gen.add_argument("--seed", type=int)
@@ -630,19 +637,20 @@ def _build_parser() -> _Parser:
 
     def add_run_flags(p):
         p.add_argument("--config", help="RunConfig JSON file")
-        p.add_argument("--mode", choices=["expected", "violation"])
-        p.add_argument("--targets", help="comma-separated cost targets")
+        p.add_argument("--mode", choices=MODES)
+        p.add_argument("--targets", type=_comma_list(float), dest="cost_targets",
+                       metavar="TARGETS", help="comma-separated cost targets")
         p.add_argument("--delta", type=float)
         p.add_argument("--universe", choices=UNIVERSE_KINDS)
-        p.add_argument("--value-kind", choices=["tp", "tpc", "gen"], dest="value_kind")
-        p.add_argument("--cost-kind", choices=["fp", "fpc"], dest="cost_kind")
-        p.add_argument("--seeds", help="comma-separated seed list")
-        p.add_argument("--n-test", type=int, dest="n_test")
-        p.add_argument("--burn-in", type=int, dest="burn_in")
+        p.add_argument("--value-kind", choices=VALUE_KINDS)
+        p.add_argument("--cost-kind", choices=COST_KINDS)
+        p.add_argument("--seeds", type=_comma_list(int), help="comma-separated seed list")
+        p.add_argument("--n-test", type=int)
+        p.add_argument("--burn-in", type=int)
         p.add_argument("--window", type=int)
         p.add_argument("--classes", type=int, dest="n_classes")
         p.add_argument("--weights", help="'mnist' or a class-weight CSV path")
-        p.add_argument("--mc-samples", type=int, dest="mc_samples")
+        p.add_argument("--mc-samples", type=int)
 
     run = sub.add_parser("run", help="stream each seed's slice over every cost target")
     add_run_flags(run)
@@ -663,7 +671,7 @@ def _build_parser() -> _Parser:
     check.add_argument("--out", help="optional report CSV")
 
     bench = sub.add_parser("bench", help="per-update latency scaling")
-    bench.add_argument("--n-grid", default="1000,10000,100000,1000000")
+    bench.add_argument("--n-grid", type=_comma_list(int), default="1000,10000,100000,1000000")
     bench.add_argument("--inserts-per-update", type=int, default=1)
     bench.add_argument("--reps", type=int, default=50)
     bench.add_argument("--oracle-reps", type=int, default=3)
@@ -673,39 +681,8 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _parse_int_list(text: str, what: str) -> list[int]:
-    try:
-        return [int(x) for x in text.split(",") if x.strip()]
-    except ValueError:
-        raise UsageError(f"bad {what} list: {text!r}") from None
-
-
-def _parse_float_list(text: str, what: str) -> list[float]:
-    try:
-        return [float(x) for x in text.split(",") if x.strip()]
-    except ValueError:
-        raise UsageError(f"bad {what} list: {text!r}") from None
-
-
 def _run_config_from_args(args) -> RunConfig:
-    overrides = {
-        "mode": args.mode,
-        "delta": args.delta,
-        "universe": args.universe,
-        "value_kind": args.value_kind,
-        "cost_kind": args.cost_kind,
-        "n_test": args.n_test,
-        "burn_in": args.burn_in,
-        "window": args.window,
-        "n_classes": args.n_classes,
-        "weights": args.weights,
-        "mc_samples": args.mc_samples,
-    }
-    if args.targets is not None:
-        overrides["cost_targets"] = _parse_float_list(args.targets, "target")
-    if args.seeds is not None:
-        overrides["seeds"] = _parse_int_list(args.seeds, "seed")
-    return load_run_config(args.config, overrides)
+    return load_run_config(args.config, {f.name: getattr(args, f.name) for f in fields(RunConfig)})
 
 
 def _cmd_generate(args) -> int:
@@ -715,10 +692,9 @@ def _cmd_generate(args) -> int:
             settings = json.loads(Path(args.config).read_text())
         except (OSError, json.JSONDecodeError) as exc:
             raise UsageError(f"cannot read generator config: {exc}") from None
-    for key in ("n", "n_classes", "base_rate", "heterogeneity", "miscalibration", "seed"):
-        val = getattr(args, key, None)
-        if val is not None:
-            settings[key] = val
+    for f in fields(GeneratorConfig):
+        if getattr(args, f.name) is not None:
+            settings[f.name] = getattr(args, f.name)
     if "n" not in settings:
         raise UsageError("generate needs --n or a config with n")
     try:
@@ -785,24 +761,19 @@ def _cmd_oracle_check(args) -> int:
     for ex in report.examples:
         print(f"  mismatch {ex}")
     if args.out:
-        with open(args.out, "w", newline="") as fh:
-            fh.write("checked,matches,boundary_skips,mismatches\n")
-            fh.write(
-                f"{report.checked},{report.matches},"
-                f"{report.boundary_skips},{report.mismatches}\n"
-            )
+        names = ("checked", "matches", "boundary_skips", "mismatches")
+        write_csv(args.out, names, [attrgetter(*names)(report)])
     return EXIT_OK
 
 
 def _cmd_bench(args) -> int:
-    grid = _parse_int_list(args.n_grid, "n-grid")
-    if not grid:
+    if not args.n_grid:
         raise UsageError("empty n-grid")
     tree_points = bench_tree(
-        grid, inserts_per_update=args.inserts_per_update, reps=args.reps, seed=args.seed
+        args.n_grid, inserts_per_update=args.inserts_per_update, reps=args.reps, seed=args.seed
     )
     oracle_points = bench_oracle(
-        grid,
+        args.n_grid,
         inserts_per_update=args.inserts_per_update,
         reps=args.oracle_reps,
         seed=args.seed,

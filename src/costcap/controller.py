@@ -40,7 +40,7 @@ from .quantile_tree import (
     EmptyDistributionError,
     QuantileTree,
 )
-from .set_functions import Sample, SetFunctionSpec, full_set
+from .set_functions import NORMALIZED_BOUND, Sample, SetFunctionSpec, full_set
 from .universe import (
     FULL_UNIVERSE_MAX_CLASSES,
     UNIVERSE_KINDS,
@@ -148,15 +148,14 @@ class CostController:
         delta: float = 0.1,
         burn_in: int = 1000,
         window: int | None = None,
-        cost_max: float = 100.0,
     ) -> None:
         if mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
         targets = (target_cost,) if isinstance(target_cost, Real) else tuple(target_cost)
         if not targets:
             raise ValueError("need at least one target cost")
-        if not all(0.0 < c <= cost_max for c in targets):
-            raise ValueError(f"target cost must be in (0, {cost_max}]")
+        if not all(0.0 < c <= NORMALIZED_BOUND for c in targets):
+            raise ValueError(f"target cost must be in (0, {NORMALIZED_BOUND}]")
         if not 0.0 < delta < 1.0:
             raise ValueError("delta must be in (0, 1)")
         if burn_in < 0:
@@ -180,7 +179,8 @@ class CostController:
         self.targets = targets
         self._target_array = np.array(targets, dtype=float)
         self.delta = delta
-        self.cost_max = cost_max
+        # every cost spec is normalized to this maximum
+        self.cost_max = NORMALIZED_BOUND
         self.burn_in = burn_in
         self.window = window
         self.universe_kind = universe_kind

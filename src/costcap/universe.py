@@ -130,9 +130,15 @@ def greedy_ratio_additive(probs, values, marginal_costs) -> list[int]:
 
     Classes with zero (or non-positive) marginal cost are free value: they go
     first, ordered by descending marginal value. A ratio too large for a
-    float is inf, and such classes tie; on Python floats, as the chains pass
-    them, it overflows without a warning.
+    float is inf, and such classes tie. The ratios are Python floats, which
+    overflow without a warning; inputs other than lists, such as arrays,
+    are converted first.
     """
+    if not (isinstance(probs, list) and isinstance(values, list)
+            and isinstance(marginal_costs, list)):
+        probs, values, marginal_costs = (
+            np.asarray(x, dtype=float).tolist() for x in (probs, values, marginal_costs)
+        )
     gains = [p * v for p, v in zip(probs, values)]
     if min(marginal_costs) > 0.0:
         ratios = [g / c for g, c in zip(gains, marginal_costs)]

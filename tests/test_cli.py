@@ -5,6 +5,7 @@ import gc
 import hashlib
 import json
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -346,67 +347,82 @@ def test_duplicate_seeds_exit_1_and_duplicate_targets_keep_a_row_each(tmp_path):
 # fields were written as np.float64(x) and are hashed as x. The gen-fpc,
 # gen-prob and gen-full digests were computed with the Monte-Carlo proxy
 # that folded every candidate over all K classes and scored the chain's
-# sets a second time for selection
+# sets a second time for selection. The third digest, of the
+# <out stem>_aggregate.csv file, and the stream's digest were computed
+# while each CSV writer still formatted its own lines
+SHARED_CORE_STREAM_DIGEST = "145a537d8705b8cd2252a68d5c8daaff0814c9e06bdbffcd8e2d3af943335726"
 SHARED_CORE_GOLDENS = {
     "expected-ratio": (
         [],
         "aa6007b98480268ec69b78d62e8a43734a57ece4f6d07f4af4bc1687f691075d",
         "2efd766891edaa03c2f4d980290866b1363b1c47e413bcba3261b574bc9735aa",
+        "77e9aa879077e330f356421ef0f700f6b58ad669dc7d9cb86ec76fc5db7e34f0",
     ),
     "expected-ratio-window": (
         ["--window", "50"],
         "add5dae8db31b560d4d0b3e6ce86e4615fe521028d96ed8785ac2bee791c7024",
         "c6e63de7745c32a72ba92dab6be4dfbe2e8d327740a91e3613b032304e51ce7b",
+        "09458ab12beeee60c82eb07ae20fe036f5710019fc98dd02c2d34e765e0d6e23",
     ),
     "expected-full": (
         ["--universe", "full"],
         "de6f45fbfe31041223e37530731e513cd1bf85e4a217e3d00863d2d07e2f2161",
         "d4ab58a5385198b6d6b7fb9aaf500622e999ba904159aac349791b7c75ef5ded",
+        "c1b5d40f4f244280f3c21446d193fd962eaa0610d2ce407643b704f0f92e1178",
     ),
     "expected-full-window": (
         ["--universe", "full", "--window", "50"],
         "ad4eb9de0242dd83cbbf7f6e4a4d93fedc10c22e4c279abe4d14a9820a1cdbec",
         "3a677c9773f225e7639f4f0d66d4597bea277fc8544f03184e768dd13b4e25b7",
+        "9e9bd1044000a0a292cca3543cef0221c0a2b85d0342f25d64b7818e8e5a38f3",
     ),
     "violation-ratio": (
         ["--mode", "violation"],
         "b8373a9611fdcfe35af70307ebcfb6be49fa9b899b072116a3239d8b35b265cc",
         "561e3f438c3e4dc53d26f9c648ba94d21866f45883608d299b9f809af881f616",
+        "e1800e2660bb89c4e185b108fbf8de74fc6cbbb0c75f36be55113ca68aa9ae21",
     ),
     "violation-ratio-window": (
         ["--mode", "violation", "--window", "50"],
         "de7c5018cafa8077a5e1651673337331d6d9288d819cb731194758b2a2692e2b",
         "e08b1d2a46887b1b56296fe39db9ac9964663decc55f997248dde807da8696d6",
+        "87bd70dc2fb128e7815dd513185f1a73ecb6b322c920bc6afb6220d45f555b30",
     ),
     "violation-full": (
         ["--mode", "violation", "--universe", "full"],
         "8410540755104f9cef4d479ef20e66f35b42d994e7427859a765729beeb8a6cb",
         "666bfbf179f37e80b43e577134f3a0aa7b2938a0bf3ac2f11cd3ef88b9dfa48b",
+        "cd56856d32ab637e6d0426b9fae8135b5b89da05882d3c91b92dcf8770ecbc01",
     ),
     "violation-full-window": (
         ["--mode", "violation", "--universe", "full", "--window", "50"],
         "c51ab33d099c7d5cb18271924321146ad66f8539a2312285dccb34579e9c663d",
         "e37ac08492f1d635cd159d27836956c133923d3ea9a5bf8804645fea46d4287a",
+        "2c3e51ec27001853c852828bd7bdee3eedf2d915447254fb2c31af170fa33061",
     ),
     "gen": (
         ["--value-kind", "gen", "--cost-kind", "fp"],
         "be048f2685d31ec095b7572dfd3b74429125f6784d3c7cb5466b51dd333b24e1",
         "af6b78d29a1404b72cc16411d37a341cfe69e35c9dc505b4e2a64d4d616665e9",
+        "8e4bcd4e544f0729208b9cc44bc2659da180414a2970186abaf0a1cae3a33da0",
     ),
     "gen-fpc": (
         ["--value-kind", "gen"],
         "ae9d490a7a944ff511662b9504ce2571a2935ba2caf10531bd86b42a811561be",
         "948f9110f89c5d0d55641bff8ff5e2c09ec81dafc5f7c01ae8d1e78f6ff379e4",
+        "6ce9329dc0bfda824643a1006efac2cfa826c38af12ca3e3772d4c79e73c8f20",
     ),
     "gen-prob": (
         ["--value-kind", "gen", "--cost-kind", "fp", "--universe", "prob"],
         "5cd34a110ff86d3d12145d1711321fbadfd160e7af691397a53197c632c8875a",
         "414e50d1766cc362d11cac167b39247511e32cc6c05f299e6cdddc9b3c821573",
+        "bda8cf281b163a561d2d390e7a0b1f82b52df57f2885058dcf6a53f688825d24",
     ),
     "gen-full": (
         ["--value-kind", "gen", "--cost-kind", "fp", "--universe", "full"],
         "833980a47f9ff773a43b5a678bd3b18ce221f74867d3d487434b20dfbe2643f8",
         "8f4e146f768b662b3bcd087aa7ff9177831ec93a3c1b47c173b9119a75b0db6a",
+        "99e4debe4fe41930fafbe28fe3f88b49347ccbb1f420cf51d347e00ad1116c6d",
     ),
 }
 
@@ -414,7 +430,7 @@ SHARED_CORE_GOLDENS = {
 @pytest.mark.parametrize("case", sorted(SHARED_CORE_GOLDENS))
 def test_shared_core_sweep_goldens(tmp_path, case):
     # unsorted and duplicate targets, 2 seeds, tpc/fpc unless overridden
-    flags, metrics_digest, log_digest = SHARED_CORE_GOLDENS[case]
+    flags, metrics_digest, log_digest, aggregate_digest = SHARED_CORE_GOLDENS[case]
     stream, out, log = tmp_path / "s.csv", tmp_path / "m.csv", tmp_path / "log.csv"
     main(["generate", "--n", "300", "--classes", "6", "--seed", "3",
           "--heterogeneity", "1.0", "--out", str(stream)])
@@ -425,8 +441,11 @@ def test_shared_core_sweep_goldens(tmp_path, case):
         *flags,
     ])
     assert code == EXIT_OK
+    assert hashlib.sha256(stream.read_bytes()).hexdigest() == SHARED_CORE_STREAM_DIGEST
     assert hashlib.sha256(out.read_bytes()).hexdigest() == metrics_digest
     assert hashlib.sha256(log.read_bytes()).hexdigest() == log_digest
+    aggregate = tmp_path / "m_aggregate.csv"
+    assert hashlib.sha256(aggregate.read_bytes()).hexdigest() == aggregate_digest
 
 
 def test_windowed_expected_powerset_on_a_duplicate_heavy_stream(tmp_path):
@@ -443,11 +462,36 @@ def test_missing_stream_file_exits_2(tmp_path):
     assert main(run_args(tmp_path / "nope.csv", tmp_path / "m.csv")) == EXIT_DATA
 
 
-def test_bad_flag_exits_1(tmp_path):
+def test_bad_flag_exits_1(tmp_path, capsys):
     stream = write_stream(tmp_path)
     args = run_args(stream, tmp_path / "m.csv", universe="bogus")
     assert main(args) == EXIT_USAGE
     assert main(["frobnicate"]) == EXIT_USAGE
+    # a malformed list is reported by the argument parser, and nothing is written
+    malformed = [
+        run_args(stream, tmp_path / "m.csv", targets="20,x"),
+        run_args(stream, tmp_path / "m.csv", seeds="0,1.5"),
+        ["oracle-check", "--stream", str(stream), "--targets", "20;40"],
+        ["bench", "--n-grid", "1000,1e4", "--out", str(tmp_path / "b.csv")],
+    ]
+    for args in malformed:
+        capsys.readouterr()
+        assert main(args) == EXIT_USAGE, args
+        assert capsys.readouterr().err.startswith("error: "), args
+    assert not (tmp_path / "m.csv").exists() and not (tmp_path / "b.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "command,config",
+    [(["run", "--stream", "s", "--out", "o"], RunConfig),
+     (["oracle-check", "--stream", "s"], RunConfig),
+     (["generate", "--out", "o"], GeneratorConfig)],
+    ids=["run", "oracle-check", "generate"],
+)
+def test_every_config_field_is_a_flag_dest(command, config):
+    # the commands read their overrides by field name
+    args = vars(cli._build_parser().parse_args(command))
+    assert {f.name for f in fields(config)} <= set(args)
 
 
 def test_window_flag_runs(tmp_path):
@@ -575,9 +619,7 @@ def test_oracle_check_cli(tmp_path):
         "--classes", "4", "--checkpoints", "8", "--out", str(out),
     ])
     assert code == EXIT_OK
-    row = csv_rows(out)[0]
-    assert int(row["checked"]) == 8
-    assert int(row["mismatches"]) == 0
+    assert out.read_bytes() == b"checked,matches,boundary_skips,mismatches\n8,8,0,0\n"
 
 
 def test_oracle_check_checks_every_target_of_a_violation_run(tmp_path):

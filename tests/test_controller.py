@@ -29,6 +29,7 @@ from costcap.universe import (
     UniverseSeq,
     build_universe,
     full_universe,
+    greedy_ratio_additive,
     subset_sums,
 )
 
@@ -646,7 +647,8 @@ def test_select_max_value_same_set_for_lists_and_arrays(drawn):
 @pytest.mark.parametrize("value_kind", ["tp", "gen"])
 def test_subnormal_cost_weight_overflows_the_ratio_without_a_warning(value_kind):
     # a valid weight of 2.2e-311 makes class 1's marginal cost subnormal, and
-    # its ratio overflows to inf in the additive and in the general chain
+    # its ratio overflows to inf in the additive and in the general chain;
+    # the additive order called on arrays overflows silently too
     cost_spec = SetFunctionSpec("fpc", 3, np.array([1.0, 2.2e-311, 1.0]))
     value_spec = SetFunctionSpec(value_kind, 3, mc_samples=20)
     ctrl = CostController("expected", 20.0, value_spec, cost_spec, burn_in=2)
@@ -656,6 +658,8 @@ def test_subnormal_cost_weight_overflows_the_ratio_without_a_warning(value_kind)
         for labels in (0b000, 0b010, 0b111, 0b101):
             ctrl.step(Sample(probs, labels))
         assert ctrl.build_universe(probs).order[0] == 1
+        ones = np.array([1.0, 1.0])
+        assert greedy_ratio_additive(np.array([0.5, 0.9]), ones, np.array([0.5, 2e-309])) == [1, 0]
 
 
 def test_predict_none_during_burn_in():
