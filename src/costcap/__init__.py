@@ -3,6 +3,7 @@ control, backed by an exact weighted-quantile search tree."""
 
 from .controller import (
     CostController,
+    RecordStore,
     SampleRecord,
     StepResult,
     classwise_predict,
@@ -31,6 +32,7 @@ __all__ = [
     "CostController",
     "GeneratorConfig",
     "QuantileTree",
+    "RecordStore",
     "Sample",
     "SampleRecord",
     "SetFunctionSpec",

@@ -29,7 +29,7 @@ import numpy as np
 from .controller import (
     MODES,
     CostController,
-    SampleRecord,
+    RecordStore,
     oracle_threshold_expected,
     threshold_comparison,
 )
@@ -195,6 +195,8 @@ def load_run_config(path=None, overrides: dict | None = None) -> RunConfig:
             raw = json.loads(Path(path).read_text())
         except (OSError, json.JSONDecodeError) as exc:
             raise UsageError(f"cannot read run config {path}: {exc}") from None
+        if not isinstance(raw, dict):
+            raise UsageError(f"run config {path} must be a JSON object, got {raw!r}")
         known = {f.name for f in fields(RunConfig)}
         unknown = set(raw) - known
         if unknown:
@@ -558,25 +560,25 @@ def bench_oracle(
     record and re-runs the sup-search over all stored mass. Updates beyond
     the wall-clock budget are marked did-not-finish."""
     rng = np.random.default_rng(seed)
-    records: list[SampleRecord] = []
+    records = RecordStore()
     points = []
     blown = False
 
-    def new_record():
+    def add_record():
         m = inserts_per_update + 1
         proxies = np.concatenate(([0.0], np.sort(rng.uniform(0.1, 99.0, size=m - 1))))
         costs = np.concatenate(([0.0], rng.uniform(0.0, NORMALIZED_BOUND, size=m - 1)))
-        return SampleRecord(proxies, np.maximum.accumulate(costs))
+        records.append(proxies, np.maximum.accumulate(costs))
 
     for n in sorted(n_grid):
         if blown:
             points.append(BenchPoint("oracle", n, None))
             continue
         while len(records) < n - reps:
-            records.append(new_record())
+            add_record()
         t0 = time.perf_counter()
         for _ in range(reps):
-            records.append(new_record())
+            add_record()
             oracle_threshold_expected(records, 30.0, NORMALIZED_BOUND)
         per_update = (time.perf_counter() - t0) / reps
         if per_update > budget_s:
@@ -692,6 +694,8 @@ def _cmd_generate(args) -> int:
             settings = json.loads(Path(args.config).read_text())
         except (OSError, json.JSONDecodeError) as exc:
             raise UsageError(f"cannot read generator config: {exc}") from None
+        if not isinstance(settings, dict):
+            raise UsageError(f"generator config must be a JSON object, got {settings!r}")
     for f in fields(GeneratorConfig):
         if getattr(args, f.name) is not None:
             settings[f.name] = getattr(args, f.name)

@@ -26,6 +26,7 @@ may run in parallel.
 from __future__ import annotations
 
 import math
+from array import array
 from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
@@ -51,8 +52,11 @@ from .universe import (
 
 MODES = ("expected", "violation")
 
-# candidates per pass of the violation direct search: bounds its temporaries
-_SCAN_BLOCK = 1 << 16
+# rows per block of a record store's runs: 2^14 proxy costs and their
+# running-max costs, 2^15 floats (256 KB)
+_RUN_BLOCK = 1 << 14
+# records per chunk of a record store's end offsets and exceed points
+_RECORD_BLOCK = 1 << 12
 
 
 @dataclass(slots=True)
@@ -61,13 +65,15 @@ class SampleRecord:
 
     ``proxy_costs`` is nondecreasing with a leading 0 (the empty set);
     ``max_costs`` is its running-max true-cost companion. Both are
-    ``float64`` arrays: a chain's floats are copied out of its lists, so a
-    stored record holds two small arrays rather than two lists of float
-    objects. The mass the sample contributes at proxy_costs[j] is
+    ``float64`` arrays. The mass the sample contributes at proxy_costs[j] is
     max_costs[j] − max_costs[j−1], which telescopes to the final running
     max. ``exceed_thresholds`` is filled in violation mode, one entry per
     target of the observing controller: the smallest proxy cost whose
     running max exceeds that target (above-all marker when none does).
+
+    :meth:`CostController.build_record` returns one; a :class:`RecordStore`
+    keeps none, and ``store[i]`` yields one whose arrays are read-only views
+    of the store's blocks.
     """
 
     proxy_costs: np.ndarray
@@ -86,6 +92,237 @@ class SampleRecord:
             if w > 0.0:
                 pairs.append((value, w))
         return pairs
+
+
+class RecordStore:
+    """Calibration records as runs in flat ``float64`` blocks.
+
+    Record i is a run of rows, each a proxy cost and its running-max cost,
+    from the end of record i − 1 to its own end offset; in violation mode it
+    also keeps one exceed point per target. Rows are numbered in the order
+    they are appended. They fill (2, n) blocks of at most ``_RUN_BLOCK``
+    rows, and a run may continue into the next block. End offsets and
+    exceed points fill ``array`` chunks of ``_RECORD_BLOCK`` records.
+
+    Appending fills the last block and allocates a new one when it is full,
+    so no buffer is copied to grow; dropping the oldest record frees every
+    block and chunk it empties. A new block is shorter by the dropped rows
+    left in the first block (but takes the rest of the run, up to a full
+    block), so that dropped and unwritten rows together stay within one
+    block; when a mix of record lengths still takes them past it, the first
+    block's live rows are copied into a block of their own size. No row is
+    written twice, so a view stays valid.
+
+    ``len``, ``store[i]`` and iteration see the live records as read-only
+    :class:`SampleRecord` views; the direct searches read the blocks.
+    """
+
+    __slots__ = (
+        "_blocks", "_chunks", "_end", "_first", "_head", "_n", "_n_targets", "_start", "_stop",
+    )
+
+    def __init__(self, n_targets: int = 0) -> None:
+        """``n_targets`` exceed points are kept per record when positive."""
+        self._n_targets = n_targets
+        # the proxy-cost and running-max rows of each block
+        self._blocks: deque[tuple[np.ndarray, np.ndarray]] = deque()
+        self._start = 0  # row of the first block's first slot
+        self._first = 0  # first live row
+        self._end = 0  # row after the last written one
+        self._stop = 0  # row after the last block's last slot
+        # end offsets and exceed points of up to _RECORD_BLOCK records each
+        self._chunks: deque[tuple[array, array]] = deque()
+        self._head = 0  # the first live record's index in the first chunk
+        self._n = 0
+
+    def __len__(self) -> int:
+        return self._n
+
+    def slack(self) -> int:
+        """Rows held that belong to no live record: the dropped ones left
+        in the first block and the unwritten ones of the last."""
+        return (self._first - self._start) + (self._stop - self._end)
+
+    def append(self, proxy_costs, max_costs, exceed_thresholds=None) -> None:
+        """Store one record: its proxy and running-max costs (arrays or
+        lists of one length, with the leading row of the empty set), and
+        its exceed points when the store keeps them."""
+        n = len(proxy_costs)
+        end = self._end
+        room = self._stop - end
+        if n <= room:
+            proxies, maxes = self._blocks[-1]
+            at = len(proxies) - room
+            proxies[at : at + n] = proxy_costs
+            maxes[at : at + n] = max_costs
+        else:
+            self._spill(proxy_costs, max_costs)
+        self._end = end = end + n
+        chunks = self._chunks
+        if not chunks or len(chunks[-1][0]) == _RECORD_BLOCK:
+            chunks.append((array("q"), array("d")))
+        ends, exceed = chunks[-1]
+        ends.append(end)
+        if self._n_targets:
+            exceed.extend(exceed_thresholds)
+        self._n += 1
+
+    def _spill(self, proxy_costs, max_costs) -> None:
+        """Write a run that overflows the last block."""
+        n = len(proxy_costs)
+        done = 0
+        while done < n:
+            room = self._stop - (self._end + done)
+            if room == 0:
+                dead = self._first - self._start
+                size = max(_RUN_BLOCK - dead, min(n - done, _RUN_BLOCK))
+                block = np.empty((2, size))
+                self._blocks.append((block[0], block[1]))
+                self._stop += size
+                room = size
+            proxies, maxes = self._blocks[-1]
+            at = len(proxies) - room
+            k = min(room, n - done)
+            proxies[at : at + k] = proxy_costs[done : done + k]
+            maxes[at : at + k] = max_costs[done : done + k]
+            done += k
+
+    def popleft(self) -> SampleRecord:
+        """Drop the oldest record; returns it as a view."""
+        if not self._n:
+            raise IndexError("pop from an empty record store")
+        head = self._head
+        hi = self._chunks[0][0][head]
+        record = self._record(0, head, self._first, hi)
+        self._n -= 1
+        if head + 1 == _RECORD_BLOCK:
+            self._chunks.popleft()
+            self._head = 0
+        else:
+            self._head = head + 1
+        self._first = hi
+        blocks = self._blocks
+        while blocks and self._start + len(blocks[0][0]) <= hi:
+            self._start += len(blocks.popleft()[0])
+        if (hi - self._start) + (self._stop - self._end) > _RUN_BLOCK:
+            proxies, maxes = blocks[0]
+            block = np.stack((proxies[hi - self._start :], maxes[hi - self._start :]))
+            blocks[0] = (block[0], block[1])
+            self._start = hi
+        return record
+
+    def _record(self, chunk: int, index: int, lo: int, hi: int) -> SampleRecord:
+        """Record ``index`` of a chunk, whose rows are ``lo`` to ``hi``."""
+        exceed = None
+        if self._n_targets:
+            t = self._n_targets
+            exceed = self._chunks[chunk][1][index * t : (index + 1) * t].tolist()
+        proxies, maxes = self._blocks[0]
+        base = self._start
+        if hi - base <= len(proxies):
+            return SampleRecord(proxies[lo - base : hi - base], maxes[lo - base : hi - base], exceed)
+        pieces = [
+            (p[max(lo - at, 0) : hi - at], m[max(lo - at, 0) : hi - at])
+            for at, p, m in self._rows()
+            if at < hi and lo < at + len(p)
+        ]
+        if len(pieces) == 1:
+            return SampleRecord(*pieces[0], exceed)
+        return SampleRecord(
+            np.concatenate([p for p, _ in pieces]), np.concatenate([m for _, m in pieces]), exceed
+        )
+
+    def _rows(self):
+        """(first row, proxy costs, running-max costs) of each block."""
+        at = self._start
+        for proxies, maxes in self._blocks:
+            yield at, proxies, maxes
+            at += len(proxies)
+
+    def __getitem__(self, index: int) -> SampleRecord:
+        n = self._n
+        if index < 0:
+            index += n
+        if not 0 <= index < n:
+            raise IndexError("record index out of range")
+        chunk, index = divmod(self._head + index, _RECORD_BLOCK)
+        ends = self._chunks[chunk][0]
+        if index:
+            lo = ends[index - 1]
+        else:
+            lo = self._chunks[chunk - 1][0][-1] if chunk else self._first
+        record = self._record(chunk, index, lo, ends[index])
+        record.proxy_costs.flags.writeable = False
+        record.max_costs.flags.writeable = False
+        return record
+
+    def __iter__(self):
+        return (self[i] for i in range(self._n))
+
+    def _record_starts(self) -> np.ndarray:
+        """First rows of the live records, in order."""
+        starts = np.empty(self._n, dtype=np.int64)
+        if self._n:
+            ends = np.concatenate([np.frombuffer(ends, dtype=np.int64) for ends, _ in self._chunks])
+            starts[0] = self._first
+            starts[1:] = ends[self._head : -1]
+        return starts
+
+    def runs(self):
+        """(first row, proxy costs, running-max costs) of the live rows of
+        each block, in order; a record may continue into the next block."""
+        for at, proxies, maxes in self._rows():
+            lo = max(self._first - at, 0)
+            hi = min(self._end - at, len(proxies))
+            if lo < hi:
+                yield at + lo, proxies[lo:hi], maxes[lo:hi]
+
+    def mass_arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """Every stored mass point's proxy cost and weight, records in order:
+        proxy_costs[1:] and diff(max_costs) of each record, as one array each."""
+        starts = self._record_starts()
+        n_points = self._end - self._first - len(starts)
+        values = np.empty(n_points)
+        weights = np.empty(n_points)
+        done = 0
+        last = 0.0
+        for position, proxies, maxes in self.runs():
+            k = len(proxies)
+            # a record's first row carries no mass
+            keep = np.ones(k, dtype=bool)
+            a, b = starts.searchsorted((position, position + k))
+            keep[starts[a:b] - position] = False
+            steps = np.empty(k)
+            steps[0] = maxes[0] - last
+            np.subtract(maxes[1:], maxes[:-1], out=steps[1:])
+            kept = k - (b - a)
+            np.compress(keep, proxies, out=values[done : done + kept])
+            np.compress(keep, steps, out=weights[done : done + kept])
+            done += kept
+            last = maxes[-1]
+        return values, weights
+
+    def exceed_points(self, target_cost: float) -> np.ndarray:
+        """Each live record's first proxy cost whose running max exceeds
+        ``target_cost``, above-all marker when none does; in no order."""
+        starts = self._record_starts()
+        points = []
+        within_before = True
+        for position, proxies, maxes in self.runs():
+            k = len(proxies)
+            within = maxes <= target_cost
+            # a row over the target is its record's first such row when the
+            # row before it is within the target or starts the record
+            first = np.empty(k, dtype=bool)
+            first[0] = within_before
+            first[1:] = within[:-1]
+            a, b = starts.searchsorted((position, position + k))
+            first[starts[a:b] - position] = True
+            first &= ~within
+            points.append(proxies[first])
+            within_before = bool(within[-1])
+        points.append(np.full(len(starts) - sum(map(len, points)), ABOVE_ALL))
+        return np.concatenate(points)
 
 
 def select_max_value(sets, proxy_costs, proxy_values, threshold: float) -> int:
@@ -195,7 +432,7 @@ class CostController:
         # mode: one CDF of exceed points per target
         n_trees = 1 if mode == "expected" else len(targets)
         self.trees = [QuantileTree() for _ in range(n_trees)]
-        self.records: deque[SampleRecord] = deque()
+        self.records = RecordStore(0 if mode == "expected" else len(targets))
         # the last prediction's per-target outcome, overwritten in place
         self._thresholds: list[float | None] = [None] * len(targets)
         self._predictions: list[int | None] = [None] * len(targets)
@@ -272,6 +509,8 @@ class CostController:
 
     def observe_record(self, record: SampleRecord) -> None:
         """Fold an already-evaluated record (stream replay surface)."""
+        proxies = record.proxy_costs
+        exceed = None
         if self.mode == "expected":
             tree = self.trees[0]
             for value, weight in record.mass_pairs():
@@ -279,17 +518,17 @@ class CostController:
         else:
             # max_costs is nondecreasing: the first index whose running max
             # exceeds a target is that target's right insertion point
-            proxies = record.proxy_costs
             m = len(proxies)
-            exceed = record.max_costs.searchsorted(self._target_array, side="right")
-            record.exceed_thresholds = [
-                float(proxies[i]) if i < m else ABOVE_ALL for i in exceed.tolist()
+            exceed = [
+                float(proxies[i]) if i < m else ABOVE_ALL
+                for i in record.max_costs.searchsorted(self._target_array, side="right").tolist()
             ]
-            for tree, value in zip(self.trees, record.exceed_thresholds):
+            for tree, value in zip(self.trees, exceed):
                 tree.insert(value, 1.0)
-        self.records.append(record)
-        if self.window is not None and len(self.records) > self.window:
-            self._evict(self.records.popleft())
+        records = self.records
+        records.append(proxies, record.max_costs, exceed)
+        if self.window is not None and len(records) > self.window:
+            self._evict(records.popleft())
 
     def _evict(self, record: SampleRecord) -> None:
         if self.mode == "expected":
@@ -497,49 +736,47 @@ def threshold_comparison(controller: CostController, index: int = 0) -> tuple[fl
 # direct-search references (the tree's verification and benchmark route)
 
 def oracle_threshold_expected(
-    records, target_cost: float, cost_max: float
+    records: RecordStore, target_cost: float, cost_max: float
 ) -> float:
     """Direct search for the expected-cost threshold over the finite
     candidate grid: the largest t whose average worst-case cost, padded with
-    one cost_max, stays within the target. Linear in the stored mass."""
+    one cost_max, stays within the target. Linear in the stored mass, read
+    from the store's blocks; its temporaries are the mass points' values,
+    their sort order and their sorted weights, summed in place."""
     n = len(records)
     budget = (n + 1) * target_cost - cost_max
-    values = []
-    weights = []
-    for rec in records:
-        mc = rec.max_costs
-        deltas = np.diff(mc)
-        values.append(rec.proxy_costs[1:])
-        weights.append(deltas)
     if budget < 0.0:
         return BELOW_ALL
-    if not values:
-        return ABOVE_ALL
-    values = np.concatenate(values)
-    weights = np.concatenate(weights)
+    values, weights = records.mass_arrays()
     order = np.argsort(values, kind="stable")
-    cum = np.cumsum(weights[order])
+    cum = weights[order]
+    del weights
+    np.cumsum(cum, out=cum)
     idx = int(np.searchsorted(cum, budget, side="right"))
     if idx >= len(cum):
         return ABOVE_ALL
-    return float(values[order][idx])
+    return float(values[order[idx]])
 
 
-def oracle_threshold_violation(records, target_cost: float, delta: float) -> float:
-    """Direct search for the violation threshold: scan every candidate proxy
-    cost (plus the above-all plateau) and keep the largest one where enough
-    samples stay within the target cost."""
+def oracle_threshold_violation(records: RecordStore, target_cost: float, delta: float) -> float:
+    """Direct search for the violation threshold: over every candidate proxy
+    cost (plus the above-all plateau), keep the largest one where enough
+    samples stay within the target cost.
+
+    A sample stays within a nonnegative target at t when every set of proxy
+    cost below t costs at most the target: when t is at most the first
+    proxy cost whose running max exceeds it (its exceed point; every record
+    starts at cost 0). So the count at a candidate is the number of exceed
+    points at or above it. The search finds the exceed points in the
+    store's blocks itself; it does not read the ones the store keeps for
+    the trees. O(MN log(MN)) for N records of M candidates."""
     n = len(records)
     need = (1.0 - delta) * (n + 1)
-    candidates = np.unique(np.concatenate([rec.proxy_costs for rec in records]))
-    candidates = np.append(candidates, ABOVE_ALL)
-    counts = np.zeros(len(candidates))
-    for start in range(0, len(candidates), _SCAN_BLOCK):
-        block = slice(start, start + _SCAN_BLOCK)
-        for rec in records:
-            idx = np.searchsorted(rec.proxy_costs, candidates[block], side="left") - 1
-            cplus = np.where(idx >= 0, rec.max_costs[np.maximum(idx, 0)], 0.0)
-            counts[block] += cplus <= target_cost
+    exceed = np.sort(records.exceed_points(target_cost))
+    proxies = np.concatenate([p for _, p, _ in records.runs()])
+    candidates = np.append(np.unique(proxies), ABOVE_ALL)
+    del proxies
+    counts = n - exceed.searchsorted(candidates, side="left")
     admissible = np.flatnonzero(counts >= need)
     if len(admissible) == 0:
         return BELOW_ALL

@@ -11,6 +11,7 @@ not calibration, and this knob exposes that.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -38,6 +39,16 @@ class GeneratorConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("n", "n_classes", "seed"):
+            value = getattr(self, name)
+            if not isinstance(value, Integral) or isinstance(value, bool):
+                raise TypeError(f"{name} must be an integer, got {value!r}")
+        for name in ("base_rate", "heterogeneity", "miscalibration"):
+            value = getattr(self, name)
+            if name == "miscalibration" and value is None:
+                continue
+            if not isinstance(value, Real) or isinstance(value, bool):
+                raise TypeError(f"{name} must be a number, got {value!r}")
         if self.n < 0:
             raise ValueError("n must be >= 0")
         if not 1 <= self.n_classes <= MAX_CLASSES:

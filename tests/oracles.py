@@ -27,6 +27,10 @@ its ``ABOVE_ALL`` marker.
 - ``numpy_chain``: a chain built by numpy sorts and cumsums, the route the
   package's Python-float chains must equal bit for bit; ``label_bits``: the
   0/1 float vector of a label mask.
+- ``list_threshold_expected`` and ``list_threshold_violation``: the direct
+  searches over a list of ``SampleRecord`` objects, one record at a time,
+  which the package's searches over a ``RecordStore`` must equal bit for
+  bit; ``store_of``: a ``RecordStore`` holding given records.
 """
 
 from __future__ import annotations
@@ -36,10 +40,13 @@ import math
 
 import numpy as np
 
-from costcap.controller import SampleRecord
-from costcap.quantile_tree import ABOVE_ALL
+from costcap.controller import RecordStore, SampleRecord
+from costcap.quantile_tree import ABOVE_ALL, BELOW_ALL
 
 PROXY_SORT_TOL = 1e-7
+
+# candidates per pass of list_threshold_violation: bounds its temporaries
+SCAN_BLOCK = 1 << 16
 
 
 class SortedListCdf:
@@ -410,3 +417,62 @@ def numpy_chain(kind, sample, value_spec, cost_spec):
     np.bitwise_or.accumulate(np.uint64(1) << order.astype(np.uint64), out=sets[1:])
     record, values = chain_margin_record(order, sample, cost_spec, value_spec)
     return order, sets, record, values
+
+
+def store_of(records, n_targets: int = 0) -> RecordStore:
+    """A store holding ``records`` in order, with their exceed points when
+    ``n_targets`` is positive."""
+    store = RecordStore(n_targets)
+    for rec in records:
+        store.append(rec.proxy_costs, rec.max_costs, rec.exceed_thresholds)
+    return store
+
+
+def list_threshold_expected(
+    records, target_cost: float, cost_max: float
+) -> float:
+    """Direct search for the expected-cost threshold over the finite
+    candidate grid: the largest t whose average worst-case cost, padded with
+    one cost_max, stays within the target. Linear in the stored mass."""
+    n = len(records)
+    budget = (n + 1) * target_cost - cost_max
+    values = []
+    weights = []
+    for rec in records:
+        mc = rec.max_costs
+        deltas = np.diff(mc)
+        values.append(rec.proxy_costs[1:])
+        weights.append(deltas)
+    if budget < 0.0:
+        return BELOW_ALL
+    if not values:
+        return ABOVE_ALL
+    values = np.concatenate(values)
+    weights = np.concatenate(weights)
+    order = np.argsort(values, kind="stable")
+    cum = np.cumsum(weights[order])
+    idx = int(np.searchsorted(cum, budget, side="right"))
+    if idx >= len(cum):
+        return ABOVE_ALL
+    return float(values[order][idx])
+
+
+def list_threshold_violation(records, target_cost: float, delta: float) -> float:
+    """Direct search for the violation threshold: scan every candidate proxy
+    cost (plus the above-all plateau) and keep the largest one where enough
+    samples stay within the target cost."""
+    n = len(records)
+    need = (1.0 - delta) * (n + 1)
+    candidates = np.unique(np.concatenate([rec.proxy_costs for rec in records]))
+    candidates = np.append(candidates, ABOVE_ALL)
+    counts = np.zeros(len(candidates))
+    for start in range(0, len(candidates), SCAN_BLOCK):
+        block = slice(start, start + SCAN_BLOCK)
+        for rec in records:
+            idx = np.searchsorted(rec.proxy_costs, candidates[block], side="left") - 1
+            cplus = np.where(idx >= 0, rec.max_costs[np.maximum(idx, 0)], 0.0)
+            counts[block] += cplus <= target_cost
+    admissible = np.flatnonzero(counts >= need)
+    if len(admissible) == 0:
+        return BELOW_ALL
+    return float(candidates[admissible[-1]])

@@ -5,7 +5,11 @@ import gc
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -92,6 +96,44 @@ def test_stream_round_trip_and_calibration(tmp_path):
         assert abs(hits[sel].mean() - expect) <= 3 * se + 2e-3
 
 
+def test_module_entry_point_runs_the_cli():
+    # ``python -m costcap`` is the console script's main
+    package_root = str(Path(cli.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [package_root, os.environ.get("PYTHONPATH")])
+    )}
+    out = subprocess.run(
+        [sys.executable, "-m", "costcap", "--help"], capture_output=True, text=True, env=env,
+        check=False,
+    )
+    assert out.returncode == EXIT_OK
+    assert out.stdout.startswith("usage: costcap ")
+
+
+@pytest.mark.parametrize(
+    "config,flags",
+    [
+        ([{"n": 3}], ["--n", "5"]),  # not an object: merging the flags into it fails
+        ("x", []),
+        ({"n": 2.5}, []),
+        ({"n": True}, []),
+        ({"n": 5, "n_classes": 3.0}, []),
+        ({"n": 5, "seed": "1"}, []),
+        ({"n": 5, "base_rate": "0.4"}, []),
+        ({"n": 5, "heterogeneity": None}, []),
+        ({"n": 5, "miscalibration": [1.2]}, []),
+    ],
+)
+def test_generate_bad_config_exits_1(tmp_path, capsys, config, flags):
+    cfg_path = tmp_path / "gen.json"
+    cfg_path.write_text(json.dumps(config))
+    out = tmp_path / "s.csv"
+    assert main(["generate", "--config", str(cfg_path), "--out", str(out), *flags]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_read_stream_bad_rows(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("p_0,y_0\n0.5,1\nnope,0\n")
@@ -173,6 +215,17 @@ def test_run_config_json_of_the_wrong_type_exits_1(tmp_path, raw, capsys):
             "--config", str(cfg_path)]
     assert main(args) == EXIT_USAGE
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("raw", [["mode"], [1], "x", 3, None])
+def test_run_config_json_that_is_not_an_object_exits_1(tmp_path, raw, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(raw))
+    args = ["run", "--stream", str(tmp_path / "nope.csv"), "--out", str(tmp_path / "m.csv"),
+            "--config", str(cfg_path)]
+    assert main(args) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "JSON object" in err and err.count("\n") == 1
 
 
 def test_slice_stream_disjoint_and_insufficient():

@@ -38,8 +38,11 @@ from .oracles import (
     cplus_at,
     first_exceed_threshold,
     label_margin_record,
+    list_threshold_expected,
+    list_threshold_violation,
     max_cost_curve,
     numpy_chain,
+    store_of,
 )
 
 
@@ -429,7 +432,7 @@ def test_observe_violation_vacuous_chain():
     rec = SampleRecord(np.array([0.0, 0.3]), np.array([0.0, 1.0]))
     ctrl = controller_for_records("violation", 50.0, [rec])
     assert list(ctrl.tree.items()) == [(ABOVE_ALL, 1.0)]
-    assert rec.exceed_thresholds == [ABOVE_ALL]
+    assert ctrl.records[0].exceed_thresholds == [ABOVE_ALL]
 
 
 @pytest.mark.parametrize("mode,target", [("expected", 20.0), ("violation", 30.0)])
@@ -802,9 +805,11 @@ def test_multi_target_controller_equals_single_target_controllers(mode, kind):
                 assert multi.threshold(j) == tree_t
                 if mode == "expected":
                     oracle = oracle_threshold_expected(multi.records, c, multi.cost_max)
+                    listed = list_threshold_expected(list(multi.records), c, multi.cost_max)
                 else:
                     oracle = oracle_threshold_violation(multi.records, c, multi.delta)
-                assert oracle == oracle_t
+                    listed = list_threshold_violation(list(multi.records), c, multi.delta)
+                assert oracle == oracle_t == listed
                 checked += status == "match" and multi.threshold(j) == oracle
             if mode == "violation":
                 for rec in multi.records:
@@ -1015,14 +1020,15 @@ def test_oracle_expected_single_sample_closed_form():
     # one sample, one jump of weight 8 at proxy 0.4, C_max = 100
     rec = SampleRecord(np.array([0.0, 0.4]), np.array([0.0, 8.0]))
     # budget = 2c - 100; threshold passes 0.4 once budget >= 8
-    assert oracle_threshold_expected([rec], 50.0, 100.0) == 0.4  # budget 0 < 8
-    assert oracle_threshold_expected([rec], 54.001, 100.0) == ABOVE_ALL
-    assert oracle_threshold_expected([rec], 49.0, 100.0) == BELOW_ALL
+    store = store_of([rec])
+    assert oracle_threshold_expected(store, 50.0, 100.0) == 0.4  # budget 0 < 8
+    assert oracle_threshold_expected(store, 54.001, 100.0) == ABOVE_ALL
+    assert oracle_threshold_expected(store, 49.0, 100.0) == BELOW_ALL
 
 
 def test_oracle_expected_monotone_in_target():
     rng = np.random.default_rng(29)
-    records = [make_record(rng, m=4) for _ in range(40)]
+    records = store_of([make_record(rng, m=4) for _ in range(40)])
     prev = None
     for c in np.linspace(2, 98, 25):
         t = oracle_threshold_expected(records, float(c), 100.0)
@@ -1031,10 +1037,10 @@ def test_oracle_expected_monotone_in_target():
         prev = t
 
 
-@pytest.mark.parametrize("block", [1, 7])
-def test_violation_direct_search_result_does_not_depend_on_its_block(monkeypatch, block):
+def test_violation_direct_search_equals_the_list_search_on_ties():
     # coarse proxies and costs tie across and within records; high targets
-    # and large deltas reach the above-all plateau
+    # and large deltas reach the above-all plateau; a zero target leaves
+    # only the records that never cost anything
     rng = np.random.default_rng(31)
     cases = []
     for _ in range(60):
@@ -1046,10 +1052,10 @@ def test_violation_direct_search_result_does_not_depend_on_its_block(monkeypatch
             records.append(SampleRecord(proxies, np.maximum.accumulate(costs)))
         target = float(rng.choice([0.0, 25.0, 60.0, 100.0]))
         cases.append((records, target, float(rng.choice([0.05, 0.2, 0.5, 0.9]))))
-    want = [oracle_threshold_violation(*case) for case in cases]
+    want = [list_threshold_violation(*case) for case in cases]
     assert BELOW_ALL in want and ABOVE_ALL in want and 0.5 in want
-    monkeypatch.setattr("costcap.controller._SCAN_BLOCK", block)
-    assert [oracle_threshold_violation(*case) for case in cases] == want
+    got = [oracle_threshold_violation(store_of(records), *rest) for records, *rest in cases]
+    assert got == want
 
 
 def test_oracle_violation_quantile_of_exceed_points():
@@ -1060,5 +1066,5 @@ def test_oracle_violation_quantile_of_exceed_points():
         recs.append(
             SampleRecord(np.array([0.0, t_i]), np.array([0.0, 60.0]))
         )
-    got = oracle_threshold_violation(recs, 50.0, 0.3)
+    got = oracle_threshold_violation(store_of(recs), 50.0, 0.3)
     assert got == 3.0

@@ -1,0 +1,171 @@
+"""RecordStore: flat record blocks against a list of SampleRecord objects."""
+
+import tracemalloc
+from collections import deque
+
+import numpy as np
+from hypothesis import settings
+from hypothesis import strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, rule
+
+import costcap.controller as controller
+from costcap.controller import (
+    CostController,
+    RecordStore,
+    SampleRecord,
+    oracle_threshold_expected,
+    oracle_threshold_violation,
+)
+from costcap.set_functions import NORMALIZED_BOUND, SetFunctionSpec
+from costcap.synth import GeneratorConfig, generate, mnist_weights
+
+from .oracles import first_exceed_threshold, list_threshold_expected, list_threshold_violation
+
+TARGETS = (0.0, 25.0, 60.0, 100.0)
+WIDTHS = [1, 2, 3, 4, 5, 6, 1025]
+
+
+@st.composite
+def records(draw):
+    """A record of 1-6 or 1025 rows on a coarse grid, so that proxy costs
+    and running maxima tie within and across records."""
+    m = draw(st.sampled_from(WIDTHS))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    proxies = np.cumsum(np.concatenate(([0.0], rng.integers(0, 4, m - 1) / 4.0)))
+    costs = np.concatenate(([0.0], rng.integers(0, 4, m - 1) * 25.0))
+    return SampleRecord(proxies, np.maximum.accumulate(costs))
+
+
+def same_record(got: SampleRecord, want: SampleRecord) -> bool:
+    def hexes(points):
+        return None if points is None else [x.hex() for x in points]
+
+    return (
+        got.proxy_costs.tobytes() == want.proxy_costs.tobytes()
+        and got.max_costs.tobytes() == want.max_costs.tobytes()
+        and hexes(got.exceed_thresholds) == hexes(want.exceed_thresholds)
+    )
+
+
+class RecordStoreMachine(RuleBasedStateMachine):
+    """A store with or without a window, with T = 0 (expected mode) or 1-3
+    exceed points per record, beside a list of the same records: its views
+    equal the list's records and both direct searches equal the list-based
+    searches bit for bit. Blocks of a few rows make runs cross blocks and
+    chunks."""
+
+    @initialize(
+        n_targets=st.integers(0, 3),
+        window=st.one_of(st.none(), st.integers(1, 40)),
+        run_block=st.sampled_from([7, 64, controller._RUN_BLOCK]),
+        record_block=st.sampled_from([1, 3, controller._RECORD_BLOCK]),
+        target_costs=st.lists(st.sampled_from(TARGETS), min_size=3, max_size=3),
+    )
+    def build(self, n_targets, window, run_block, record_block, target_costs):
+        self.saved = controller._RUN_BLOCK, controller._RECORD_BLOCK
+        controller._RUN_BLOCK, controller._RECORD_BLOCK = run_block, record_block
+        self.store = RecordStore(n_targets)
+        self.listed = []
+        self.window = window
+        self.targets = target_costs[:n_targets]
+        self.search_targets = sorted(set(target_costs[:2]))
+
+    def teardown(self):
+        if hasattr(self, "saved"):
+            controller._RUN_BLOCK, controller._RECORD_BLOCK = self.saved
+
+    @rule(record=records())
+    def observe(self, record):
+        if self.targets:
+            record.exceed_thresholds = [first_exceed_threshold(record, c) for c in self.targets]
+        self.store.append(record.proxy_costs, record.max_costs, record.exceed_thresholds)
+        self.listed.append(record)
+        if self.window is not None and len(self.store) > self.window:
+            assert same_record(self.store.popleft(), self.listed.pop(0))
+
+    @invariant()
+    def views_equal_the_list(self):
+        store = getattr(self, "store", None)
+        if store is None:
+            return
+        assert len(store) == len(self.listed)
+        assert all(same_record(got, want) for got, want in zip(store, self.listed))
+        if self.listed:
+            assert same_record(store[-1], self.listed[-1])
+        assert store.slack() <= controller._RUN_BLOCK
+
+    @invariant()
+    def direct_searches_equal_the_list_searches(self):
+        if not getattr(self, "listed", None):
+            return
+        for c in self.search_targets:
+            got = oracle_threshold_expected(self.store, c, NORMALIZED_BOUND)
+            want = list_threshold_expected(self.listed, c, NORMALIZED_BOUND)
+            assert got.hex() == want.hex()
+            for delta in (0.05, 0.5):
+                got = oracle_threshold_violation(self.store, c, delta)
+                want = list_threshold_violation(self.listed, c, delta)
+                assert got.hex() == want.hex()
+
+
+RecordStoreMachine.TestCase.settings = settings(
+    max_examples=60, stateful_step_count=30, deadline=None
+)
+test_record_store_state_machine = RecordStoreMachine.TestCase
+
+
+def test_window_slack_stays_within_one_block():
+    # dropped rows left in the first block plus unwritten rows in the last
+    rng = np.random.default_rng(3)
+    widths = rng.choice(WIDTHS, size=10_040)
+    for window in (1, 7, 40):
+        store = RecordStore(1)
+        for m in widths[: 10_000 + window]:
+            row = np.zeros(m)
+            store.append(row, row, [0.0])
+            if len(store) > window:
+                store.popleft()
+            assert store.slack() <= controller._RUN_BLOCK
+        assert len(store) == window
+
+
+def test_a_window_of_power_set_records_never_moves_a_record():
+    # a controller's records all have one width; at a power set's 2^K rows
+    # each new block is sized so that no live row is ever copied: a record
+    # is evicted from the rows it was written to
+    for width, window in ((1024, 300), (64, 40)):
+        store = RecordStore(1)
+        stored = deque()
+        for i in range(window + 2_000):
+            row = np.full(width, float(i))
+            store.append(row, row, [0.0])
+            stored.append(store[-1].proxy_costs)
+            if len(store) > window:
+                assert np.shares_memory(stored.popleft(), store.popleft().proxy_costs)
+
+
+def test_stored_chain_records_cost_at_most_twice_their_payload():
+    # 20k chain records (K = 10, 11 rows each) observed into a controller
+    # with no window: what the records hold, the memory freed when the
+    # controller lets go of them, is at most twice their payload, two
+    # floats per row and one offset per record
+    k = 10
+    n = 20_000
+    weights = mnist_weights(k)
+    ctrl = CostController(
+        "expected", 20.0, SetFunctionSpec("tpc", k, weights), SetFunctionSpec("fp", k),
+        burn_in=n,
+    )
+    stream = generate(GeneratorConfig(n=n, n_classes=k, heterogeneity=1.0, seed=4))
+    tracemalloc.start()
+    try:
+        for sample in stream:
+            ctrl.observe(sample)
+        assert len(ctrl.records) == n
+        with_records = tracemalloc.get_traced_memory()[0]
+        ctrl.records = None
+        held = with_records - tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    payload = n * (2 * 8 * (k + 1) + 8)
+    assert held <= 2 * payload, f"{held / n:.0f} B per record"

@@ -83,6 +83,28 @@ def test_config_validation():
         GeneratorConfig(n=1, n_classes=65)
 
 
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        dict(n=2.5), dict(n=True), dict(n="3"), dict(n=3, n_classes=4.0),
+        dict(n=3, seed=None), dict(n=3, seed=False), dict(n=3, base_rate="0.4"),
+        dict(n=3, base_rate=True), dict(n=3, heterogeneity=None),
+        dict(n=3, miscalibration="1.2"),
+    ],
+)
+def test_config_types(kwargs):
+    with pytest.raises(TypeError):
+        GeneratorConfig(**kwargs)
+
+
+def test_config_accepts_numpy_numbers_and_no_miscalibration():
+    config = GeneratorConfig(
+        n=np.int64(3), n_classes=np.int32(4), seed=np.uint8(1), base_rate=np.float64(0.4),
+        heterogeneity=1, miscalibration=None,
+    )
+    assert len(generate(config)) == 3
+
+
 def test_mnist_weights_rule():
     w = mnist_weights(10)
     assert w[0] == 10.0
