@@ -1058,6 +1058,29 @@ def test_violation_direct_search_equals_the_list_search_on_ties():
     assert got == want
 
 
+@pytest.mark.parametrize("block", [1, 7])
+def test_violation_direct_search_result_does_not_depend_on_its_block(monkeypatch, block):
+    # the same tie-heavy cases, stored in run blocks and record chunks of
+    # `block`, so that runs and exceed points span many blocks and chunks
+    rng = np.random.default_rng(31)
+    cases = []
+    for _ in range(60):
+        records = []
+        for _ in range(int(rng.integers(1, 20))):
+            m = int(rng.integers(1, 6))
+            proxies = np.concatenate(([0.0], np.sort(rng.integers(0, 5, m - 1) / 4.0)))
+            costs = np.concatenate(([0.0], rng.integers(0, 5, m - 1) * 25.0))
+            records.append(SampleRecord(proxies, np.maximum.accumulate(costs)))
+        target = float(rng.choice([0.0, 25.0, 60.0, 100.0]))
+        cases.append((records, target, float(rng.choice([0.05, 0.2, 0.5, 0.9]))))
+    want = [oracle_threshold_violation(store_of(records), *rest) for records, *rest in cases]
+    assert BELOW_ALL in want and ABOVE_ALL in want and 0.5 in want
+    monkeypatch.setattr("costcap.controller._RUN_BLOCK", block)
+    monkeypatch.setattr("costcap.controller._RECORD_BLOCK", block)
+    got = [oracle_threshold_violation(store_of(records), *rest) for records, *rest in cases]
+    assert got == want
+
+
 def test_oracle_violation_quantile_of_exceed_points():
     # N = 9, delta = 0.3: budget floor((N+1)*0.3 - 1) = 2 -> 3rd smallest
     recs = []
