@@ -1,7 +1,9 @@
 #!/usr/bin/env python3
 """End-to-end synthetic study: stream generation, both control modes across
 the default cost grid, a universe ablation, the tree-vs-direct-search check,
-and the latency benchmark. Results land in ./results as CSV.
+and the latency benchmark. Results land in ./results as CSV. Exits with the
+first failing command's code: an --assert band (full size only) or an
+oracle-check mismatch gives 3.
 
 Usage: python scripts/reproduce_synthetic.py [--quick]
 """
@@ -61,10 +63,18 @@ def main() -> None:
              "--value-kind", "tpc", "--cost-kind", "fp",
              "--out", str(RESULTS / f"ablation_{universe}.csv")])
 
-    # threshold equivalence against the direct search
+    # threshold equivalence against the direct search; oracle-check exits 3 on
+    # a mismatch. Weighted costs rarely land on a stored cumulative mass, while
+    # unweighted FP costs at target 20 land on one at every checkpoint
     run(["oracle-check", *common, "--mode", "expected", "--targets", "23.7",
          "--value-kind", "tp", "--cost-kind", "fpc", "--checkpoints", "20",
          "--out", str(RESULTS / "oracle_check.csv")])
+    run(["oracle-check", *common, "--mode", "expected", "--targets", "20",
+         "--value-kind", "tp", "--cost-kind", "fp", "--checkpoints", "20",
+         "--out", str(RESULTS / "oracle_check_fp.csv")])
+    run(["oracle-check", *common, "--mode", "violation", "--delta", "0.1",
+         "--value-kind", "tpc", "--cost-kind", "fp", "--checkpoints", "20",
+         "--out", str(RESULTS / "oracle_check_violation.csv")])
 
     # per-update latency scaling
     grid = "1000,10000,100000" if opts.quick else "1000,10000,100000,1000000"

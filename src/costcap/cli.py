@@ -3,7 +3,8 @@ and seeds, cross-check tree thresholds against the direct search, and
 benchmark per-update latency.
 
 Subcommands: generate, run, oracle-check, bench. Exit codes: 0 success,
-1 usage/config error, 2 data error, 3 assertion failure (``run --assert``).
+1 usage/config error, 2 data error, 3 assertion failure (``run --assert``,
+or an ``oracle-check`` that finds a mismatch).
 A sweep streams each seed's slice once, in seed order, through one
 controller that serves every cost target; metrics rows and the prediction
 log come out in (seed, target) order, one per configured target.
@@ -754,6 +755,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_oracle_check(args) -> int:
+    args.burn_in = 0  # oracle_check_run calibrates from burn-in 0: validate that
     cfg = _run_config_from_args(args)
     weights = class_weights(cfg)
     samples = _read_run_stream(cfg, args.stream)
@@ -767,7 +769,7 @@ def _cmd_oracle_check(args) -> int:
     if args.out:
         names = ("checked", "matches", "boundary_skips", "mismatches")
         write_csv(args.out, names, [attrgetter(*names)(report)])
-    return EXIT_OK
+    return EXIT_ASSERT if report.mismatches else EXIT_OK
 
 
 def _cmd_bench(args) -> int:

@@ -637,18 +637,6 @@ class CostController:
         labels = sample.labels
         return [self._result(i, labels, share) for i in range(len(self.targets))]
 
-    def snapshot_csv(self, out) -> None:
-        """Audit dump: scalar state plus the live (value, weight) pairs of the
-        first target's tree."""
-        out.write(
-            f"# mode={self.mode} target_cost={self.target_cost!r} delta={self.delta!r} "
-            f"cost_max={self.cost_max!r} n_seen={self.n_seen} burn_in={self.burn_in} "
-            f"window={self.window}\n"
-        )
-        out.write("value,weight\n")
-        for value, weight in self.tree.items():
-            out.write(f"{value!r},{weight!r}\n")
-
 
 # ----------------------------------------------------------------------
 # ClassWise baseline: even cost-budget split via per-class conformal levels

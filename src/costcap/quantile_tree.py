@@ -267,18 +267,6 @@ class QuantileTree:
             yield node.value, node.weight
             node = node.right
 
-    def dump_csv(self, out) -> None:
-        """Write in-order (value, weight, cumulative-weight) rows as CSV.
-
-        Debug surface for oracle cross-checks; ``out`` is a writable text
-        stream.
-        """
-        out.write("value,weight,cumulative_weight\n")
-        cum = 0.0
-        for value, weight in self.items():
-            cum += weight
-            out.write(f"{value!r},{weight!r},{cum!r}\n")
-
     def height(self) -> int:
         nil = self._nil
 
@@ -341,79 +329,43 @@ class QuantileTree:
             node.sum = node.left.sum + node.weight + node.right.sum
             node = node.parent
 
-    def _rotate_left(self, x: _Node) -> None:
-        nil = self._nil
-        y = x.right
-        # recompute the two affected sums from current children, assign after
-        new_x_sum = x.left.sum + y.left.sum + x.weight
-        new_y_sum = new_x_sum + y.weight + y.right.sum
-        x.right = y.left
-        if y.left is not nil:
-            y.left.parent = x
-        y.parent = x.parent
-        if x.parent is nil:
-            self._root = y
-        elif x is x.parent.left:
-            x.parent.left = y
+    def _rotate(self, x: _Node, y: _Node) -> None:
+        """Lift ``y``, a child of ``x``, into ``x``'s place; ``x`` becomes
+        ``y``'s child on the other side and takes ``y``'s inner subtree."""
+        if y is x.right:
+            inner, x_other, y_other = y.left, x.left, y.right
+            x.right = inner
+            y.left = x
         else:
-            x.parent.right = y
-        y.left = x
+            inner, x_other, y_other = y.right, x.right, y.left
+            x.left = inner
+            y.right = x
+        if inner is not self._nil:
+            inner.parent = x
+        self._transplant(x, y)
         x.parent = y
-        x.sum = new_x_sum
-        y.sum = new_y_sum
-
-    def _rotate_right(self, x: _Node) -> None:
-        nil = self._nil
-        y = x.left
-        new_x_sum = x.right.sum + y.right.sum + x.weight
-        new_y_sum = new_x_sum + y.weight + y.left.sum
-        x.left = y.right
-        if y.right is not nil:
-            y.right.parent = x
-        y.parent = x.parent
-        if x.parent is nil:
-            self._root = y
-        elif x is x.parent.right:
-            x.parent.right = y
-        else:
-            x.parent.left = y
-        y.right = x
-        x.parent = y
-        x.sum = new_x_sum
-        y.sum = new_y_sum
+        x.sum = x_other.sum + inner.sum + x.weight
+        y.sum = x.sum + y.weight + y_other.sum
 
     def _fix_insert(self, z: _Node) -> None:
         while z.parent.color == RED:
             parent = z.parent
             grand = parent.parent
-            if parent is grand.left:
-                uncle = grand.right
-                if uncle.color == RED:
-                    parent.color = BLACK
-                    uncle.color = BLACK
-                    grand.color = RED
-                    z = grand
-                else:
-                    if z is parent.right:
-                        z = parent
-                        self._rotate_left(z)
-                    z.parent.color = BLACK
-                    z.parent.parent.color = RED
-                    self._rotate_right(z.parent.parent)
+            uncle = grand.right if parent is grand.left else grand.left
+            if uncle.color == RED:
+                parent.color = BLACK
+                uncle.color = BLACK
+                grand.color = RED
+                z = grand
             else:
-                uncle = grand.left
-                if uncle.color == RED:
-                    parent.color = BLACK
-                    uncle.color = BLACK
-                    grand.color = RED
-                    z = grand
-                else:
-                    if z is parent.left:
-                        z = parent
-                        self._rotate_right(z)
-                    z.parent.color = BLACK
-                    z.parent.parent.color = RED
-                    self._rotate_left(z.parent.parent)
+                if (z is parent.left) != (parent is grand.left):
+                    # inner grandchild: lift it to its parent's place first
+                    self._rotate(parent, z)
+                    parent = z
+                parent.color = BLACK
+                grand.color = RED
+                self._rotate(grand, parent)
+                break
         self._root.color = BLACK
 
     def _transplant(self, u: _Node, v: _Node) -> None:
@@ -463,46 +415,28 @@ class QuantileTree:
 
     def _fix_delete(self, x: _Node) -> None:
         while x is not self._root and x.color == BLACK:
-            if x is x.parent.left:
-                s = x.parent.right
-                if s.color == RED:
-                    s.color = BLACK
-                    x.parent.color = RED
-                    self._rotate_left(x.parent)
-                    s = x.parent.right
-                if s.left.color == BLACK and s.right.color == BLACK:
-                    s.color = RED
-                    x = x.parent
-                else:
-                    if s.right.color == BLACK:
-                        s.left.color = BLACK
-                        s.color = RED
-                        self._rotate_right(s)
-                        s = x.parent.right
-                    s.color = x.parent.color
-                    x.parent.color = BLACK
-                    s.right.color = BLACK
-                    self._rotate_left(x.parent)
-                    x = self._root
+            parent = x.parent
+            on_left = x is parent.left
+            s = parent.right if on_left else parent.left
+            if s.color == RED:
+                s.color = BLACK
+                parent.color = RED
+                self._rotate(parent, s)
+                s = parent.right if on_left else parent.left
+            # near: the sibling's child on x's side; far: the other one
+            near, far = (s.left, s.right) if on_left else (s.right, s.left)
+            if near.color == BLACK and far.color == BLACK:
+                s.color = RED
+                x = parent
             else:
-                s = x.parent.left
-                if s.color == RED:
-                    s.color = BLACK
-                    x.parent.color = RED
-                    self._rotate_right(x.parent)
-                    s = x.parent.left
-                if s.left.color == BLACK and s.right.color == BLACK:
+                if far.color == BLACK:
+                    near.color = BLACK
                     s.color = RED
-                    x = x.parent
-                else:
-                    if s.left.color == BLACK:
-                        s.right.color = BLACK
-                        s.color = RED
-                        self._rotate_left(s)
-                        s = x.parent.left
-                    s.color = x.parent.color
-                    x.parent.color = BLACK
-                    s.left.color = BLACK
-                    self._rotate_right(x.parent)
-                    x = self._root
+                    self._rotate(s, near)
+                    s, far = near, s  # the old sibling is now the far child
+                s.color = parent.color
+                parent.color = BLACK
+                far.color = BLACK
+                self._rotate(parent, s)
+                x = self._root
         x.color = BLACK

@@ -675,6 +675,26 @@ def test_oracle_check_cli(tmp_path):
     assert out.read_bytes() == b"checked,matches,boundary_skips,mismatches\n8,8,0,0\n"
 
 
+def test_oracle_check_runs_without_burn_in_flag(tmp_path):
+    # oracle-check calibrates from burn-in 0, so the default burn-in of 1 000
+    # is not held against a shorter --n-test
+    stream = write_stream(tmp_path, n=2500, k=10)
+    assert main(["oracle-check", "--stream", str(stream), "--n-test", "600"]) == EXIT_OK
+
+
+def test_oracle_check_mismatch_exits_3(tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "threshold_comparison", lambda ctrl, index: (1.0, 2.0, "mismatch"))
+    stream = write_stream(tmp_path, n=200, k=4, seed=1)
+    out = tmp_path / "report.csv"
+    code = main([
+        "oracle-check", "--stream", str(stream), "--targets", "30", "--seeds", "0",
+        "--n-test", "200", "--value-kind", "tp", "--cost-kind", "fp", "--classes", "4",
+        "--checkpoints", "8", "--out", str(out),
+    ])
+    assert code == EXIT_ASSERT
+    assert out.read_bytes() == b"checked,matches,boundary_skips,mismatches\n8,0,0,8\n"
+
+
 def test_oracle_check_checks_every_target_of_a_violation_run(tmp_path):
     # violation mode keeps one tree per target: each is checked at each checkpoint
     stream = write_stream(tmp_path, n=200, k=4, seed=1)

@@ -1,6 +1,5 @@
 """Controller: records, thresholds vs direct search, prediction, ClassWise."""
 
-import io
 import math
 import random
 import warnings
@@ -939,17 +938,6 @@ def test_multi_target_controller_rejects_bad_targets():
     for targets in ([], [20.0, 0.0], [20.0, 101.0]):
         with pytest.raises(ValueError):
             CostController("expected", targets, *specs)
-
-
-def test_snapshot_csv():
-    rec = SampleRecord(np.array([0.0, 0.3]), np.array([0.0, 1.0]))
-    ctrl = controller_for_records("expected", 50.0, [rec])
-    buf = io.StringIO()
-    ctrl.snapshot_csv(buf)
-    text = buf.getvalue()
-    assert text.startswith("# mode=expected")
-    assert "value,weight" in text
-    assert "0.3,1.0" in text
 
 
 # ----------------------------------------------------------------------

@@ -1,7 +1,7 @@
 """QuantileTree vs a sorted-list oracle, plus structural invariants."""
 
 import gc
-import io
+import hashlib
 import math
 import random
 from collections import deque
@@ -22,6 +22,10 @@ from costcap.quantile_tree import (
 )
 
 from .oracles import SortedListCdf
+
+# SHA-256 of the trees test_rebalancing_shape_is_pinned passes through: any
+# change to the rebalancing that moves a shape, a colour or a float sum moves it
+SHAPE_DIGEST = "d555d43054ea02988b211197bdaf29ba30ae4e5c15b7acb43ae06e52eb97a881"
 
 
 def test_single_point_mass():
@@ -272,17 +276,49 @@ def test_height_bound():
     assert tree.height() <= 2 * math.log2(n + 1)
 
 
-def test_dump_csv_round_trip():
+def preorder(tree: QuantileTree) -> bytes:
+    """One (value, colour, weight, sum) row per node in preorder, floats in hex."""
+    nil = tree._nil
+    rows = []
+    stack = [tree._root]
+    while stack:
+        node = stack.pop()
+        if node is not nil:
+            rows.append(f"{node.value.hex()} {node.color} {node.weight.hex()} {node.sum.hex()}\n")
+            stack.append(node.right)
+            stack.append(node.left)
+    return "".join(rows).encode()
+
+
+def test_rebalancing_shape_is_pinned():
+    # 3 000 seeded inserts and deletes over a small value pool: duplicates
+    # merge, and a delete removes a live value's whole weight or half of it.
+    # The run reaches every insert and delete fix-up case on both sides.
+    # A rotation's sums last until a later update passes through its nodes,
+    # so every intermediate tree goes into the digest, not just the last one
+    rng = random.Random(2024)
+    pool = [0.25 * i for i in range(160)]
+    weights = [0.1, 0.7, 1.3, 2.9]
     tree = QuantileTree()
-    tree.insert(2.0, 1.0)
-    tree.insert(1.0, 0.5)
-    buf = io.StringIO()
-    tree.dump_csv(buf)
-    lines = buf.getvalue().strip().splitlines()
-    assert lines[0] == "value,weight,cumulative_weight"
-    rows = [line.split(",") for line in lines[1:]]
-    assert [float(r[0]) for r in rows] == [1.0, 2.0]
-    assert [float(r[2]) for r in rows] == [0.5, 1.5]
+    live: dict[float, float] = {}
+    digest = hashlib.sha256()
+    for _ in range(3000):
+        if live and rng.random() < 0.45:
+            value = rng.choice(list(live))
+            held = live.pop(value)
+            if rng.random() < 0.5:
+                tree.delete(value, held)
+            else:
+                tree.delete(value, held * 0.5)
+                live[value] = held - held * 0.5
+        else:
+            value, weight = rng.choice(pool), rng.choice(weights)
+            tree.insert(value, weight)
+            live[value] = live.get(value, 0.0) + weight
+        digest.update(preorder(tree) + b"\n")
+    tree.validate()
+    assert list(tree.items()) == sorted(live.items())
+    assert digest.hexdigest() == SHAPE_DIGEST
 
 
 @settings(max_examples=200, deadline=None)
