@@ -9,8 +9,9 @@ A sweep streams each seed's slice once, in seed order, through one
 controller that serves every cost target; metrics rows and the prediction
 log come out in (seed, target) order, one per configured target.
 
-Stream CSV format: header ``p_0..p_{K-1}, y_0..y_{K-1}``; probabilities as
-decimal text with 9 digits, labels as 0/1.
+Stream CSV format: header ``p_0..p_{K-1}, y_0..y_{K-1}``, exactly those
+names in that order; probabilities as decimal text with 9 digits, labels
+as 0/1.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import json
 import statistics
 import sys
 import time
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from operator import attrgetter, itemgetter
 from pathlib import Path
 
@@ -75,10 +76,14 @@ def write_csv(path, header, rows) -> None:
         writer.writerows(rows)
 
 
+def _stream_header(k: int) -> list[str]:
+    """The column names of a K-class stream: ``p_0..p_{K-1},y_0..y_{K-1}``."""
+    return [f"p_{i}" for i in range(k)] + [f"y_{i}" for i in range(k)]
+
+
 def write_stream_csv(path, samples: list[Sample]) -> None:
     k = samples[0].n_classes if samples else 0
-    header = [f"p_{i}" for i in range(k)] + [f"y_{i}" for i in range(k)]
-    write_csv(path, header, (
+    write_csv(path, _stream_header(k), (
         [f"{p:.9f}" for p in s.probs] + [(s.labels >> i) & 1 for i in range(k)]
         for s in samples
     ))
@@ -92,8 +97,8 @@ def read_stream_csv(path) -> list[Sample]:
             header = next(reader)
         except StopIteration:
             raise DataError(f"{path}: empty stream file") from None
-        k = sum(1 for name in header if name.startswith("p_"))
-        if k == 0 or len(header) != 2 * k:
+        k = len(header) // 2
+        if k == 0 or header != _stream_header(k):
             raise DataError(f"{path}: header must be p_0..p_{{K-1}},y_0..y_{{K-1}}")
         for line_no, row in enumerate(reader, start=2):
             if len(row) != 2 * k:
@@ -144,6 +149,9 @@ class RunConfig:
     weights: str = "mnist"
     mc_samples: int = 100
 
+    def __post_init__(self):
+        self.validate()
+
     def validate(self) -> None:
         for name in ("n_test", "burn_in", "n_classes", "mc_samples", "window"):
             value = getattr(self, name)
@@ -189,24 +197,31 @@ class RunConfig:
             raise UsageError(f"weights must be 'mnist' or a CSV path, got {self.weights!r}")
 
 
-def load_run_config(path=None, overrides: dict | None = None) -> RunConfig:
-    cfg = RunConfig()
+def load_config(cls, path, flags: dict):
+    """A ``cls`` dataclass from the JSON object at ``path`` (none when
+    ``path`` is None) with the non-None ``flags`` laid over it; a file that
+    cannot be read, an unknown key or a config ``cls`` rejects is a usage
+    error."""
+    settings = {}
     if path is not None:
         try:
-            raw = json.loads(Path(path).read_text())
+            settings = json.loads(Path(path).read_text())
         except (OSError, json.JSONDecodeError) as exc:
-            raise UsageError(f"cannot read run config {path}: {exc}") from None
-        if not isinstance(raw, dict):
-            raise UsageError(f"run config {path} must be a JSON object, got {raw!r}")
-        known = {f.name for f in fields(RunConfig)}
-        unknown = set(raw) - known
+            raise UsageError(f"cannot read config {path}: {exc}") from None
+        if not isinstance(settings, dict):
+            raise UsageError(f"config {path} must be a JSON object, got {settings!r}")
+        unknown = set(settings) - {f.name for f in fields(cls)}
         if unknown:
-            raise UsageError(f"unknown run-config keys: {sorted(unknown)}")
-        cfg = replace(cfg, **raw)
-    if overrides:
-        cfg = replace(cfg, **{k: v for k, v in overrides.items() if v is not None})
-    cfg.validate()
-    return cfg
+            raise UsageError(f"unknown config keys in {path}: {sorted(unknown)}")
+    settings.update((name, value) for name, value in flags.items() if value is not None)
+    try:
+        return cls(**settings)
+    except (TypeError, ValueError) as exc:
+        raise UsageError(str(exc)) from None
+
+
+def load_run_config(path=None, overrides: dict | None = None) -> RunConfig:
+    return load_config(RunConfig, path, overrides or {})
 
 
 def class_weights(cfg: RunConfig) -> np.ndarray | None:
@@ -412,12 +427,14 @@ def _mean_std(xs: list[float]) -> tuple[float, float]:
 
 
 def aggregate_rows(rows: list[MetricsRow]) -> list[AggregateRow]:
-    """Across-seed mean and std per target, plus an overall row."""
+    """Across-seed mean and std per target, plus an overall row, over the
+    distinct (seed, target) rows: a target listed twice counts once."""
+    distinct = list({(r.seed, r.target_cost): r for r in rows}.values())
     groups: dict[float, list[MetricsRow]] = {}
-    for r in rows:
+    for r in distinct:
         groups.setdefault(r.target_cost, []).append(r)
     out = []
-    for target, group in [*sorted(groups.items(), key=itemgetter(0)), ("all", rows)]:
+    for target, group in [*sorted(groups.items(), key=itemgetter(0)), ("all", distinct)]:
         stats = []
         for name in ("mean_value", "excess_cost", "violation_frequency"):
             stats.extend(_mean_std([getattr(r, name) for r in group]))
@@ -490,7 +507,10 @@ def oracle_check_run(
 ) -> OracleCheckReport:
     """Run the tree and the direct search side by side on one stream slice:
     one controller for every target, each target checked at each checkpoint,
-    so ``checked`` counts (checkpoint, target) pairs."""
+    so ``checked`` counts (checkpoint, target) pairs. A stream shorter than
+    the one ``n_test`` slice it reads is a data error."""
+    if len(samples) < cfg.n_test:
+        raise DataError(f"stream has {len(samples)} rows, need n_test = {cfg.n_test}")
     ctrl = build_controller(cfg, cfg.cost_targets, cfg.seeds[0], weights, 0)
     chunk = samples[: cfg.n_test]
     every = max(1, len(chunk) // max(1, checkpoints))
@@ -529,17 +549,16 @@ class BenchPoint:
         return "ok" if self.per_update_seconds is not None else "dnf"
 
 
-def bench_tree(n_grid, inserts_per_update=1, reps=50, seed=0) -> list[BenchPoint]:
-    """Per-update latency of the tree route at each stream length: a fixed
-    number of inserts plus one quantile query."""
+def bench_tree(n_grid, reps=50, seed=0) -> list[BenchPoint]:
+    """Per-update latency of the tree route at each stream length: one
+    insert plus one quantile query."""
     rng = np.random.default_rng(seed)
     tree = QuantileTree()
     points = []
     current = 0
 
     def update():
-        for _ in range(inserts_per_update):
-            tree.insert(float(rng.uniform(0.0, NORMALIZED_BOUND)), float(rng.uniform(0.1, 1.0)))
+        tree.insert(float(rng.uniform(0.0, NORMALIZED_BOUND)), float(rng.uniform(0.1, 1.0)))
         tree.query_quantile(float(rng.uniform(0.5, 1.0)))
 
     for n in sorted(n_grid):
@@ -554,22 +573,17 @@ def bench_tree(n_grid, inserts_per_update=1, reps=50, seed=0) -> list[BenchPoint
     return points
 
 
-def bench_oracle(
-    n_grid, inserts_per_update=1, reps=3, seed=0, budget_s=2.0
-) -> list[BenchPoint]:
+def bench_oracle(n_grid, reps=3, seed=0, budget_s=2.0) -> list[BenchPoint]:
     """Per-update latency of the direct-search route: each update appends a
-    record and re-runs the sup-search over all stored mass. Updates beyond
-    the wall-clock budget are marked did-not-finish."""
+    record of one mass point and re-runs the sup-search over all stored
+    mass. Updates beyond the wall-clock budget are marked did-not-finish."""
     rng = np.random.default_rng(seed)
     records = RecordStore()
     points = []
     blown = False
 
     def add_record():
-        m = inserts_per_update + 1
-        proxies = np.concatenate(([0.0], np.sort(rng.uniform(0.1, 99.0, size=m - 1))))
-        costs = np.concatenate(([0.0], rng.uniform(0.0, NORMALIZED_BOUND, size=m - 1)))
-        records.append(proxies, np.maximum.accumulate(costs))
+        records.append([0.0, rng.uniform(0.1, 99.0)], [0.0, rng.uniform(0.0, NORMALIZED_BOUND)])
 
     for n in sorted(n_grid):
         if blown:
@@ -675,7 +689,6 @@ def _build_parser() -> _Parser:
 
     bench = sub.add_parser("bench", help="per-update latency scaling")
     bench.add_argument("--n-grid", type=_comma_list(int), default="1000,10000,100000,1000000")
-    bench.add_argument("--inserts-per-update", type=int, default=1)
     bench.add_argument("--reps", type=int, default=50)
     bench.add_argument("--oracle-reps", type=int, default=3)
     bench.add_argument("--budget-s", type=float, default=2.0)
@@ -684,30 +697,15 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _run_config_from_args(args) -> RunConfig:
-    return load_run_config(args.config, {f.name: getattr(args, f.name) for f in fields(RunConfig)})
+def _config_from_args(cls, args):
+    """A ``cls`` from ``--config`` and the flags named by its fields."""
+    return load_config(cls, args.config, {f.name: getattr(args, f.name) for f in fields(cls)})
 
 
 def _cmd_generate(args) -> int:
-    settings = {}
-    if args.config:
-        try:
-            settings = json.loads(Path(args.config).read_text())
-        except (OSError, json.JSONDecodeError) as exc:
-            raise UsageError(f"cannot read generator config: {exc}") from None
-        if not isinstance(settings, dict):
-            raise UsageError(f"generator config must be a JSON object, got {settings!r}")
-    for f in fields(GeneratorConfig):
-        if getattr(args, f.name) is not None:
-            settings[f.name] = getattr(args, f.name)
-    if "n" not in settings:
-        raise UsageError("generate needs --n or a config with n")
-    try:
-        config = GeneratorConfig(**settings)
-    except (TypeError, ValueError) as exc:
-        raise UsageError(str(exc)) from None
+    config = _config_from_args(GeneratorConfig, args)
     write_stream_csv(args.out, generate(config))
-    print(f"wrote {settings['n']} samples to {args.out}")
+    print(f"wrote {config.n} samples to {args.out}")
     return EXIT_OK
 
 
@@ -723,7 +721,7 @@ def _read_run_stream(cfg: RunConfig, path) -> list[Sample]:
 
 
 def _cmd_run(args) -> int:
-    cfg = _run_config_from_args(args)
+    cfg = _config_from_args(RunConfig, args)
     if cfg.window is not None and cfg.window <= cfg.burn_in:
         # oracle-check calibrates from burn_in 0, so only run needs this
         raise UsageError(f"window ({cfg.window}) must exceed burn_in ({cfg.burn_in}) to ever predict")
@@ -756,7 +754,7 @@ def _cmd_run(args) -> int:
 
 def _cmd_oracle_check(args) -> int:
     args.burn_in = 0  # oracle_check_run calibrates from burn-in 0: validate that
-    cfg = _run_config_from_args(args)
+    cfg = _config_from_args(RunConfig, args)
     weights = class_weights(cfg)
     samples = _read_run_stream(cfg, args.stream)
     report = oracle_check_run(cfg, samples, checkpoints=args.checkpoints, weights=weights)
@@ -775,15 +773,9 @@ def _cmd_oracle_check(args) -> int:
 def _cmd_bench(args) -> int:
     if not args.n_grid:
         raise UsageError("empty n-grid")
-    tree_points = bench_tree(
-        args.n_grid, inserts_per_update=args.inserts_per_update, reps=args.reps, seed=args.seed
-    )
+    tree_points = bench_tree(args.n_grid, reps=args.reps, seed=args.seed)
     oracle_points = bench_oracle(
-        args.n_grid,
-        inserts_per_update=args.inserts_per_update,
-        reps=args.oracle_reps,
-        seed=args.seed,
-        budget_s=args.budget_s,
+        args.n_grid, reps=args.oracle_reps, seed=args.seed, budget_s=args.budget_s
     )
     points = tree_points + oracle_points
     write_bench_csv(args.out, points)
@@ -813,10 +805,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except DataError as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except OSError as exc:
+    except (DataError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

@@ -55,8 +55,6 @@ MODES = ("expected", "violation")
 # rows per block of a record store's runs: 2^14 proxy costs and their
 # running-max costs, 2^15 floats (256 KB)
 _RUN_BLOCK = 1 << 14
-# records per chunk of a record store's end offsets and exceed points
-_RECORD_BLOCK = 1 << 12
 
 
 @dataclass(slots=True)
@@ -101,24 +99,25 @@ class RecordStore:
     from the end of record i − 1 to its own end offset; in violation mode it
     also keeps one exceed point per target. Rows are numbered in the order
     they are appended. They fill (2, n) blocks of at most ``_RUN_BLOCK``
-    rows, and a run may continue into the next block. End offsets and
-    exceed points fill ``array`` chunks of ``_RECORD_BLOCK`` records.
+    rows, and a run may continue into the next block. End offsets fill one
+    ``array("q")``, exceed points one ``array("d")``.
 
     Appending fills the last block and allocates a new one when it is full,
-    so no buffer is copied to grow; dropping the oldest record frees every
-    block and chunk it empties. A new block is shorter by the dropped rows
-    left in the first block (but takes the rest of the run, up to a full
-    block), so that dropped and unwritten rows together stay within one
-    block; when a mix of record lengths still takes them past it, the first
-    block's live rows are copied into a block of their own size. No row is
-    written twice, so a view stays valid.
+    so no block is copied to grow; dropping the oldest record frees every
+    block it empties, and the dropped offsets once they outnumber the live
+    ones. A new block is shorter by the dropped rows left in the first
+    block (but takes the rest of the run, up to a full block), so that
+    dropped and unwritten rows together stay within one block; when a mix
+    of record lengths still takes them past it, the first block's live rows
+    are copied into a block of their own size. No row is written twice, so
+    a view stays valid.
 
     ``len``, ``store[i]`` and iteration see the live records as read-only
     :class:`SampleRecord` views; the direct searches read the blocks.
     """
 
     __slots__ = (
-        "_blocks", "_chunks", "_end", "_first", "_head", "_n", "_n_targets", "_start", "_stop",
+        "_blocks", "_end", "_ends", "_exceed", "_first", "_head", "_n_targets", "_start", "_stop",
     )
 
     def __init__(self, n_targets: int = 0) -> None:
@@ -130,13 +129,13 @@ class RecordStore:
         self._first = 0  # first live row
         self._end = 0  # row after the last written one
         self._stop = 0  # row after the last block's last slot
-        # end offsets and exceed points of up to _RECORD_BLOCK records each
-        self._chunks: deque[tuple[array, array]] = deque()
-        self._head = 0  # the first live record's index in the first chunk
-        self._n = 0
+        # end offsets and exceed points of the records from _head on
+        self._ends = array("q")
+        self._exceed = array("d")
+        self._head = 0  # the first live record's index in _ends
 
     def __len__(self) -> int:
-        return self._n
+        return len(self._ends) - self._head
 
     def slack(self) -> int:
         """Rows held that belong to no live record: the dropped ones left
@@ -158,14 +157,9 @@ class RecordStore:
         else:
             self._spill(proxy_costs, max_costs)
         self._end = end = end + n
-        chunks = self._chunks
-        if not chunks or len(chunks[-1][0]) == _RECORD_BLOCK:
-            chunks.append((array("q"), array("d")))
-        ends, exceed = chunks[-1]
-        ends.append(end)
+        self._ends.append(end)
         if self._n_targets:
-            exceed.extend(exceed_thresholds)
-        self._n += 1
+            self._exceed.extend(exceed_thresholds)
 
     def _spill(self, proxy_costs, max_costs) -> None:
         """Write a run that overflows the last block."""
@@ -189,17 +183,18 @@ class RecordStore:
 
     def popleft(self) -> SampleRecord:
         """Drop the oldest record; returns it as a view."""
-        if not self._n:
-            raise IndexError("pop from an empty record store")
         head = self._head
-        hi = self._chunks[0][0][head]
-        record = self._record(0, head, self._first, hi)
-        self._n -= 1
-        if head + 1 == _RECORD_BLOCK:
-            self._chunks.popleft()
-            self._head = 0
-        else:
-            self._head = head + 1
+        ends = self._ends
+        if head == len(ends):
+            raise IndexError("pop from an empty record store")
+        hi = ends[head]
+        record = self._record(head, self._first, hi)
+        head += 1
+        if head > len(ends) - head:
+            del ends[:head]
+            del self._exceed[: head * self._n_targets]
+            head = 0
+        self._head = head
         self._first = hi
         blocks = self._blocks
         while blocks and self._start + len(blocks[0][0]) <= hi:
@@ -211,12 +206,12 @@ class RecordStore:
             self._start = hi
         return record
 
-    def _record(self, chunk: int, index: int, lo: int, hi: int) -> SampleRecord:
-        """Record ``index`` of a chunk, whose rows are ``lo`` to ``hi``."""
+    def _record(self, index: int, lo: int, hi: int) -> SampleRecord:
+        """The record ending at ``_ends[index]``, whose rows are ``lo`` to ``hi``."""
         exceed = None
         if self._n_targets:
             t = self._n_targets
-            exceed = self._chunks[chunk][1][index * t : (index + 1) * t].tolist()
+            exceed = self._exceed[index * t : (index + 1) * t].tolist()
         proxies, maxes = self._blocks[0]
         base = self._start
         if hi - base <= len(proxies):
@@ -240,32 +235,27 @@ class RecordStore:
             at += len(proxies)
 
     def __getitem__(self, index: int) -> SampleRecord:
-        n = self._n
+        n = len(self)
         if index < 0:
             index += n
         if not 0 <= index < n:
             raise IndexError("record index out of range")
-        chunk, index = divmod(self._head + index, _RECORD_BLOCK)
-        ends = self._chunks[chunk][0]
-        if index:
-            lo = ends[index - 1]
-        else:
-            lo = self._chunks[chunk - 1][0][-1] if chunk else self._first
-        record = self._record(chunk, index, lo, ends[index])
+        at = self._head + index
+        ends = self._ends
+        record = self._record(at, ends[at - 1] if index else self._first, ends[at])
         record.proxy_costs.flags.writeable = False
         record.max_costs.flags.writeable = False
         return record
 
     def __iter__(self):
-        return (self[i] for i in range(self._n))
+        return (self[i] for i in range(len(self)))
 
     def _record_starts(self) -> np.ndarray:
         """First rows of the live records, in order."""
-        starts = np.empty(self._n, dtype=np.int64)
-        if self._n:
-            ends = np.concatenate([np.frombuffer(ends, dtype=np.int64) for ends, _ in self._chunks])
+        starts = np.empty(len(self), dtype=np.int64)
+        if len(starts):
             starts[0] = self._first
-            starts[1:] = ends[self._head : -1]
+            starts[1:] = np.frombuffer(self._ends, dtype=np.int64)[self._head : -1]
         return starts
 
     def runs(self):
@@ -426,7 +416,7 @@ class CostController:
         # a power set's true costs by lookup: entry m is m's cost when no
         # class is present, and a set S costs the entry of S & ~labels
         self._absent_costs = (
-            subset_sums(cost_spec.class_margins(np.zeros(k))) if universe_kind == "full" else None
+            subset_sums(np.array(cost_spec.unit_margins)) if universe_kind == "full" else None
         )
         # expected mode: one CDF of record mass for every target; violation
         # mode: one CDF of exceed points per target

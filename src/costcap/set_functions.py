@@ -144,11 +144,9 @@ class SetFunctionSpec:
             raise ValueError(
                 f"class weights must not all be zero and must have a finite sum, got {max_raw}"
             )
-        unit_margins = units / max_raw * NORMALIZED_BOUND
         keep(
             _max_raw=max_raw,
-            _unit_margin_array=unit_margins,
-            unit_margins=unit_margins.tolist(),
+            unit_margins=(units / max_raw * NORMALIZED_BOUND).tolist(),
             class_values=[self.raw(1 << i, best_labels) for i in range(k)],
         )
 
@@ -261,7 +259,8 @@ class SetFunctionSpec:
         k = self.n_classes
         if self.kind != "gen":
             units = np.zeros(k + 1)
-            units[:k] = self._counted(probs)
+            # a value class counts its probability, a cost class 1 minus it
+            units[:k] = 1.0 - probs if self._counts_absent else probs
             if self._units is not None:
                 units[:k] *= self.weights
             return (units,)
@@ -311,23 +310,10 @@ class SetFunctionSpec:
             sums[start : start + step] = total
         return sums / n_draws
 
-    def _counted(self, present: np.ndarray) -> np.ndarray:
-        """How much each class counts, given its presence (a probability or
-        a 0/1 label): the presence for value kinds, 1 - presence for cost
-        kinds."""
-        return 1.0 - present if self._counts_absent else present
-
-    def class_margins(self, present: np.ndarray) -> np.ndarray:
-        """Per-class normalized margins of an additive kind, given each
-        class's presence: the probabilities for the proxy, or 0/1 label
-        bits for the true score."""
-        if not self.additive:
-            raise ValueError("marginal vector requires an additive kind")
-        return self._counted(present) * self._unit_margin_array
-
-    def class_margin_list(self, probs: list[float]) -> list[float]:
-        """:meth:`class_margins` of a list of probabilities, as a list of
-        the same floats."""
+    def class_margins(self, probs) -> list[float]:
+        """Per-class normalized proxy margins of an additive kind, as a list:
+        how much each class counts given its probability, times its unit
+        margin. A list of Python floats gives Python floats."""
         if not self.additive:
             raise ValueError("marginal vector requires an additive kind")
         if self._counts_absent:

@@ -77,15 +77,8 @@ def generate(config: GeneratorConfig) -> list[Sample]:
         emitted = probs
     else:
         emitted = np.clip(probs * config.miscalibration, PROB_FLOOR, PROB_CEIL)
-    samples = []
-    for i in range(n):
-        mask = 0
-        row = labels[i]
-        for cls in range(k):
-            if row[cls]:
-                mask |= 1 << cls
-        samples.append(Sample(emitted[i], mask))
-    return samples
+    masks = (labels * (np.uint64(1) << np.arange(k, dtype=np.uint64))).sum(axis=1, dtype=np.uint64)
+    return [Sample(row, mask) for row, mask in zip(emitted, masks.tolist())]
 
 
 def mnist_weights(n_classes: int = 10) -> np.ndarray:

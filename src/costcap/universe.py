@@ -80,22 +80,22 @@ def full_universe(
         raise ValueError(
             f"full universe needs K <= {FULL_UNIVERSE_MAX_CLASSES}, got {k}"
         )
-    cost_margins = cost_spec.class_margins(probs)
+    p = probs.tolist()
+    cost_margins = cost_spec.class_margins(p)
     if value_spec is not None and value_spec.additive:
         margins = np.empty(k, dtype=np.complex128)
         margins.real = cost_margins
-        margins.imag = value_spec.class_margins(probs)
+        margins.imag = value_spec.class_margins(p)
         sums = subset_sums(margins)
         proxies = sums.real
     else:
         sums = None
-        proxies = subset_sums(cost_margins)
+        proxies = subset_sums(np.array(cost_margins))
     # equal costs are certain with a zero or repeated margin, and usual when
     # every class has the same probability, as the margins then keep the
     # weights' ratios; otherwise try the faster sort, whose order is the
     # stable one when no two costs are equal
-    listed = cost_margins.tolist()
-    tied = 0.0 in listed or len(set(listed)) < k or len(set(probs.tolist())) == 1
+    tied = 0.0 in cost_margins or len(set(cost_margins)) < k or len(set(p)) == 1
     order = np.argsort(proxies, kind="stable" if tied else None)
     proxy_costs = proxies[order]
     if not tied and not (proxy_costs[1:] > proxy_costs[:-1]).all():  # NaN fails too
@@ -215,7 +215,7 @@ def build_universe(
     if kind == "full":
         return full_universe(probs, cost_spec, value_spec)
     p = probs.tolist()
-    cost_margins = cost_spec.class_margin_list(p)
+    cost_margins = cost_spec.class_margins(p)
     values = None
     if kind == "prob":
         order = greedy_prob(p)
@@ -234,7 +234,7 @@ def build_universe(
     # accumulate starts from the first margin itself, as cumsum does: 0.0 +
     # a first margin of -0.0 would be 0.0
     if value_spec.additive:
-        value_margins = value_spec.class_margin_list(p)
+        value_margins = value_spec.class_margins(p)
         values = [0.0, *accumulate([value_margins[c] for c in order])]
     return UniverseSeq(
         [0, *accumulate([1 << c for c in order], or_)],

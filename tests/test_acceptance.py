@@ -235,8 +235,8 @@ def test_criterion_4_tree_randomized_against_oracle():
 
 def test_criterion_5_complexity_shape():
     grid = [1_000, 10_000, 100_000, 1_000_000]
-    tree_points = bench_tree(grid, inserts_per_update=1, reps=200, seed=5)
-    oracle_points = bench_oracle(grid, inserts_per_update=1, reps=3, seed=5, budget_s=2.0)
+    tree_points = bench_tree(grid, reps=200, seed=5)
+    oracle_points = bench_oracle(grid, reps=3, seed=5, budget_s=2.0)
     tree_slope = fit_loglog_exponent(tree_points)
     oracle_slope = fit_loglog_exponent(oracle_points)
     oracle_dnf = any(p.per_update_seconds is None for p in oracle_points)

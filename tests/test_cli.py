@@ -13,6 +13,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from costcap import cli
 from costcap.cli import (
@@ -132,6 +134,43 @@ def test_generate_bad_config_exits_1(tmp_path, capsys, config, flags):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert not out.exists()
+
+
+@settings(
+    max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(k=st.integers(1, 64), data=st.data())
+def test_stream_round_trip_and_reordered_header(tmp_path, k, data):
+    # a stream reads back as written, to 9 digits; with two header names
+    # swapped it is rejected for its header, whatever the rows hold
+    rows = data.draw(st.lists(
+        st.lists(st.floats(0.0, 1.0), min_size=k, max_size=k), min_size=1, max_size=4
+    ))
+    n = len(rows)
+    masks = data.draw(st.lists(st.integers(0, full_set(k)), min_size=n, max_size=n))
+    path = tmp_path / "s.csv"
+    write_stream_csv(path, [Sample(np.array(p), m) for p, m in zip(rows, masks)])
+    back = read_stream_csv(path)
+    assert [s.labels for s in back] == masks
+    assert [s.probs.tolist() for s in back] == [[float(f"{x:.9f}") for x in p] for p in rows]
+    i, j = data.draw(st.lists(st.integers(0, 2 * k - 1), min_size=2, max_size=2, unique=True))
+    header, body = path.read_text().split("\n", 1)
+    names = header.split(",")
+    names[i], names[j] = names[j], names[i]
+    path.write_text(",".join(names) + "\n" + body)
+    with pytest.raises(DataError, match="header"):
+        read_stream_csv(path)
+
+
+@pytest.mark.parametrize(
+    "header", ["p_1,p_0,p_2,p_3,y_0,y_1,y_2,y_3", "p_0,y_0,p_1,y_1,p_2,y_2,p_3,y_3"]
+)
+def test_a_reordered_stream_header_exits_2(tmp_path, capsys, header):
+    stream = write_stream(tmp_path)
+    body = stream.read_text().split("\n", 1)[1]
+    stream.write_text(header + "\n" + body)
+    assert main(run_args(stream, tmp_path / "m.csv")) == EXIT_DATA
+    assert "header" in capsys.readouterr().err
 
 
 def test_read_stream_bad_rows(tmp_path):
@@ -395,87 +434,97 @@ def test_duplicate_seeds_exit_1_and_duplicate_targets_keep_a_row_each(tmp_path):
         assert len(per_target[(seed, "40.0")]) == 2 * n  # both 40 rows logged
 
 
+def test_aggregate_counts_a_twice_listed_target_once(tmp_path):
+    stream = write_stream(tmp_path)
+    assert main(run_args(stream, tmp_path / "dup.csv", targets="40,20,40")) == EXIT_OK
+    assert main(run_args(stream, tmp_path / "once.csv", targets="20,40")) == EXIT_OK
+    dup, once = tmp_path / "dup_aggregate.csv", tmp_path / "once_aggregate.csv"
+    assert dup.read_bytes() == once.read_bytes()
+
+
 # sha256 of the metrics CSV and of the --log CSV, computed with the
 # per-(seed, target) controllers of the earlier sweep; its weighted-cost
 # fields were written as np.float64(x) and are hashed as x. The gen-fpc,
 # gen-prob and gen-full digests were computed with the Monte-Carlo proxy
 # that folded every candidate over all K classes and scored the chain's
-# sets a second time for selection. The third digest, of the
-# <out stem>_aggregate.csv file, and the stream's digest were computed
-# while each CSV writer still formatted its own lines
+# sets a second time for selection. The stream's digest was computed while
+# each CSV writer still formatted its own lines. The third digest, of the
+# <out stem>_aggregate.csv file, counts the twice-listed target 20 once: it
+# is the digest the same sweep gave with targets 30,5,20,45 before the
+# aggregate dropped duplicate (seed, target) rows
 SHARED_CORE_STREAM_DIGEST = "145a537d8705b8cd2252a68d5c8daaff0814c9e06bdbffcd8e2d3af943335726"
 SHARED_CORE_GOLDENS = {
     "expected-ratio": (
         [],
         "aa6007b98480268ec69b78d62e8a43734a57ece4f6d07f4af4bc1687f691075d",
         "2efd766891edaa03c2f4d980290866b1363b1c47e413bcba3261b574bc9735aa",
-        "77e9aa879077e330f356421ef0f700f6b58ad669dc7d9cb86ec76fc5db7e34f0",
+        "46bd8d2de4e471b9686b4fb86428b246e3bb1c996b37a3ff7798434118f049d0",
     ),
     "expected-ratio-window": (
         ["--window", "50"],
         "add5dae8db31b560d4d0b3e6ce86e4615fe521028d96ed8785ac2bee791c7024",
         "c6e63de7745c32a72ba92dab6be4dfbe2e8d327740a91e3613b032304e51ce7b",
-        "09458ab12beeee60c82eb07ae20fe036f5710019fc98dd02c2d34e765e0d6e23",
+        "5edcd8a9b355200644ec81e6755fd171835f9f7017b8fce321b5e61d8c09611c",
     ),
     "expected-full": (
         ["--universe", "full"],
         "de6f45fbfe31041223e37530731e513cd1bf85e4a217e3d00863d2d07e2f2161",
         "d4ab58a5385198b6d6b7fb9aaf500622e999ba904159aac349791b7c75ef5ded",
-        "c1b5d40f4f244280f3c21446d193fd962eaa0610d2ce407643b704f0f92e1178",
+        "4d253077fb34b37eb3330e40ccd31aa09eb12d99f77a0bf125ec3ae829a73de8",
     ),
     "expected-full-window": (
         ["--universe", "full", "--window", "50"],
         "ad4eb9de0242dd83cbbf7f6e4a4d93fedc10c22e4c279abe4d14a9820a1cdbec",
         "3a677c9773f225e7639f4f0d66d4597bea277fc8544f03184e768dd13b4e25b7",
-        "9e9bd1044000a0a292cca3543cef0221c0a2b85d0342f25d64b7818e8e5a38f3",
+        "74f7612cda2e7cac8d89110047909572a0c094a7d0429bfe734828aff53620c0",
     ),
     "violation-ratio": (
         ["--mode", "violation"],
         "b8373a9611fdcfe35af70307ebcfb6be49fa9b899b072116a3239d8b35b265cc",
         "561e3f438c3e4dc53d26f9c648ba94d21866f45883608d299b9f809af881f616",
-        "e1800e2660bb89c4e185b108fbf8de74fc6cbbb0c75f36be55113ca68aa9ae21",
+        "730f7b7671f20163f31ff4488fe79b1f06a1bbb6f3916f1bddd00a906c046c09",
     ),
     "violation-ratio-window": (
         ["--mode", "violation", "--window", "50"],
         "de7c5018cafa8077a5e1651673337331d6d9288d819cb731194758b2a2692e2b",
         "e08b1d2a46887b1b56296fe39db9ac9964663decc55f997248dde807da8696d6",
-        "87bd70dc2fb128e7815dd513185f1a73ecb6b322c920bc6afb6220d45f555b30",
+        "2413fff2ed47de93fa8359b214873249787c96ad803be1e7131a2d4a0bbd3f16",
     ),
     "violation-full": (
         ["--mode", "violation", "--universe", "full"],
         "8410540755104f9cef4d479ef20e66f35b42d994e7427859a765729beeb8a6cb",
         "666bfbf179f37e80b43e577134f3a0aa7b2938a0bf3ac2f11cd3ef88b9dfa48b",
-        "cd56856d32ab637e6d0426b9fae8135b5b89da05882d3c91b92dcf8770ecbc01",
+        "5b26b2e4f0bce46fb8c2d65d4d8ed46992893758da25475cc54b8adc54ff6279",
     ),
     "violation-full-window": (
         ["--mode", "violation", "--universe", "full", "--window", "50"],
         "c51ab33d099c7d5cb18271924321146ad66f8539a2312285dccb34579e9c663d",
         "e37ac08492f1d635cd159d27836956c133923d3ea9a5bf8804645fea46d4287a",
-        "2c3e51ec27001853c852828bd7bdee3eedf2d915447254fb2c31af170fa33061",
+        "582867844ec820970daa0ff0f523bbf28d266f942201033ec5e2b0b9142530db",
     ),
     "gen": (
         ["--value-kind", "gen", "--cost-kind", "fp"],
         "be048f2685d31ec095b7572dfd3b74429125f6784d3c7cb5466b51dd333b24e1",
         "af6b78d29a1404b72cc16411d37a341cfe69e35c9dc505b4e2a64d4d616665e9",
-        "8e4bcd4e544f0729208b9cc44bc2659da180414a2970186abaf0a1cae3a33da0",
+        "29f8dc009788bc758b6fb5f3494517102956df9314b17b0df04f5e9a1505dfa8",
     ),
     "gen-fpc": (
         ["--value-kind", "gen"],
         "ae9d490a7a944ff511662b9504ce2571a2935ba2caf10531bd86b42a811561be",
         "948f9110f89c5d0d55641bff8ff5e2c09ec81dafc5f7c01ae8d1e78f6ff379e4",
-        "6ce9329dc0bfda824643a1006efac2cfa826c38af12ca3e3772d4c79e73c8f20",
+        "f3819386029b7416c1688caa299b69523e4e38f495d192226b0d75c0e4b7f6ba",
     ),
     "gen-prob": (
         ["--value-kind", "gen", "--cost-kind", "fp", "--universe", "prob"],
         "5cd34a110ff86d3d12145d1711321fbadfd160e7af691397a53197c632c8875a",
         "414e50d1766cc362d11cac167b39247511e32cc6c05f299e6cdddc9b3c821573",
-        "bda8cf281b163a561d2d390e7a0b1f82b52df57f2885058dcf6a53f688825d24",
+        "b0b6ef4acbf8673c95e3c69c361d93d889e2474d83fb0aa10e0b75b508d0c658",
     ),
     "gen-full": (
         ["--value-kind", "gen", "--cost-kind", "fp", "--universe", "full"],
         "833980a47f9ff773a43b5a678bd3b18ce221f74867d3d487434b20dfbe2643f8",
         "8f4e146f768b662b3bcd087aa7ff9177831ec93a3c1b47c173b9119a75b0db6a",
-        "99e4debe4fe41930fafbe28fe3f88b49347ccbb1f420cf51d347e00ad1116c6d",
+        "02f56d172aacd57f48195e4bc44679f6344ea6f64da90c18aa6b25b0e0564039",
     ),
 }
 
@@ -708,6 +757,19 @@ def test_oracle_check_checks_every_target_of_a_violation_run(tmp_path):
     )
     assert report.checked == 16
     assert report.mismatches == 0
+
+
+def test_oracle_check_of_a_stream_shorter_than_n_test_exits_2(tmp_path, capsys):
+    # it reads one n_test slice; a header-only stream would check nothing
+    header_only = tmp_path / "header.csv"
+    header_only.write_text("p_0,p_1,p_2,p_3,y_0,y_1,y_2,y_3\n")
+    for stream in (header_only, write_stream(tmp_path, n=150)):
+        code = main([
+            "oracle-check", "--stream", str(stream), "--classes", "4", "--seeds", "0",
+            "--n-test", "200", "--value-kind", "tp", "--cost-kind", "fp",
+        ])
+        assert code == EXIT_DATA
+        assert "need n_test = 200" in capsys.readouterr().err
 
 
 def test_oracle_check_wrong_class_count_exits_2(tmp_path, capsys):

@@ -276,11 +276,12 @@ def test_powerset_step_computes_cost_subset_sums_once(monkeypatch):
         "violation", 30.0, value_spec, cost_spec, universe_kind="full", burn_in=burn_in,
     )
     # the true-cost table, built once: every mask's cost with no class present
-    assert [m.tobytes() for m in calls] == [cost_spec.class_margins(np.zeros(k)).tobytes()]
+    absent = np.array(cost_spec.class_margins(np.zeros(k)))
+    assert [m.tobytes() for m in calls] == [absent.tobytes()]
     rng = np.random.default_rng(3)
     for _ in range(10):
         sample = Sample(rng.uniform(0.0, 1.0, k), int(rng.integers(0, 1 << k)))
-        margins = cost_spec.class_margins(sample.probs)
+        margins = np.array(cost_spec.class_margins(sample.probs))
         calls.clear()
         ctrl.step(sample)
         # one doubling per step, before and after burn-in: the cost margins in
@@ -289,7 +290,7 @@ def test_powerset_step_computes_cost_subset_sums_once(monkeypatch):
         (both,) = calls
         assert both.dtype == np.complex128
         assert both.real.tobytes() == margins.tobytes()
-        assert both.imag.tobytes() == value_spec.class_margins(sample.probs).tobytes()
+        assert both.imag.tobytes() == np.array(value_spec.class_margins(sample.probs)).tobytes()
         sets = full_universe(sample.probs, cost_spec).sets
         assert ctrl.records[-1].proxy_costs.tobytes() == subset_sums(margins)[sets].tobytes()
 
@@ -1048,8 +1049,8 @@ def test_violation_direct_search_equals_the_list_search_on_ties():
 
 @pytest.mark.parametrize("block", [1, 7])
 def test_violation_direct_search_result_does_not_depend_on_its_block(monkeypatch, block):
-    # the same tie-heavy cases, stored in run blocks and record chunks of
-    # `block`, so that runs and exceed points span many blocks and chunks
+    # the same tie-heavy cases, stored in run blocks of `block` rows, so
+    # that runs span many blocks
     rng = np.random.default_rng(31)
     cases = []
     for _ in range(60):
@@ -1064,7 +1065,6 @@ def test_violation_direct_search_result_does_not_depend_on_its_block(monkeypatch
     want = [oracle_threshold_violation(store_of(records), *rest) for records, *rest in cases]
     assert BELOW_ALL in want and ABOVE_ALL in want and 0.5 in want
     monkeypatch.setattr("costcap.controller._RUN_BLOCK", block)
-    monkeypatch.setattr("costcap.controller._RECORD_BLOCK", block)
     got = [oracle_threshold_violation(store_of(records), *rest) for records, *rest in cases]
     assert got == want
 

@@ -51,19 +51,17 @@ class RecordStoreMachine(RuleBasedStateMachine):
     """A store with or without a window, with T = 0 (expected mode) or 1-3
     exceed points per record, beside a list of the same records: its views
     equal the list's records and both direct searches equal the list-based
-    searches bit for bit. Blocks of a few rows make runs cross blocks and
-    chunks."""
+    searches bit for bit. Blocks of a few rows make runs cross blocks."""
 
     @initialize(
         n_targets=st.integers(0, 3),
         window=st.one_of(st.none(), st.integers(1, 40)),
         run_block=st.sampled_from([7, 64, controller._RUN_BLOCK]),
-        record_block=st.sampled_from([1, 3, controller._RECORD_BLOCK]),
         target_costs=st.lists(st.sampled_from(TARGETS), min_size=3, max_size=3),
     )
-    def build(self, n_targets, window, run_block, record_block, target_costs):
-        self.saved = controller._RUN_BLOCK, controller._RECORD_BLOCK
-        controller._RUN_BLOCK, controller._RECORD_BLOCK = run_block, record_block
+    def build(self, n_targets, window, run_block, target_costs):
+        self.saved = controller._RUN_BLOCK
+        controller._RUN_BLOCK = run_block
         self.store = RecordStore(n_targets)
         self.listed = []
         self.window = window
@@ -72,7 +70,7 @@ class RecordStoreMachine(RuleBasedStateMachine):
 
     def teardown(self):
         if hasattr(self, "saved"):
-            controller._RUN_BLOCK, controller._RECORD_BLOCK = self.saved
+            controller._RUN_BLOCK = self.saved
 
     @rule(record=records())
     def observe(self, record):
