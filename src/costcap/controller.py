@@ -514,7 +514,7 @@ class CostController:
                 for i in record.max_costs.searchsorted(self._target_array, side="right").tolist()
             ]
             for tree, value in zip(self.trees, exceed):
-                tree.insert(value, 1.0)
+                tree.insert(value, 1)
         records = self.records
         records.append(proxies, record.max_costs, exceed)
         if self.window is not None and len(records) > self.window:
@@ -527,12 +527,12 @@ class CostController:
                 tree.delete(value, weight)
         else:
             for tree, value in zip(self.trees, record.exceed_thresholds):
-                tree.delete(value, 1.0)
+                tree.delete(value, 1)
 
-    def _budget(self, index: int) -> tuple[QuantileTree, float]:
-        """Target ``index``'s tree and the numerator of its quantile level:
-        (N+1)c − C_max in expected mode, (N+1)δ − 1 in violation mode."""
-        n = self.n_seen
+    def _budget(self, index: int, n: int) -> tuple[QuantileTree, float]:
+        """Target ``index``'s tree and the numerator of its quantile level
+        after ``n`` records: (N+1)c − C_max in expected mode, (N+1)δ − 1 in
+        violation mode."""
         if self.mode == "expected":
             return self.trees[0], (n + 1) * self.targets[index] - self.cost_max
         return self.trees[index], (n + 1) * self.delta - 1.0
@@ -541,9 +541,14 @@ class CostController:
         """Current proxy-cost threshold of target ``index`` (below-all/above-all
         markers at the extremes). Raises :class:`EmptyDistributionError` with
         no records."""
-        if self.n_seen < 1:
+        n = self.n_seen
+        if n < 1:
             raise EmptyDistributionError("no calibration records observed")
-        tree, numerator = self._budget(index)
+        return self._threshold(index, n)
+
+    def _threshold(self, index: int, n: int) -> float:
+        """:meth:`threshold` after ``n`` >= 1 records."""
+        tree, numerator = self._budget(index, n)
         mass = tree.total_weight()
         if mass <= 0.0:
             return ABOVE_ALL if numerator >= 0.0 else BELOW_ALL
@@ -576,10 +581,11 @@ class CostController:
         record = self.build_record(sample, universe)
         thresholds = self._thresholds
         predictions = self._predictions
-        if self.n_seen > self.burn_in:
+        n = self.n_seen
+        if n > self.burn_in:
             values = self.proxy_values(universe, sample.probs)
             for i in range(len(thresholds)):
-                threshold = thresholds[i] = self.threshold(i)
+                threshold = thresholds[i] = self._threshold(i, n)
                 predictions[i] = select_max_value(
                     universe.sets, universe.proxy_costs, values, threshold
                 )
@@ -694,7 +700,7 @@ def threshold_comparison(controller: CostController, index: int = 0) -> tuple[fl
         oracle_t = oracle_threshold_violation(controller.records, target, controller.delta)
     if tree_t == oracle_t:
         return tree_t, oracle_t, "match"
-    tree, numerator = controller._budget(index)
+    tree, numerator = controller._budget(index, controller.n_seen)
     mass = tree.total_weight()
     tol = 1e-9 * max(abs(numerator), 1.0)
     if mass > 0.0 and 0.0 < numerator <= mass + tol:

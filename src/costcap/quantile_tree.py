@@ -6,6 +6,14 @@ whole represents F(t) = sum_i w_i * 1{t >= v_i} (un-normalized; divide by
 the root sum at query time), and supports insert, delete, weighted-quantile
 and CDF evaluation in O(log n).
 
+Masses are exact: every weight and sum is a Python int in units of
+1/scale, where the scale is a power of two the tree holds. A float weight
+is a dyadic rational (``as_integer_ratio()`` has a power-of-two
+denominator); one with a finer denominator than the scale multiplies every
+stored int by the ratio first, so the scale only grows. Integer addition
+does not depend on its order, so an insert adds its weight to each sum on
+the way down, and a node goes when its weight reaches exactly 0.
+
 Single-writer: mutations must be externally serialized. Read-only queries
 between mutations are safe.
 """
@@ -24,19 +32,14 @@ BELOW_ALL = -sys.float_info.max
 #: Sentinel ordered above every finite key (stands in for +infinity).
 ABOVE_ALL = sys.float_info.max
 
-# A node whose weight decays to this level (floating-point decrements rarely
-# reach exact zero) is removed outright.
-REMOVE_EPS = 1e-12
-# Relative tolerance for weight comparisons.
-WEIGHT_RTOL = 1e-9
-
 
 class QuantileTreeError(Exception):
     """Base class for tree errors."""
 
 
 class TreeInputError(QuantileTreeError, ValueError):
-    """Non-finite value, negative weight, or quantile level out of range."""
+    """Non-finite value, negative or non-finite weight, or quantile level
+    out of range."""
 
 
 class ValueNotFoundError(QuantileTreeError, LookupError):
@@ -44,7 +47,7 @@ class ValueNotFoundError(QuantileTreeError, LookupError):
 
 
 class WeightUnderflowError(QuantileTreeError, ValueError):
-    """Delete of more weight than a node holds (beyond tolerance)."""
+    """Delete of more weight than a node holds."""
 
 
 class EmptyDistributionError(QuantileTreeError, RuntimeError):
@@ -54,7 +57,7 @@ class EmptyDistributionError(QuantileTreeError, RuntimeError):
 class _Node:
     __slots__ = ("value", "weight", "sum", "color", "left", "right", "parent")
 
-    def __init__(self, value: float, weight: float, color: int) -> None:
+    def __init__(self, value: float, weight: int, color: int) -> None:
         self.value = value
         self.weight = weight
         self.sum = weight
@@ -68,22 +71,24 @@ class QuantileTree:
     """Weighted empirical CDF with logarithmic insert/delete/quantile/CDF.
 
     Duplicate values merge into one node (weights add); weights are stored
-    un-normalized and only divided by the root sum when answering queries.
+    un-normalized, as exact ints in units of 1/scale, and only divided by
+    the root sum when answering queries.
     """
 
     def __init__(self) -> None:
-        nil = _Node(math.nan, 0.0, BLACK)
-        nil.sum = 0.0
-        self._nil = nil
-        self._root = nil
+        # an int sum: a float 0.0 would turn every sum through it into a float
+        self._nil = _Node(math.nan, 0, BLACK)
+        self._root = self._nil
         self._count = 0
+        self._scale = 1
+        self._fscale = 1.0  # the scale as a float, inf beyond the float range
 
     def __len__(self) -> int:
         return self._count
 
     def total_weight(self) -> float:
-        """Sum of all stored weights (0 for an empty tree)."""
-        return self._root.sum
+        """Sum of all stored weights (0 for an empty tree), rounded once."""
+        return self._root.sum / self._scale
 
     # ------------------------------------------------------------------
     # mutation
@@ -99,6 +104,8 @@ class QuantileTree:
         stack = [self._root]
         self._root = nil
         self._count = 0
+        self._scale = 1
+        self._fscale = 1.0
         while stack:
             node = stack.pop()
             if node is not nil:
@@ -107,34 +114,78 @@ class QuantileTree:
                 node.left = node.right = node.parent = None
         nil.parent = nil  # a delete may leave it pointing at a node
 
+    def _units(self, weight: float) -> int:
+        """``weight`` as an int in units of 1/scale, growing the scale first
+        when the weight's power-of-two denominator is finer than it.
+
+        A weight must be nonnegative and finite; besides ints and floats, a
+        number with ``as_integer_ratio`` is taken when its denominator is a
+        power of two, which is the only kind a scale holds exactly.
+        """
+        if type(weight) is float:
+            # exact while finite: the scale is a power of two
+            units = weight * self._fscale
+            if units.is_integer() and units >= 0.0:
+                return int(units)
+        elif type(weight) is int and weight >= 0:
+            return weight * self._scale
+        try:
+            num, den = weight.as_integer_ratio()
+        except (AttributeError, OverflowError, ValueError):  # inf, nan, no ratio
+            raise TreeInputError(f"weight must be >= 0 and finite, got {weight!r}") from None
+        if num < 0 or den & (den - 1):
+            raise TreeInputError(f"weight must be >= 0 and dyadic, got {weight!r}")
+        scale = self._scale
+        if den > scale:
+            self._rescale(den // scale)
+            return num
+        return num * (scale // den)
+
+    def _rescale(self, factor: int) -> None:
+        """Multiply the scale, and every stored weight and sum, by ``factor``."""
+        nil = self._nil
+        stack = [self._root]
+        while stack:
+            node = stack.pop()
+            if node is not nil:
+                node.weight *= factor
+                node.sum *= factor
+                stack.append(node.left)
+                stack.append(node.right)
+        self._scale *= factor
+        try:
+            self._fscale = float(self._scale)
+        except OverflowError:
+            self._fscale = math.inf
+
     def insert(self, value: float, weight: float) -> None:
         """Add ``weight`` at ``value``, merging into an existing node if any.
 
-        weight == 0 is a no-op; negative weight or a non-finite value is
-        rejected with :class:`TreeInputError`.
+        weight == 0 is a no-op; a negative or non-finite weight, or a
+        non-finite value, is rejected with :class:`TreeInputError`.
         """
         if not math.isfinite(value):
             raise TreeInputError(f"value must be finite, got {value!r}")
-        if not (weight >= 0.0) or math.isinf(weight):
-            raise TreeInputError(f"weight must be >= 0 and finite, got {weight!r}")
-        if weight == 0.0:
+        units = self._units(weight)
+        if not units:
             return
 
+        # every node on the search path holds the new mass in its subtree
         nil = self._nil
         parent = nil
         cur = self._root
         while cur is not nil:
+            cur.sum += units
             parent = cur
             if value < cur.value:
                 cur = cur.left
             elif value > cur.value:
                 cur = cur.right
             else:
-                cur.weight += weight
-                self._refresh_up(cur)
+                cur.weight += units
                 return
 
-        node = _Node(value, weight, RED)
+        node = _Node(value, units, RED)
         node.left = nil
         node.right = nil
         node.parent = parent
@@ -145,24 +196,22 @@ class QuantileTree:
         else:
             parent.right = node
         self._count += 1
-        self._refresh_up(parent)
         self._fix_insert(node)
 
     def delete(self, value: float, weight: float) -> None:
         """Remove ``weight`` from the node at ``value``.
 
-        The node is dropped (and the tree rebalanced) once its remaining
-        weight is at most ``REMOVE_EPS``. That drop may take other inserts'
-        weights of at most ``REMOVE_EPS`` with it, so removing such a weight
-        from an absent value is a no-op, and removing it from a lighter node
-        drops the node. Otherwise raises :class:`ValueNotFoundError` if the
-        value is absent and :class:`WeightUnderflowError` if more than the
-        stored weight is removed beyond the 1e-9 relative tolerance.
+        weight == 0 is a no-op. The node is dropped (and the tree
+        rebalanced) when its weight reaches exactly 0. Raises
+        :class:`ValueNotFoundError` if the value is absent and
+        :class:`WeightUnderflowError` if more than the stored weight is
+        removed; bad input is rejected as by :meth:`insert`.
         """
         if not math.isfinite(value):
             raise TreeInputError(f"value must be finite, got {value!r}")
-        if not (weight >= 0.0) or math.isinf(weight):
-            raise TreeInputError(f"weight must be >= 0 and finite, got {weight!r}")
+        units = self._units(weight)
+        if not units:
+            return
 
         nil = self._nil
         node = self._root
@@ -174,19 +223,18 @@ class QuantileTree:
             else:
                 break
         if node is nil:
-            if weight <= REMOVE_EPS:
-                return
             raise ValueNotFoundError(f"value {value!r} not in tree")
-        excess = weight - node.weight
-        if weight > REMOVE_EPS and excess > WEIGHT_RTOL * max(abs(weight), abs(node.weight)):
+        remaining = node.weight - units
+        if remaining < 0:
             raise WeightUnderflowError(
-                f"cannot remove weight {weight!r} from node holding {node.weight!r}"
+                f"cannot remove weight {weight!r} from node holding "
+                f"{node.weight / self._scale!r}"
             )
-
-        remaining = node.weight - weight
-        if remaining > REMOVE_EPS:
+        if remaining:
             node.weight = remaining
-            self._refresh_up(node)
+            while node is not nil:
+                node.sum -= units
+                node = node.parent
         else:
             self._remove_node(node)
             self._count -= 1
@@ -197,27 +245,41 @@ class QuantileTree:
     def query_quantile(self, q: float) -> float:
         """Smallest stored value v with F(v) >= q * total_weight().
 
-        q <= 0 returns :data:`BELOW_ALL` (no positive mass is admissible);
-        q > 1 is rejected; an empty tree raises
+        The product is rounded as a float once, then compared with the exact
+        cumulative masses. q <= 0 returns :data:`BELOW_ALL` (no positive
+        mass is admissible); q > 1 is rejected; an empty tree raises
         :class:`EmptyDistributionError`.
         """
-        if self._root is self._nil:
+        root = self._root
+        if root is self._nil:
             raise EmptyDistributionError("quantile query on empty distribution")
         if math.isnan(q) or q > 1.0:
             raise TreeInputError(f"quantile level must be in (0, 1], got {q!r}")
         if q <= 0.0:
             return BELOW_ALL
 
-        nil = self._nil
-        node = self._root
-        target = q * node.sum
+        scale = self._scale
+        level = q * (root.sum / scale)
+        try:
+            # exact while finite: the scale is a power of two
+            target = math.ceil(level * self._fscale)
+        except (OverflowError, ValueError):  # inf, or 0 * inf
+            num, den = level.as_integer_ratio()
+            target = -(-num * scale // den)
+        # an underflowed level admits the first value, and a total rounded
+        # up admits the last
+        if target < 1:
+            target = 1
+        elif target > root.sum:
+            target = root.sum
+        node = root
         while True:
             left = node.left
-            if left is not nil and left.sum >= target:
+            if left.sum >= target:
                 node = left
                 continue
             through = left.sum + node.weight
-            if through >= target or node.right is nil:
+            if through >= target:
                 return node.value
             target -= through
             node = node.right
@@ -228,7 +290,7 @@ class QuantileTree:
         if root is self._nil:
             return 0.0
         nil = self._nil
-        cum = 0.0
+        cum = 0
         node = root
         while node is not nil:
             if t < node.value:
@@ -244,7 +306,7 @@ class QuantileTree:
         if root is self._nil:
             return 0.0
         nil = self._nil
-        cum = 0.0
+        cum = 0
         node = root
         while node is not nil:
             if t <= node.value:
@@ -255,8 +317,10 @@ class QuantileTree:
         return cum / root.sum
 
     def items(self) -> Iterator[tuple[float, float]]:
-        """(value, weight) pairs in increasing value order."""
+        """(value, weight) pairs in increasing value order; a weight is its
+        exact mass rounded once, so an unmerged one is the float inserted."""
         nil = self._nil
+        scale = self._scale
         stack: list[_Node] = []
         node = self._root
         while stack or node is not nil:
@@ -264,7 +328,7 @@ class QuantileTree:
                 stack.append(node)
                 node = node.left
             node = stack.pop()
-            yield node.value, node.weight
+            yield node.value, node.weight / scale
             node = node.right
 
     def height(self) -> int:
@@ -278,14 +342,18 @@ class QuantileTree:
         return depth(self._root)
 
     def validate(self) -> None:
-        """Check BST order, red-black shape and the sum recursion.
+        """Check BST order, red-black shape and the exact sum recursion.
 
-        Raises :class:`QuantileTreeError` on the first violation. Sum checks
-        use the 1e-9 relative weight tolerance.
+        Raises :class:`QuantileTreeError` on the first violation.
         """
         nil = self._nil
-        if nil.color != BLACK or nil.sum != 0.0:
+        if nil.color != BLACK or type(nil.sum) is not int or nil.sum != 0:
             raise QuantileTreeError("nil sentinel corrupted")
+        scale = self._scale
+        if type(scale) is not int or scale < 1 or scale & (scale - 1):
+            raise QuantileTreeError(f"scale {scale!r} is not a power of two")
+        if self._fscale != (float(scale) if scale.bit_length() <= 1024 else math.inf):
+            raise QuantileTreeError(f"float scale {self._fscale!r} is not {scale!r}")
         root = self._root
         if root is not nil and root.color != BLACK:
             raise QuantileTreeError("root is red")
@@ -299,13 +367,14 @@ class QuantileTree:
             count += 1
             if not (lo < node.value < hi):
                 raise QuantileTreeError(f"BST order violated at {node.value!r}")
-            if node.weight <= 0.0:
-                raise QuantileTreeError(f"non-positive weight at {node.value!r}")
+            if type(node.weight) is not int or node.weight <= 0:
+                raise QuantileTreeError(
+                    f"weight {node.weight!r} at {node.value!r} is not a positive int"
+                )
             if node.color == RED and (node.left.color == RED or node.right.color == RED):
                 raise QuantileTreeError(f"red node {node.value!r} has a red child")
             expected = node.left.sum + node.weight + node.right.sum
-            tol = WEIGHT_RTOL * max(abs(expected), abs(node.sum), 1e-300)
-            if abs(node.sum - expected) > tol:
+            if type(node.sum) is not int or node.sum != expected:
                 raise QuantileTreeError(
                     f"sum recursion violated at {node.value!r}: "
                     f"{node.sum!r} != {expected!r}"
@@ -411,7 +480,6 @@ class QuantileTree:
         if y_color == BLACK:
             self._fix_delete(x)
         nil.parent = nil
-        nil.sum = 0.0
 
     def _fix_delete(self, x: _Node) -> None:
         while x is not self._root and x.color == BLACK:

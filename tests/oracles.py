@@ -5,7 +5,7 @@ and linear scans, one call per set. None of it shares a computation with the
 package; the record references only build its ``SampleRecord`` and return
 its ``ABOVE_ALL`` marker.
 
-- ``SortedListCdf``: the weighted CDF the ``QuantileTree`` must equal.
+- ``SortedListCdf``: the exact weighted CDF the ``QuantileTree`` must equal.
 - ``popcount_intersection``, ``popcount_difference``, ``weighted_hits`` and
   ``gen_value``: raw scores of the ``tp``/``fp``, ``tpc``/``fpc`` and
   ``gen`` kinds.
@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import bisect
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -50,14 +51,16 @@ SCAN_BLOCK = 1 << 16
 
 
 class SortedListCdf:
-    """Weighted empirical CDF kept in a plain sorted list."""
+    """Weighted empirical CDF kept in a plain sorted list, with exact
+    ``Fraction`` weights."""
 
     def __init__(self) -> None:
         self.values: list[float] = []
-        self.weights: list[float] = []
+        self.weights: list[Fraction] = []
 
     def insert(self, value: float, weight: float) -> None:
-        if weight == 0.0:
+        weight = Fraction(weight)
+        if weight == 0:
             return
         i = bisect.bisect_left(self.values, value)
         if i < len(self.values) and self.values[i] == value:
@@ -67,44 +70,42 @@ class SortedListCdf:
             self.weights.insert(i, weight)
 
     def delete(self, value: float, weight: float) -> None:
-        """Remove ``weight`` at ``value``; the value goes once at most 1e-12
-        of its weight is left. As in the tree, such a drop may take other
-        weights of at most 1e-12 with it, whose removal is then a no-op."""
-        i = bisect.bisect_left(self.values, value)
-        if not (i < len(self.values) and self.values[i] == value):
-            assert weight <= 1e-12, f"value {value!r} not stored"
+        """Remove ``weight`` at ``value``; the value goes when its weight
+        reaches exactly 0."""
+        weight = Fraction(weight)
+        if weight == 0:
             return
+        i = bisect.bisect_left(self.values, value)
+        assert i < len(self.values) and self.values[i] == value, f"value {value!r} not stored"
         remaining = self.weights[i] - weight
-        if remaining <= 1e-12:
+        assert remaining >= 0, f"removing {weight} from {self.weights[i]}"
+        if remaining == 0:
             del self.values[i]
             del self.weights[i]
         else:
             self.weights[i] = remaining
 
-    def total(self) -> float:
-        return sum(self.weights)
+    def total(self) -> Fraction:
+        return sum(self.weights, Fraction(0))
+
+    def items(self) -> list[tuple[float, float]]:
+        """(value, weight) pairs, each weight rounded once to a float."""
+        return [(value, float(weight)) for value, weight in zip(self.values, self.weights)]
 
     def quantile(self, q: float) -> float:
-        """Smallest value whose cumulative weight reaches q * total."""
+        """Smallest value whose exact cumulative weight reaches q * total,
+        the product of q and the rounded total rounded once as a float; the
+        last value when none does."""
         assert self.values
         if q <= 0.0:
             return -math.inf
-        target = q * self.total()
-        cum = 0.0
+        target = Fraction(q * float(self.total()))
+        cum = Fraction(0)
         for value, weight in zip(self.values, self.weights):
             cum += weight
             if cum >= target:
                 return value
         return self.values[-1]
-
-    def cdf_at(self, t: float) -> float:
-        if not self.values:
-            return 0.0
-        cum = 0.0
-        for value, weight in zip(self.values, self.weights):
-            if value <= t:
-                cum += weight
-        return cum / self.total()
 
 
 def popcount_intersection(s: int, y: int, k: int) -> int:

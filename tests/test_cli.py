@@ -402,7 +402,8 @@ def test_run_wrong_class_count_exits_2(tmp_path):
 
 def test_gen_ratio_sweep_metrics_golden(tmp_path):
     # the batched Monte-Carlo proxies must reproduce the per-set loop's
-    # predictions: sha256 of the metrics CSV the per-set loop wrote
+    # predictions: sha256 of the metrics CSV the per-set loop wrote, re-pinned
+    # for exact tree masses (every threshold equal to an exact-rational search)
     stream, out = tmp_path / "s.csv", tmp_path / "m.csv"
     main(["generate", "--n", "120", "--classes", "6", "--seed", "7", "--out", str(stream)])
     code = main([
@@ -412,7 +413,7 @@ def test_gen_ratio_sweep_metrics_golden(tmp_path):
     ])
     assert code == EXIT_OK
     digest = hashlib.sha256(out.read_bytes()).hexdigest()
-    assert digest == "3faa66b5dbff42aa1dfcf460a3975f60590f45c8a4fc677848e8e762f962b657"
+    assert digest == "ab1dda634a0ccd11fb9099bd2682ec4dc63012676d5f3859c930ee924465570e"
 
 
 def test_duplicate_seeds_exit_1_and_duplicate_targets_keep_a_row_each(tmp_path):
@@ -451,14 +452,17 @@ def test_aggregate_counts_a_twice_listed_target_once(tmp_path):
 # each CSV writer still formatted its own lines. The third digest, of the
 # <out stem>_aggregate.csv file, counts the twice-listed target 20 once: it
 # is the digest the same sweep gave with targets 30,5,20,45 before the
-# aggregate dropped duplicate (seed, target) rows
+# aggregate dropped duplicate (seed, target) rows. The expected-ratio,
+# expected-full and gen-full digests were re-pinned for exact tree masses,
+# with every step's threshold equal to the smallest stored value whose
+# exact-rational cumulative mass reaches the float q * mass
 SHARED_CORE_STREAM_DIGEST = "145a537d8705b8cd2252a68d5c8daaff0814c9e06bdbffcd8e2d3af943335726"
 SHARED_CORE_GOLDENS = {
     "expected-ratio": (
         [],
-        "aa6007b98480268ec69b78d62e8a43734a57ece4f6d07f4af4bc1687f691075d",
-        "2efd766891edaa03c2f4d980290866b1363b1c47e413bcba3261b574bc9735aa",
-        "46bd8d2de4e471b9686b4fb86428b246e3bb1c996b37a3ff7798434118f049d0",
+        "535bdef4620ce265c2bf7c89bf989a760eed60183b646ed41787457f76a1ab10",
+        "ca709df0ecbd2f3fb85984ad21fc65a13423107af945529ca726c174ed6a3fcc",
+        "46201b1cc2851f01c7479af1c4594f598bbe101e5c017ca896e3c8a3a1868ede",
     ),
     "expected-ratio-window": (
         ["--window", "50"],
@@ -468,9 +472,9 @@ SHARED_CORE_GOLDENS = {
     ),
     "expected-full": (
         ["--universe", "full"],
-        "de6f45fbfe31041223e37530731e513cd1bf85e4a217e3d00863d2d07e2f2161",
-        "d4ab58a5385198b6d6b7fb9aaf500622e999ba904159aac349791b7c75ef5ded",
-        "4d253077fb34b37eb3330e40ccd31aa09eb12d99f77a0bf125ec3ae829a73de8",
+        "71c21f0f566572a63ee7421ba9ed1848fd8c8407de82b317d62c7c79e77b302c",
+        "4ddc5abb22d25865c261c935d53a5fe452de7a63e4579e6a611c7e9e2bb10bd6",
+        "029c30546bf46886f0534e3e8118e54744851d6557c5e5420e92fbef5316a185",
     ),
     "expected-full-window": (
         ["--universe", "full", "--window", "50"],
@@ -522,9 +526,9 @@ SHARED_CORE_GOLDENS = {
     ),
     "gen-full": (
         ["--value-kind", "gen", "--cost-kind", "fp", "--universe", "full"],
-        "833980a47f9ff773a43b5a678bd3b18ce221f74867d3d487434b20dfbe2643f8",
-        "8f4e146f768b662b3bcd087aa7ff9177831ec93a3c1b47c173b9119a75b0db6a",
-        "02f56d172aacd57f48195e4bc44679f6344ea6f64da90c18aa6b25b0e0564039",
+        "907f73f00697b160baff77d900810ffa608c221c01459d44344770694f4b7b35",
+        "459977cc45d31d96045c85f00affad52ea0ee7a15b22f8a5fa25bc0338386b25",
+        "fb3e9e84d7ba3686df04d381d81654aeb6c3f3cfa54a05221fb3bb17fa49cc9d",
     ),
 }
 
@@ -551,8 +555,8 @@ def test_shared_core_sweep_goldens(tmp_path, case):
 
 
 def test_windowed_expected_powerset_on_a_duplicate_heavy_stream(tmp_path):
-    # equal subset sums leave 1e-15 record weights that the tree drops
-    # together with their node; evicting them must not raise
+    # equal subset sums leave 1e-15 record weights; evicting them must
+    # remove them exactly, not raise
     stream = write_stream(tmp_path, n=300, k=6, seed=3, heterogeneity=0.0)
     out = tmp_path / "m.csv"
     args = run_args(stream, out, classes="6", n_test="150", burn_in="40", universe="full",

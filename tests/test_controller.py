@@ -467,8 +467,7 @@ def test_window_equals_rebuild(mode, target):
             ],
         ).tree.items()
     )
-    assert [v for v, _ in live] == [v for v, _ in rebuilt]
-    assert np.allclose([w for _, w in live], [w for _, w in rebuilt], rtol=1e-9)
+    assert live == rebuilt
 
 
 # ----------------------------------------------------------------------
@@ -897,26 +896,73 @@ FullUniverseControllerMachine.TestCase.settings = settings(
 test_full_universe_controller_state_machine = FullUniverseControllerMachine.TestCase
 
 
-def test_budget_equal_to_a_rounded_down_mass_is_a_boundary():
-    # the live mass is exactly the budget (N+1)c - C_max = 380, but the
-    # windowed tree's float mass reads 379.9999999999998: the tree's level
-    # exceeds 1 (ABOVE_ALL) while the direct search's cumsum reaches 380 at
-    # a stored value; an exact hit, as when the budget lies below the mass
+# a K = 5 stream whose window-7 mass equals the budget of the 60.0 target
+EXACT_HIT_STREAM = [([0.0] * 5, 0)] * 10 + [
+    ([0.0, 0.0, 0.0, 0.0, 0.5], 7), ([0.0, 0.0, 0.0, 0.0, 0.25], 9), ([0.0] * 5, 7),
+    ([0.0] * 5, 14), ([0.0] * 5, 20), ([0.0] * 5, 20), ([0.0, 0.0, 0.0, 1.0, 0.0], 3),
+]
+
+
+def test_budget_equal_to_the_windowed_mass_matches_the_direct_search():
+    # the live mass is exactly the budget (N+1)c - C_max = 380. Float sums
+    # once read 379.9999999999998 after the window's evictions, so the tree's
+    # level exceeded 1 (ABOVE_ALL) while the direct search's cumsum reached
+    # 380 at 60.0; exact masses give 380.0 and both routes give 60.0
     k = 5
     weights = mnist_weights(k)
     ctrl = CostController(
         "expected", [5.0, 60.0], SetFunctionSpec("tpc", k, weights),
         SetFunctionSpec("fpc", k, weights), universe_kind="full", burn_in=0, window=7,
     )
-    zeros = [0.0] * k
-    stream = [(zeros, 0)] * 10 + [
-        ([0.0, 0.0, 0.0, 0.0, 0.5], 7), ([0.0, 0.0, 0.0, 0.0, 0.25], 9), (zeros, 7),
-        (zeros, 14), (zeros, 20), (zeros, 20), ([0.0, 0.0, 0.0, 1.0, 0.0], 3),
-    ]
-    for probs, labels in stream:
+    for probs, labels in EXACT_HIT_STREAM:
         ctrl.observe(Sample(np.array(probs), labels))
-    assert ctrl.tree.total_weight() == 379.9999999999998
-    assert threshold_comparison(ctrl, 1) == (ABOVE_ALL, 60.0, "boundary")
+    assert ctrl.tree.total_weight() == 380.0
+    assert threshold_comparison(ctrl, 1) == (60.0, 60.0, "match")
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    kind=st.sampled_from(["full", "ratio"]),
+    window=st.integers(3, 12),
+    drawn=st.integers(1, 6).flatmap(
+        lambda k: st.tuples(
+            st.one_of(st.none(), st.lists(st.floats(0.01, 10.0), min_size=k, max_size=k)),
+            st.lists(
+                st.tuples(
+                    st.lists(st.floats(0.0, 1.0), min_size=k, max_size=k),
+                    st.integers(0, (1 << k) - 1),
+                ),
+                min_size=1,
+                max_size=30,
+            ),
+        )
+    ),
+)
+@example(kind="full", window=7, drawn=(None, EXACT_HIT_STREAM))
+def test_windowed_tree_equals_rebuilt_on_weighted_costs(kind, window, drawn):
+    # tpc/fpc masses are not integer-valued floats, so a float tree's sums
+    # drift as a window inserts and evicts; exact masses do not: after every
+    # step the windowed tree holds bit for bit what a tree rebuilt from the
+    # live records holds (mnist weights when none are drawn)
+    weights, stream = drawn
+    k = len(stream[0][0])
+    if weights is None:
+        weights = mnist_weights(k)
+    specs = (SetFunctionSpec("tpc", k, weights), SetFunctionSpec("fpc", k, weights))
+
+    def make():
+        return CostController(
+            "expected", [5.0, 60.0], *specs, universe_kind=kind, burn_in=0, window=window
+        )
+
+    windowed = make()
+    for probs, labels in stream:
+        windowed.observe(Sample(np.array(probs), labels))
+        fresh = make()
+        for record in windowed.records:
+            fresh.observe_record(record)
+        assert list(windowed.tree.items()) == list(fresh.tree.items())
+        assert windowed.tree.total_weight() == fresh.tree.total_weight()
 
 
 def test_multi_target_step_matches_step_for_the_first_target():
