@@ -753,6 +753,8 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_oracle_check(args) -> int:
+    if args.checkpoints < 1:
+        raise UsageError(f"--checkpoints must be >= 1, got {args.checkpoints}")
     args.burn_in = 0  # oracle_check_run calibrates from burn-in 0: validate that
     cfg = _config_from_args(RunConfig, args)
     weights = class_weights(cfg)
@@ -773,6 +775,11 @@ def _cmd_oracle_check(args) -> int:
 def _cmd_bench(args) -> int:
     if not args.n_grid:
         raise UsageError("empty n-grid")
+    if min(args.n_grid) < 1:
+        raise UsageError(f"--n-grid entries must be >= 1, got {args.n_grid}")
+    for flag, reps in (("--reps", args.reps), ("--oracle-reps", args.oracle_reps)):
+        if reps < 1:
+            raise UsageError(f"{flag} must be >= 1, got {reps}")
     tree_points = bench_tree(args.n_grid, reps=args.reps, seed=args.seed)
     oracle_points = bench_oracle(
         args.n_grid, reps=args.oracle_reps, seed=args.seed, budget_s=args.budget_s

@@ -17,7 +17,9 @@ A controller serves one or more cost targets from one calibration pass: the
 universe, the record and the value proxies of a sample do not depend on the
 target. Expected mode keeps one tree for all targets and queries it once per
 target; violation mode keeps one tree per target, fed by each record's
-per-target exceed points. A single-target controller is the T = 1 case.
+exceed point for that target. A single-target controller is the T = 1 case.
+The records themselves are kept as rows only; one function folds a record's
+tree points in when it arrives and back out when a window drops it.
 
 One controller per stream, single-threaded per stream; independent streams
 may run in parallel.
@@ -65,9 +67,7 @@ class SampleRecord:
     ``max_costs`` is its running-max true-cost companion. Both are
     ``float64`` arrays. The mass the sample contributes at proxy_costs[j] is
     max_costs[j] − max_costs[j−1], which telescopes to the final running
-    max. ``exceed_thresholds`` is filled in violation mode, one entry per
-    target of the observing controller: the smallest proxy cost whose
-    running max exceeds that target (above-all marker when none does).
+    max.
 
     :meth:`CostController.build_record` returns one; a :class:`RecordStore`
     keeps none, and ``store[i]`` yields one whose arrays are read-only views
@@ -76,7 +76,6 @@ class SampleRecord:
 
     proxy_costs: np.ndarray
     max_costs: np.ndarray
-    exceed_thresholds: list[float] | None = None
 
     def mass_pairs(self) -> list[tuple[float, float]]:
         """(value, weight) insertions this record contributes, as Python
@@ -96,11 +95,11 @@ class RecordStore:
     """Calibration records as runs in flat ``float64`` blocks.
 
     Record i is a run of rows, each a proxy cost and its running-max cost,
-    from the end of record i − 1 to its own end offset; in violation mode it
-    also keeps one exceed point per target. Rows are numbered in the order
-    they are appended. They fill (2, n) blocks of at most ``_RUN_BLOCK``
-    rows, and a run may continue into the next block. End offsets fill one
-    ``array("q")``, exceed points one ``array("d")``.
+    from the end of record i − 1 to its own end offset, and nothing else:
+    what a controller's trees hold is recomputed from the rows. Rows are
+    numbered in the order they are appended. They fill (2, n) blocks of at
+    most ``_RUN_BLOCK`` rows, and a run may continue into the next block.
+    End offsets fill one ``array("q")``.
 
     Appending fills the last block and allocates a new one when it is full,
     so no block is copied to grow; dropping the oldest record frees every
@@ -116,22 +115,18 @@ class RecordStore:
     :class:`SampleRecord` views; the direct searches read the blocks.
     """
 
-    __slots__ = (
-        "_blocks", "_end", "_ends", "_exceed", "_first", "_head", "_n_targets", "_start", "_stop",
-    )
+    __slots__ = ("_blocks", "_end", "_ends", "_first", "_head", "_start", "_stop")
 
-    def __init__(self, n_targets: int = 0) -> None:
-        """``n_targets`` exceed points are kept per record when positive."""
-        self._n_targets = n_targets
+    def __init__(self) -> None:
+        """An empty store."""
         # the proxy-cost and running-max rows of each block
         self._blocks: deque[tuple[np.ndarray, np.ndarray]] = deque()
         self._start = 0  # row of the first block's first slot
         self._first = 0  # first live row
         self._end = 0  # row after the last written one
         self._stop = 0  # row after the last block's last slot
-        # end offsets and exceed points of the records from _head on
+        # end offsets of the records from _head on
         self._ends = array("q")
-        self._exceed = array("d")
         self._head = 0  # the first live record's index in _ends
 
     def __len__(self) -> int:
@@ -142,10 +137,9 @@ class RecordStore:
         in the first block and the unwritten ones of the last."""
         return (self._first - self._start) + (self._stop - self._end)
 
-    def append(self, proxy_costs, max_costs, exceed_thresholds=None) -> None:
+    def append(self, proxy_costs, max_costs) -> None:
         """Store one record: its proxy and running-max costs (arrays or
-        lists of one length, with the leading row of the empty set), and
-        its exceed points when the store keeps them."""
+        lists of one length, with the leading row of the empty set)."""
         n = len(proxy_costs)
         end = self._end
         room = self._stop - end
@@ -158,8 +152,6 @@ class RecordStore:
             self._spill(proxy_costs, max_costs)
         self._end = end = end + n
         self._ends.append(end)
-        if self._n_targets:
-            self._exceed.extend(exceed_thresholds)
 
     def _spill(self, proxy_costs, max_costs) -> None:
         """Write a run that overflows the last block."""
@@ -188,11 +180,10 @@ class RecordStore:
         if head == len(ends):
             raise IndexError("pop from an empty record store")
         hi = ends[head]
-        record = self._record(head, self._first, hi)
+        record = self._record(self._first, hi)
         head += 1
         if head > len(ends) - head:
             del ends[:head]
-            del self._exceed[: head * self._n_targets]
             head = 0
         self._head = head
         self._first = hi
@@ -206,25 +197,21 @@ class RecordStore:
             self._start = hi
         return record
 
-    def _record(self, index: int, lo: int, hi: int) -> SampleRecord:
-        """The record ending at ``_ends[index]``, whose rows are ``lo`` to ``hi``."""
-        exceed = None
-        if self._n_targets:
-            t = self._n_targets
-            exceed = self._exceed[index * t : (index + 1) * t].tolist()
+    def _record(self, lo: int, hi: int) -> SampleRecord:
+        """The record whose rows are ``lo`` to ``hi``."""
         proxies, maxes = self._blocks[0]
         base = self._start
         if hi - base <= len(proxies):
-            return SampleRecord(proxies[lo - base : hi - base], maxes[lo - base : hi - base], exceed)
+            return SampleRecord(proxies[lo - base : hi - base], maxes[lo - base : hi - base])
         pieces = [
             (p[max(lo - at, 0) : hi - at], m[max(lo - at, 0) : hi - at])
             for at, p, m in self._rows()
             if at < hi and lo < at + len(p)
         ]
         if len(pieces) == 1:
-            return SampleRecord(*pieces[0], exceed)
+            return SampleRecord(*pieces[0])
         return SampleRecord(
-            np.concatenate([p for p, _ in pieces]), np.concatenate([m for _, m in pieces]), exceed
+            np.concatenate([p for p, _ in pieces]), np.concatenate([m for _, m in pieces])
         )
 
     def _rows(self):
@@ -242,7 +229,7 @@ class RecordStore:
             raise IndexError("record index out of range")
         at = self._head + index
         ends = self._ends
-        record = self._record(at, ends[at - 1] if index else self._first, ends[at])
+        record = self._record(ends[at - 1] if index else self._first, ends[at])
         record.proxy_costs.flags.writeable = False
         record.max_costs.flags.writeable = False
         return record
@@ -422,7 +409,7 @@ class CostController:
         # mode: one CDF of exceed points per target
         n_trees = 1 if mode == "expected" else len(targets)
         self.trees = [QuantileTree() for _ in range(n_trees)]
-        self.records = RecordStore(0 if mode == "expected" else len(targets))
+        self.records = RecordStore()
         # the last prediction's per-target outcome, overwritten in place
         self._thresholds: list[float | None] = [None] * len(targets)
         self._predictions: list[int | None] = [None] * len(targets)
@@ -498,36 +485,32 @@ class CostController:
         self.observe_record(self.build_record(sample, self.build_universe(sample.probs)))
 
     def observe_record(self, record: SampleRecord) -> None:
-        """Fold an already-evaluated record (stream replay surface)."""
-        proxies = record.proxy_costs
-        exceed = None
-        if self.mode == "expected":
-            tree = self.trees[0]
-            for value, weight in record.mass_pairs():
-                tree.insert(value, weight)
-        else:
-            # max_costs is nondecreasing: the first index whose running max
-            # exceeds a target is that target's right insertion point
-            m = len(proxies)
-            exceed = [
-                float(proxies[i]) if i < m else ABOVE_ALL
-                for i in record.max_costs.searchsorted(self._target_array, side="right").tolist()
-            ]
-            for tree, value in zip(self.trees, exceed):
-                tree.insert(value, 1)
+        """Fold an already-evaluated record (stream replay surface); with a
+        window, fold the oldest record back out once it is one too many."""
+        self._fold(record, QuantileTree.insert)
         records = self.records
-        records.append(proxies, record.max_costs, exceed)
+        records.append(record.proxy_costs, record.max_costs)
         if self.window is not None and len(records) > self.window:
-            self._evict(records.popleft())
+            self._fold(records.popleft(), QuantileTree.delete)
 
-    def _evict(self, record: SampleRecord) -> None:
+    def _fold(self, record: SampleRecord, change) -> None:
+        """Apply ``change``, :meth:`QuantileTree.insert` or
+        :meth:`QuantileTree.delete`, to each of the record's tree points: its
+        mass pairs in expected mode; in violation mode one point per target
+        at unit weight, the first proxy cost whose running max exceeds the
+        target (above-all marker when none does)."""
         if self.mode == "expected":
             tree = self.trees[0]
             for value, weight in record.mass_pairs():
-                tree.delete(value, weight)
-        else:
-            for tree, value in zip(self.trees, record.exceed_thresholds):
-                tree.delete(value, 1)
+                change(tree, value, weight)
+            return
+        # max_costs is nondecreasing: the first index whose running max
+        # exceeds a target is that target's right insertion point
+        proxies = record.proxy_costs
+        m = len(proxies)
+        firsts = record.max_costs.searchsorted(self._target_array, side="right").tolist()
+        for tree, i in zip(self.trees, firsts):
+            change(tree, float(proxies[i]) if i < m else ABOVE_ALL, 1)
 
     def _budget(self, index: int, n: int) -> tuple[QuantileTree, float]:
         """Target ``index``'s tree and the numerator of its quantile level
@@ -752,8 +735,8 @@ def oracle_threshold_violation(records: RecordStore, target_cost: float, delta: 
     proxy cost whose running max exceeds it (its exceed point; every record
     starts at cost 0). So the count at a candidate is the number of exceed
     points at or above it. The search finds the exceed points in the
-    store's blocks itself; it does not read the ones the store keeps for
-    the trees. O(MN log(MN)) for N records of M candidates."""
+    store's blocks itself, apart from the trees. O(MN log(MN)) for N
+    records of M candidates."""
     n = len(records)
     need = (1.0 - delta) * (n + 1)
     exceed = np.sort(records.exceed_points(target_cost))

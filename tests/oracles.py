@@ -420,12 +420,11 @@ def numpy_chain(kind, sample, value_spec, cost_spec):
     return order, sets, record, values
 
 
-def store_of(records, n_targets: int = 0) -> RecordStore:
-    """A store holding ``records`` in order, with their exceed points when
-    ``n_targets`` is positive."""
-    store = RecordStore(n_targets)
+def store_of(records) -> RecordStore:
+    """A store holding ``records`` in order."""
+    store = RecordStore()
     for rec in records:
-        store.append(rec.proxy_costs, rec.max_costs, rec.exceed_thresholds)
+        store.append(rec.proxy_costs, rec.max_costs)
     return store
 
 

@@ -588,6 +588,27 @@ def test_bad_flag_exits_1(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "args",
+    [
+        ["bench", "--n-grid", "100,200", "--reps", "0"],
+        ["bench", "--n-grid", "100,200", "--oracle-reps", "0"],
+        ["bench", "--n-grid", "0,100"],
+        ["bench", "--n-grid", "100,-5"],
+        ["oracle-check", "--checkpoints", "-3"],
+        ["oracle-check", "--checkpoints", "0"],
+    ],
+)
+def test_bad_bench_and_oracle_check_counts_exit_1(tmp_path, capsys, args):
+    # a count below 1 is a usage error, reported before any work is done
+    out = tmp_path / "out.csv"
+    where = ["--stream", str(write_stream(tmp_path))] if args[0] == "oracle-check" else []
+    assert main([*args, *where, "--out", str(out)]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
     "command,config",
     [(["run", "--stream", "s", "--out", "o"], RunConfig),
      (["oracle-check", "--stream", "s"], RunConfig),

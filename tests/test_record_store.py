@@ -19,7 +19,7 @@ from costcap.controller import (
 from costcap.set_functions import NORMALIZED_BOUND, SetFunctionSpec
 from costcap.synth import GeneratorConfig, generate, mnist_weights
 
-from .oracles import first_exceed_threshold, list_threshold_expected, list_threshold_violation
+from .oracles import list_threshold_expected, list_threshold_violation
 
 TARGETS = (0.0, 25.0, 60.0, 100.0)
 WIDTHS = [1, 2, 3, 4, 5, 6, 1025]
@@ -37,36 +37,30 @@ def records(draw):
 
 
 def same_record(got: SampleRecord, want: SampleRecord) -> bool:
-    def hexes(points):
-        return None if points is None else [x.hex() for x in points]
-
     return (
         got.proxy_costs.tobytes() == want.proxy_costs.tobytes()
         and got.max_costs.tobytes() == want.max_costs.tobytes()
-        and hexes(got.exceed_thresholds) == hexes(want.exceed_thresholds)
     )
 
 
 class RecordStoreMachine(RuleBasedStateMachine):
-    """A store with or without a window, with T = 0 (expected mode) or 1-3
-    exceed points per record, beside a list of the same records: its views
-    equal the list's records and both direct searches equal the list-based
-    searches bit for bit. Blocks of a few rows make runs cross blocks."""
+    """A store with or without a window beside a list of the same records:
+    its views equal the list's records and both direct searches equal the
+    list-based searches bit for bit. Blocks of a few rows make runs cross
+    blocks."""
 
     @initialize(
-        n_targets=st.integers(0, 3),
         window=st.one_of(st.none(), st.integers(1, 40)),
         run_block=st.sampled_from([7, 64, controller._RUN_BLOCK]),
-        target_costs=st.lists(st.sampled_from(TARGETS), min_size=3, max_size=3),
+        target_costs=st.lists(st.sampled_from(TARGETS), min_size=2, max_size=2),
     )
-    def build(self, n_targets, window, run_block, target_costs):
+    def build(self, window, run_block, target_costs):
         self.saved = controller._RUN_BLOCK
         controller._RUN_BLOCK = run_block
-        self.store = RecordStore(n_targets)
+        self.store = RecordStore()
         self.listed = []
         self.window = window
-        self.targets = target_costs[:n_targets]
-        self.search_targets = sorted(set(target_costs[:2]))
+        self.search_targets = sorted(set(target_costs))
 
     def teardown(self):
         if hasattr(self, "saved"):
@@ -74,9 +68,7 @@ class RecordStoreMachine(RuleBasedStateMachine):
 
     @rule(record=records())
     def observe(self, record):
-        if self.targets:
-            record.exceed_thresholds = [first_exceed_threshold(record, c) for c in self.targets]
-        self.store.append(record.proxy_costs, record.max_costs, record.exceed_thresholds)
+        self.store.append(record.proxy_costs, record.max_costs)
         self.listed.append(record)
         if self.window is not None and len(self.store) > self.window:
             assert same_record(self.store.popleft(), self.listed.pop(0))
@@ -117,10 +109,10 @@ def test_window_slack_stays_within_one_block():
     rng = np.random.default_rng(3)
     widths = rng.choice(WIDTHS, size=10_040)
     for window in (1, 7, 40):
-        store = RecordStore(1)
+        store = RecordStore()
         for m in widths[: 10_000 + window]:
             row = np.zeros(m)
-            store.append(row, row, [0.0])
+            store.append(row, row)
             if len(store) > window:
                 store.popleft()
             assert store.slack() <= controller._RUN_BLOCK
@@ -132,11 +124,11 @@ def test_a_window_of_power_set_records_never_moves_a_record():
     # each new block is sized so that no live row is ever copied: a record
     # is evicted from the rows it was written to
     for width, window in ((1024, 300), (64, 40)):
-        store = RecordStore(1)
+        store = RecordStore()
         stored = deque()
         for i in range(window + 2_000):
             row = np.full(width, float(i))
-            store.append(row, row, [0.0])
+            store.append(row, row)
             stored.append(store[-1].proxy_costs)
             if len(store) > window:
                 assert np.shares_memory(stored.popleft(), store.popleft().proxy_costs)
