@@ -220,10 +220,6 @@ def load_config(cls, path, flags: dict):
         raise UsageError(str(exc)) from None
 
 
-def load_run_config(path=None, overrides: dict | None = None) -> RunConfig:
-    return load_config(RunConfig, path, overrides or {})
-
-
 def class_weights(cfg: RunConfig) -> np.ndarray | None:
     """The run's class weights, or None when no kind is weighted; reads a weights CSV."""
     if cfg.value_kind != "tpc" and cfg.cost_kind != "fpc":
@@ -777,6 +773,8 @@ def _cmd_bench(args) -> int:
         raise UsageError("empty n-grid")
     if min(args.n_grid) < 1:
         raise UsageError(f"--n-grid entries must be >= 1, got {args.n_grid}")
+    if len(set(args.n_grid)) < len(args.n_grid):
+        raise UsageError(f"--n-grid entries must be distinct, got {args.n_grid}")
     for flag, reps in (("--reps", args.reps), ("--oracle-reps", args.oracle_reps)):
         if reps < 1:
             raise UsageError(f"{flag} must be >= 1, got {reps}")

@@ -11,16 +11,16 @@ probability-based proxy (computable without the true labels) and, for the
 additive kinds, per-class margins.
 
 Every proxy is one fold over per-sample class terms (an additive kind's
-units, ``gen``'s Monte-Carlo hit tables), read through sets given as
-ascending class-index rows. ``SetFunctionSpec.row_proxy`` builds a sample's
-terms once and scores such rows; ``proxy_many`` scores a ``uint64`` mask
-array by folding every class in ascending order, a non-member reading the
-identity term (0 for a sum, 1 for a product). Every score is reduced in a
-fixed order, classes ascending and then Monte-Carlo draws in order, one
-class row or ``accumulate`` step at a time and never by a pairwise
-``reduce``, so both equal the per-set loop bit for bit. Only ``gen``'s
-squares, integers whose sum is exact in any order, are reduced freely.
-``proxy`` is ``proxy_many`` on one set.
+units, ``gen``'s Monte-Carlo hit tables), read through rows of slots: class
+indices ascending, slot K the identity term (0 for a sum, 1 for a product).
+``SetFunctionSpec.row_proxy`` builds a sample's terms once and returns the
+one scorer of such rows. ``proxy_many`` hands it masks as K-slot rows, a
+non-member at slot K, ``_MC_BLOCK // K`` sets at a time; ``proxy`` is
+``proxy_many`` on one set. The fold blocks only the draws. Each score is
+reduced in a fixed order, slots then draws, one row or ``accumulate`` step
+at a time and never by a pairwise ``reduce``, so it equals the per-set loop
+bit for bit. Only ``gen``'s squares, integers whose sum is exact in any
+order, are reduced freely.
 
 All operations are pure; safe for unrestricted parallel use.
 """
@@ -48,8 +48,9 @@ def full_set(n_classes: int) -> int:
 _BIT_MASKS = np.uint64(1) << np.arange(MAX_CLASSES, dtype=np.uint64)
 _CLASS_INDEX = np.arange(MAX_CLASSES)[:, None]
 
-# elements of one (class, set, draw) block of a fold; bounds its temporaries
-# at a few MB whatever K, the set count and mc_samples are
+# most elements of a fold's slot array and of each of its (slot, set, draw)
+# blocks; bounds the temporaries at a few MB whatever K, the set count and
+# mc_samples are
 _MC_BLOCK = 1 << 17
 
 
@@ -88,7 +89,8 @@ class SetFunctionSpec:
     matrix of uniforms from ``default_rng(mc_seed)``, drawn at construction
     and shared by every set and every call.
 
-    Specs compare and hash by value, the weights by their entries.
+    ``weights`` holds the spec's own read-only float64 copy of the weights
+    it was given, so changing the caller's array changes no score.
     """
 
     kind: str
@@ -104,23 +106,25 @@ class SetFunctionSpec:
             raise ValueError(f"n_classes must be in [1, {MAX_CLASSES}]")
         if self.mc_samples < 1:
             raise ValueError(f"mc_samples must be >= 1, got {self.mc_samples}")
+
+        def keep(**attrs):
+            for name, value in attrs.items():
+                object.__setattr__(self, name, value)
+
         k = self.n_classes
         weighted = self.kind in ("tpc", "fpc")
         if weighted:
             if self.weights is None or len(self.weights) != k:
                 raise ValueError("weighted kinds need a weight vector of length n_classes")
-            units = np.asarray(self.weights, dtype=np.float64)
+            units = np.array(self.weights, dtype=np.float64)
+            units.flags.writeable = False
+            keep(weights=units)  # the spec's own copy
             if np.any(units < 0):
                 raise ValueError("class weights must be nonnegative")
         elif self.weights is not None:
             raise ValueError(f"kind {self.kind!r} takes no class weights")
         else:
             units = np.ones(k)
-
-        def keep(**attrs):
-            for name, value in attrs.items():
-                object.__setattr__(self, name, value)
-
         keep(_counts_absent=self.is_cost, _units=units.tolist() if weighted else None)
         if self.kind == "gen":
             cls = np.arange(k)
@@ -149,18 +153,6 @@ class SetFunctionSpec:
             unit_margins=(units / max_raw * NORMALIZED_BOUND).tolist(),
             class_values=[self.raw(1 << i, best_labels) for i in range(k)],
         )
-
-    def _key(self) -> tuple:
-        units = None if self._units is None else tuple(self._units)
-        return (self.kind, self.n_classes, units, self.mc_samples, self.mc_seed)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, SetFunctionSpec):
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
 
     @property
     def additive(self) -> bool:
@@ -209,34 +201,30 @@ class SetFunctionSpec:
         return float(self.proxy_many(np.array([s], dtype=np.uint64), probs)[0])
 
     def proxy_many(self, sets: np.ndarray, probs: np.ndarray) -> np.ndarray:
-        """Normalized proxy score of every ``uint64`` mask in ``sets``.
-
-        Each score is the per-set loop's float, bit for bit: every class is
-        folded in ascending order, a non-member as the identity term, and
-        ``gen``'s draws summed in draw order. The sets are folded a block
-        at a time.
-        """
+        """Normalized proxy score of every ``uint64`` mask in ``sets``: the
+        row scorer of K-slot rows, a member at its own class index and a
+        non-member at the identity slot K, a block of sets at a time."""
         sets = np.asarray(sets, dtype=np.uint64)
-        terms = self._terms(np.asarray(probs, dtype=np.float64))
+        score = self.row_proxy(probs)
         k = self.n_classes
-        raw = np.empty(len(sets))
+        scores = np.empty(len(sets))
         step = max(1, _MC_BLOCK // k)
         for start in range(0, len(sets), step):
             member = (sets[start : start + step] & _BIT_MASKS[:k, None]) != 0
-            # index k reads the identity term
+            # a (K, sets) C-contiguous array, which the fold reads fastest
             slots = np.where(member, _CLASS_INDEX[:k], k)
-            raw[start : start + step] = self._fold(slots, terms)
-        return raw / self._max_raw * NORMALIZED_BOUND
+            scores[start : start + step] = score(slots.T)
+        return scores
 
     def row_proxy(self, probs: np.ndarray):
         """Scorer of sets given as rows of class indices, for one sample.
 
         The returned callable maps an (n_sets, m) integer array, each row
         the m classes of one set in ascending order (m may be 0, for ∅), to
-        the sets' normalized proxy scores, equal bit for bit to
-        :meth:`proxy_many` of the same sets: the fold skips only identity
-        terms. The sample's terms, ``gen``'s hit tables included, are
-        built here once and shared by every call.
+        the sets' normalized proxy scores. A row may also hold the identity
+        slot K, which gives the same bits as leaving it out. A call takes at
+        most ``_MC_BLOCK`` slots. The sample's terms, ``gen``'s hit tables
+        included, are built here once and shared by every call.
         """
         terms = self._terms(np.asarray(probs, dtype=np.float64))
         identity = self.n_classes
@@ -279,8 +267,9 @@ class SetFunctionSpec:
         the product of the factors plus the sum of the squares, then the
         mean over the draws summed in order. The squares are integers, so
         their sum is exact in any order. The (slot, set, draw) arrays are
-        built a block of sets and draws at a time, carrying each set's
-        running sum over the draws.
+        built a block of draws at a time, carrying each set's running sum
+        over the draws. ``slots`` holds at most ``_MC_BLOCK`` elements, so
+        each block does too.
         """
         if self.kind != "gen":
             (units,) = terms
@@ -289,26 +278,20 @@ class SetFunctionSpec:
             # the loop's running sum starts at 0.0, which turns -0.0 into 0.0
             return sums[-1] + 0.0
         factors, squares = terms
-        m, n_sets = slots.shape
         n_draws = factors.shape[1]
-        sums = np.empty(n_sets)
-        step = max(1, _MC_BLOCK // m)
-        for start in range(0, n_sets, step):
-            cols = slots[:, start : start + step]
-            block = max(1, _MC_BLOCK // cols.size)
-            for first in range(0, n_draws, block):
-                draws = slice(first, first + block)
-                hit = factors[cols, draws]  # (slot, set, draw)
-                prod = hit[0]
-                for factor in hit[1:]:
-                    prod *= factor
-                values = prod + np.add.reduce(squares[cols, draws], axis=0)
-                if first:
-                    values[:, 0] += total  # continue the previous blocks' running sum
-                np.add.accumulate(values, axis=1, out=values)
-                total = values[:, -1]
-            sums[start : start + step] = total
-        return sums / n_draws
+        block = max(1, _MC_BLOCK // (slots.size or 1))  # no sets: an empty fold
+        for first in range(0, n_draws, block):
+            draws = slice(first, first + block)
+            hit = factors[slots, draws]  # (slot, set, draw)
+            prod = hit[0]
+            for factor in hit[1:]:
+                prod *= factor
+            values = prod + np.add.reduce(squares[slots, draws], axis=0)
+            if first:
+                values[:, 0] += total  # continue the previous blocks' running sum
+            np.add.accumulate(values, axis=1, out=values)
+            total = values[:, -1]
+        return total / n_draws
 
     def class_margins(self, probs) -> list[float]:
         """Per-class normalized proxy margins of an additive kind, as a list:

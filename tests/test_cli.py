@@ -32,7 +32,7 @@ from costcap.cli import (
     bench_tree,
     check_assertions,
     fit_loglog_exponent,
-    load_run_config,
+    load_config,
     main,
     oracle_check_run,
     read_stream_csv,
@@ -196,11 +196,11 @@ def test_read_stream_bad_rows(tmp_path):
 def test_run_config_json_and_overrides(tmp_path):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({"mode": "violation", "n_test": 500, "burn_in": 100}))
-    cfg = load_run_config(cfg_path, {"delta": 0.2, "window": None})
+    cfg = load_config(RunConfig, cfg_path, {"delta": 0.2, "window": None})
     assert cfg.mode == "violation" and cfg.n_test == 500 and cfg.delta == 0.2
     cfg_path.write_text(json.dumps({"bogus": 1}))
     with pytest.raises(UsageError):
-        load_run_config(cfg_path)
+        load_config(RunConfig, cfg_path, {})
 
 
 def test_run_config_validation():
@@ -596,6 +596,7 @@ def test_bad_flag_exits_1(tmp_path, capsys):
         ["bench", "--n-grid", "100,-5"],
         ["oracle-check", "--checkpoints", "-3"],
         ["oracle-check", "--checkpoints", "0"],
+        ["bench", "--n-grid", "100,100"],
     ],
 )
 def test_bad_bench_and_oracle_check_counts_exit_1(tmp_path, capsys, args):
@@ -823,6 +824,14 @@ def test_bench_points_and_csv(tmp_path):
         ("tree", "500"), ("tree", "2000"), ("oracle", "500"), ("oracle", "2000"),
     ]
     assert all(r["status"] in ("ok", "dnf") for r in rows)
+
+
+def test_bench_single_size_prints_no_slope(tmp_path, capsys):
+    out = tmp_path / "bench.csv"
+    args = ["bench", "--n-grid", "100", "--reps", "1", "--oracle-reps", "1", "--out", str(out)]
+    assert main(args) == EXIT_OK
+    assert [(r["method"], r["n"]) for r in csv_rows(out)] == [("tree", "100"), ("oracle", "100")]
+    assert "slope" not in capsys.readouterr().out
 
 
 def test_bench_oracle_budget_marks_dnf():

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from costcap import set_functions
 from costcap.set_functions import (
     NORMALIZED_BOUND,
     Sample,
@@ -328,21 +329,63 @@ def test_spec_validation():
             SetFunctionSpec("tpc", 3, np.array(bad))
 
 
-def test_specs_compare_and_hash_by_value():
-    weighted = SetFunctionSpec("tpc", 3, np.ones(3))
-    assert weighted == SetFunctionSpec("tpc", 3, np.ones(3))
-    assert weighted == SetFunctionSpec("tpc", 3, [1.0, 1.0, 1.0])
-    assert hash(weighted) == hash(SetFunctionSpec("tpc", 3, np.ones(3)))
-    assert weighted != SetFunctionSpec("tpc", 3, np.array([1.0, 2.0, 1.0]))
-    assert weighted != SetFunctionSpec("fpc", 3, np.ones(3))
-    assert weighted != "tpc"
-    gen = SetFunctionSpec("gen", 3, mc_samples=10, mc_seed=1)
-    assert gen == SetFunctionSpec("gen", 3, mc_samples=10, mc_seed=1)
-    assert gen != SetFunctionSpec("gen", 3, mc_samples=10, mc_seed=2)
-    assert gen != SetFunctionSpec("gen", 3, mc_samples=11, mc_seed=1)
-    specs = {weighted: "a", gen: "b", SetFunctionSpec("tp", 3): "c"}
-    assert specs[SetFunctionSpec("tpc", 3, np.ones(3))] == "a"
-    assert len({weighted, SetFunctionSpec("tpc", 3, np.ones(3)), gen}) == 2
+@pytest.mark.parametrize("kind", ["tpc", "fpc"])
+def test_spec_keeps_its_own_weights(kind):
+    # changing the caller's array afterwards changes no score of the spec
+    w = np.array([1.0, 2.0, 3.0])
+    spec = SetFunctionSpec(kind, 3, w)
+    sets = np.arange(8, dtype=np.uint64)
+
+    def scores(probs):
+        return (
+            spec.proxy(0b111, probs),
+            spec.proxy_many(sets, probs).tobytes(),
+            spec.row_proxy(probs)(np.array([[0, 1, 2], [0, 2, 3]])).tobytes(),  # 3: identity
+            [spec.evaluate(s, y) for s in range(8) for y in range(8)],
+            spec.class_margins(probs.tolist()),
+        )
+
+    probs = [np.zeros(3), np.array([0.2, 0.5, 0.9])]
+    before = [scores(p) for p in probs]
+    w[0] = 50.0
+    assert [scores(p) for p in probs] == before
+    assert spec.weights.tolist() == [1.0, 2.0, 3.0]
+    with pytest.raises(ValueError):
+        spec.weights[0] = 50.0  # read-only
+
+
+@pytest.mark.parametrize("block", [7, 64])
+@pytest.mark.parametrize("k", [3, 64])
+@pytest.mark.parametrize("kind", KINDS)
+def test_proxies_equal_per_set_reference_across_small_blocks(monkeypatch, kind, k, block):
+    # blocks of a few elements: proxy_many scores a few sets per block (one at
+    # K = 64), and every fold carries its running sums across draw blocks
+    monkeypatch.setattr(set_functions, "_MC_BLOCK", block)
+    rng = np.random.default_rng(k + block)
+    probs = rng.random(k)
+    weights = rng.uniform(0.5, 4.0, k) if kind in ("tpc", "fpc") else None
+    mc_samples, mc_seed = 25, 3
+    spec = SetFunctionSpec(kind, k, weights, mc_samples=mc_samples, mc_seed=mc_seed)
+    sets = [0, full_set(k), *(int(s) for s in rng.integers(0, 1 << min(k, 63), 28))]
+
+    def reference(s):
+        if kind == "gen":
+            raw = proxy_mc(s, probs, gen_value, mc_samples, mc_seed)
+            return raw / spec.max_raw * NORMALIZED_BOUND
+        return additive_proxy(kind, s, probs, weights, spec.max_raw)
+
+    want = np.array([reference(s) for s in sets])
+    assert spec.proxy_many(np.array(sets, dtype=np.uint64), probs).tobytes() == want.tobytes()
+    assert [spec.proxy(s, probs) for s in sets] == want.tolist()
+    score = spec.row_proxy(probs)
+    m = 2
+    rows = np.sort(np.array([rng.choice(k, m, replace=False) for _ in range(12)]), axis=1)
+    masks = [sum(1 << int(c) for c in row) for row in rows]
+    batch = np.array([reference(s) for s in masks])
+    assert score(rows).tobytes() == batch.tobytes()
+    assert score(np.empty((3, 0), dtype=np.int64)).tobytes() == np.array([reference(0)] * 3).tobytes()
+    assert score(np.empty((0, m), dtype=np.int64)).shape == (0,)
+    assert spec.proxy_many(np.empty(0, dtype=np.uint64), probs).shape == (0,)
 
 
 def test_load_weights_csv(tmp_path):
