@@ -75,6 +75,12 @@ def main() -> None:
     run(["oracle-check", *common, "--mode", "violation", "--delta", "0.1",
          "--value-kind", "tpc", "--cost-kind", "fp", "--checkpoints", "20",
          "--out", str(RESULTS / "oracle_check_violation.csv")])
+    # a rolling window over the power set: every step past the window evicts
+    # a 1024-row record, folding it back out of each target's tree
+    run(["oracle-check", *common, "--mode", "violation", "--delta", "0.1",
+         "--universe", "full", "--value-kind", "tp", "--cost-kind", "fpc",
+         "--window", "150", "--checkpoints", "20",
+         "--out", str(RESULTS / "oracle_check_violation_window.csv")])
 
     # per-update latency scaling
     grid = "1000,10000,100000" if opts.quick else "1000,10000,100000,1000000"

@@ -574,7 +574,7 @@ def bench_oracle(n_grid, reps=3, seed=0, budget_s=2.0) -> list[BenchPoint]:
     record of one mass point and re-runs the sup-search over all stored
     mass. Updates beyond the wall-clock budget are marked did-not-finish."""
     rng = np.random.default_rng(seed)
-    records = RecordStore()
+    records = RecordStore(2)
     points = []
     blown = False
 

@@ -18,8 +18,10 @@ universe, the record and the value proxies of a sample do not depend on the
 target. Expected mode keeps one tree for all targets and queries it once per
 target; violation mode keeps one tree per target, fed by each record's
 exceed point for that target. A single-target controller is the T = 1 case.
-The records themselves are kept as rows only; one function folds a record's
-tree points in when it arrives and back out when a window drops it.
+Every candidate family of a controller has one size, 2^K sets of a power
+set or the K + 1 prefixes of a chain, so its records are kept as rows of
+that one width only; one function folds a record's tree points in when it
+arrives and back out when a window drops it.
 
 One controller per stream, single-threaded per stream; independent streams
 may run in parallel.
@@ -28,7 +30,6 @@ may run in parallel.
 from __future__ import annotations
 
 import math
-from array import array
 from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
@@ -54,8 +55,8 @@ from .universe import (
 
 MODES = ("expected", "violation")
 
-# rows per block of a record store's runs: 2^14 proxy costs and their
-# running-max costs, 2^15 floats (256 KB)
+# rows per block of a record store: 2^14 proxy costs and their running-max
+# costs, 2^15 floats (256 KB), or one record when a record is longer
 _RUN_BLOCK = 1 << 14
 
 
@@ -71,7 +72,7 @@ class SampleRecord:
 
     :meth:`CostController.build_record` returns one; a :class:`RecordStore`
     keeps none, and ``store[i]`` yields one whose arrays are read-only views
-    of the store's blocks.
+    of one row of a store's block.
     """
 
     proxy_costs: np.ndarray
@@ -92,214 +93,138 @@ class SampleRecord:
 
 
 class RecordStore:
-    """Calibration records as runs in flat ``float64`` blocks.
+    """Calibration records of one width as rows of ``float64`` blocks.
 
-    Record i is a run of rows, each a proxy cost and its running-max cost,
-    from the end of record i − 1 to its own end offset, and nothing else:
-    what a controller's trees hold is recomputed from the rows. Rows are
-    numbered in the order they are appended. They fill (2, n) blocks of at
-    most ``_RUN_BLOCK`` rows, and a run may continue into the next block.
-    End offsets fill one ``array("q")``.
+    Record i is one row of a block's (records, width) proxy-cost array and
+    the same row of its running-max array, and nothing else: what a
+    controller's trees hold is recomputed from the rows. A block holds at
+    most ``max(1, _RUN_BLOCK // width)`` records, so a record never crosses
+    a block.
 
     Appending fills the last block and allocates a new one when it is full,
-    so no block is copied to grow; dropping the oldest record frees every
-    block it empties, and the dropped offsets once they outnumber the live
-    ones. A new block is shorter by the dropped rows left in the first
-    block (but takes the rest of the run, up to a full block), so that
-    dropped and unwritten rows together stay within one block; when a mix
-    of record lengths still takes them past it, the first block's live rows
-    are copied into a block of their own size. No row is written twice, so
-    a view stays valid.
+    so no block is copied to grow; dropping the oldest record frees the
+    first block once it is empty. A new block is shorter by the records
+    already dropped from the first block, so that dropped and unwritten
+    rows together stay within one block under a window. No row is written
+    twice or moved, so a view stays valid.
 
     ``len``, ``store[i]`` and iteration see the live records as read-only
     :class:`SampleRecord` views; the direct searches read the blocks.
     """
 
-    __slots__ = ("_blocks", "_end", "_ends", "_first", "_head", "_start", "_stop")
+    __slots__ = ("_blocks", "_first", "_len", "_room", "width")
 
-    def __init__(self) -> None:
-        """An empty store."""
+    def __init__(self, width: int) -> None:
+        """An empty store of records of ``width`` >= 1 rows each."""
+        self.width = width
         # the proxy-cost and running-max rows of each block
         self._blocks: deque[tuple[np.ndarray, np.ndarray]] = deque()
-        self._start = 0  # row of the first block's first slot
-        self._first = 0  # first live row
-        self._end = 0  # row after the last written one
-        self._stop = 0  # row after the last block's last slot
-        # end offsets of the records from _head on
-        self._ends = array("q")
-        self._head = 0  # the first live record's index in _ends
+        self._first = 0  # records dropped from the first block
+        self._room = 0  # records the last block has room for
+        self._len = 0
 
     def __len__(self) -> int:
-        return len(self._ends) - self._head
+        return self._len
 
     def slack(self) -> int:
         """Rows held that belong to no live record: the dropped ones left
         in the first block and the unwritten ones of the last."""
-        return (self._first - self._start) + (self._stop - self._end)
+        return (self._first + self._room) * self.width
 
     def append(self, proxy_costs, max_costs) -> None:
         """Store one record: its proxy and running-max costs (arrays or
-        lists of one length, with the leading row of the empty set)."""
-        n = len(proxy_costs)
-        end = self._end
-        room = self._stop - end
-        if n <= room:
-            proxies, maxes = self._blocks[-1]
-            at = len(proxies) - room
-            proxies[at : at + n] = proxy_costs
-            maxes[at : at + n] = max_costs
-        else:
-            self._spill(proxy_costs, max_costs)
-        self._end = end = end + n
-        self._ends.append(end)
+        lists of the store's width, with the leading row of the empty set).
+        A record of another width raises ValueError and stores nothing."""
+        self.check(proxy_costs, max_costs)
+        if not self._room:
+            size = max(1, _RUN_BLOCK // self.width) - self._first
+            block = np.empty((2, size, self.width))
+            self._blocks.append((block[0], block[1]))
+            self._room = size
+        proxies, maxes = self._blocks[-1]
+        at = len(proxies) - self._room
+        proxies[at] = proxy_costs
+        maxes[at] = max_costs
+        self._room -= 1
+        self._len += 1
 
-    def _spill(self, proxy_costs, max_costs) -> None:
-        """Write a run that overflows the last block."""
-        n = len(proxy_costs)
-        done = 0
-        while done < n:
-            room = self._stop - (self._end + done)
-            if room == 0:
-                dead = self._first - self._start
-                size = max(_RUN_BLOCK - dead, min(n - done, _RUN_BLOCK))
-                block = np.empty((2, size))
-                self._blocks.append((block[0], block[1]))
-                self._stop += size
-                room = size
-            proxies, maxes = self._blocks[-1]
-            at = len(proxies) - room
-            k = min(room, n - done)
-            proxies[at : at + k] = proxy_costs[done : done + k]
-            maxes[at : at + k] = max_costs[done : done + k]
-            done += k
+    def check(self, proxy_costs, max_costs) -> None:
+        """Raise ValueError unless both arrays have the store's width."""
+        if not len(proxy_costs) == len(max_costs) == self.width:
+            raise ValueError(
+                f"record has {len(proxy_costs)} proxy costs and {len(max_costs)} "
+                f"running maxima, the store's records have {self.width}"
+            )
 
     def popleft(self) -> SampleRecord:
         """Drop the oldest record; returns it as a view."""
-        head = self._head
-        ends = self._ends
-        if head == len(ends):
+        if not self._len:
             raise IndexError("pop from an empty record store")
-        hi = ends[head]
-        record = self._record(self._first, hi)
-        head += 1
-        if head > len(ends) - head:
-            del ends[:head]
-            head = 0
-        self._head = head
-        self._first = hi
-        blocks = self._blocks
-        while blocks and self._start + len(blocks[0][0]) <= hi:
-            self._start += len(blocks.popleft()[0])
-        if (hi - self._start) + (self._stop - self._end) > _RUN_BLOCK:
-            proxies, maxes = blocks[0]
-            block = np.stack((proxies[hi - self._start :], maxes[hi - self._start :]))
-            blocks[0] = (block[0], block[1])
-            self._start = hi
-        return record
-
-    def _record(self, lo: int, hi: int) -> SampleRecord:
-        """The record whose rows are ``lo`` to ``hi``."""
         proxies, maxes = self._blocks[0]
-        base = self._start
-        if hi - base <= len(proxies):
-            return SampleRecord(proxies[lo - base : hi - base], maxes[lo - base : hi - base])
-        pieces = [
-            (p[max(lo - at, 0) : hi - at], m[max(lo - at, 0) : hi - at])
-            for at, p, m in self._rows()
-            if at < hi and lo < at + len(p)
-        ]
-        if len(pieces) == 1:
-            return SampleRecord(*pieces[0])
-        return SampleRecord(
-            np.concatenate([p for p, _ in pieces]), np.concatenate([m for _, m in pieces])
-        )
-
-    def _rows(self):
-        """(first row, proxy costs, running-max costs) of each block."""
-        at = self._start
-        for proxies, maxes in self._blocks:
-            yield at, proxies, maxes
-            at += len(proxies)
+        at = self._first
+        self._len -= 1
+        self._first = at + 1
+        if self._first == len(proxies):
+            self._blocks.popleft()
+            self._first = 0
+        return SampleRecord(proxies[at], maxes[at])
 
     def __getitem__(self, index: int) -> SampleRecord:
-        n = len(self)
+        n = self._len
         if index < 0:
             index += n
         if not 0 <= index < n:
             raise IndexError("record index out of range")
-        at = self._head + index
-        ends = self._ends
-        record = self._record(ends[at - 1] if index else self._first, ends[at])
-        record.proxy_costs.flags.writeable = False
-        record.max_costs.flags.writeable = False
-        return record
+        for proxies, maxes in self.runs():
+            if index < len(proxies):
+                return SampleRecord(proxies[index], maxes[index])
+            index -= len(proxies)
 
     def __iter__(self):
-        return (self[i] for i in range(len(self)))
-
-    def _record_starts(self) -> np.ndarray:
-        """First rows of the live records, in order."""
-        starts = np.empty(len(self), dtype=np.int64)
-        if len(starts):
-            starts[0] = self._first
-            starts[1:] = np.frombuffer(self._ends, dtype=np.int64)[self._head : -1]
-        return starts
+        for proxies, maxes in self.runs():
+            yield from map(SampleRecord, proxies, maxes)
 
     def runs(self):
-        """(first row, proxy costs, running-max costs) of the live rows of
-        each block, in order; a record may continue into the next block."""
-        for at, proxies, maxes in self._rows():
-            lo = max(self._first - at, 0)
-            hi = min(self._end - at, len(proxies))
+        """(proxy costs, running-max costs) of the live records of each
+        block, in order, as read-only (records, width) views."""
+        last = len(self._blocks) - 1
+        for i, (proxies, maxes) in enumerate(self._blocks):
+            lo = self._first if i == 0 else 0
+            hi = len(proxies) - (self._room if i == last else 0)
             if lo < hi:
-                yield at + lo, proxies[lo:hi], maxes[lo:hi]
+                proxies = proxies[lo:hi]
+                maxes = maxes[lo:hi]
+                proxies.flags.writeable = maxes.flags.writeable = False
+                yield proxies, maxes
 
     def mass_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         """Every stored mass point's proxy cost and weight, records in order:
         proxy_costs[1:] and diff(max_costs) of each record, as one array each."""
-        starts = self._record_starts()
-        n_points = self._end - self._first - len(starts)
-        values = np.empty(n_points)
-        weights = np.empty(n_points)
+        values = np.empty((len(self), self.width - 1))
+        weights = np.empty_like(values)
         done = 0
-        last = 0.0
-        for position, proxies, maxes in self.runs():
+        for proxies, maxes in self.runs():
             k = len(proxies)
             # a record's first row carries no mass
-            keep = np.ones(k, dtype=bool)
-            a, b = starts.searchsorted((position, position + k))
-            keep[starts[a:b] - position] = False
-            steps = np.empty(k)
-            steps[0] = maxes[0] - last
-            np.subtract(maxes[1:], maxes[:-1], out=steps[1:])
-            kept = k - (b - a)
-            np.compress(keep, proxies, out=values[done : done + kept])
-            np.compress(keep, steps, out=weights[done : done + kept])
-            done += kept
-            last = maxes[-1]
-        return values, weights
+            values[done : done + k] = proxies[:, 1:]
+            np.subtract(maxes[:, 1:], maxes[:, :-1], out=weights[done : done + k])
+            done += k
+        return values.ravel(), weights.ravel()
 
     def exceed_points(self, target_cost: float) -> np.ndarray:
         """Each live record's first proxy cost whose running max exceeds
-        ``target_cost``, above-all marker when none does; in no order."""
-        starts = self._record_starts()
-        points = []
-        within_before = True
-        for position, proxies, maxes in self.runs():
-            k = len(proxies)
-            within = maxes <= target_cost
-            # a row over the target is its record's first such row when the
-            # row before it is within the target or starts the record
-            first = np.empty(k, dtype=bool)
-            first[0] = within_before
-            first[1:] = within[:-1]
-            a, b = starts.searchsorted((position, position + k))
-            first[starts[a:b] - position] = True
-            first &= ~within
-            points.append(proxies[first])
-            within_before = bool(within[-1])
-        points.append(np.full(len(starts) - sum(map(len, points)), ABOVE_ALL))
-        return np.concatenate(points)
+        ``target_cost``, above-all marker when none does; records in order."""
+        points = np.empty(len(self))
+        done = 0
+        for proxies, maxes in self.runs():
+            rows = np.arange(len(proxies))
+            over = ~(maxes <= target_cost)
+            first = over.argmax(axis=1)
+            points[done : done + len(rows)] = np.where(
+                over[rows, first], proxies[rows, first], ABOVE_ALL
+            )
+            done += len(rows)
+        return points
 
 
 def select_max_value(sets, proxy_costs, proxy_values, threshold: float) -> int:
@@ -409,7 +334,9 @@ class CostController:
         # mode: one CDF of exceed points per target
         n_trees = 1 if mode == "expected" else len(targets)
         self.trees = [QuantileTree() for _ in range(n_trees)]
-        self.records = RecordStore()
+        # every record has one row per candidate set: 2^K of a power set,
+        # K + 1 of a chain
+        self.records = RecordStore(1 << k if universe_kind == "full" else k + 1)
         # the last prediction's per-target outcome, overwritten in place
         self._thresholds: list[float | None] = [None] * len(targets)
         self._predictions: list[int | None] = [None] * len(targets)
@@ -486,9 +413,12 @@ class CostController:
 
     def observe_record(self, record: SampleRecord) -> None:
         """Fold an already-evaluated record (stream replay surface); with a
-        window, fold the oldest record back out once it is one too many."""
-        self._fold(record, QuantileTree.insert)
+        window, fold the oldest record back out once it is one too many. A
+        record whose arrays are not both as long as the controller's
+        candidate family raises ValueError before any state changes."""
         records = self.records
+        records.check(record.proxy_costs, record.max_costs)
+        self._fold(record, QuantileTree.insert)
         records.append(record.proxy_costs, record.max_costs)
         if self.window is not None and len(records) > self.window:
             self._fold(records.popleft(), QuantileTree.delete)
@@ -740,7 +670,7 @@ def oracle_threshold_violation(records: RecordStore, target_cost: float, delta: 
     n = len(records)
     need = (1.0 - delta) * (n + 1)
     exceed = np.sort(records.exceed_points(target_cost))
-    proxies = np.concatenate([p for _, p, _ in records.runs()])
+    proxies = np.concatenate([p for p, _ in records.runs()])
     candidates = np.append(np.unique(proxies), ABOVE_ALL)
     del proxies
     counts = n - exceed.searchsorted(candidates, side="left")

@@ -114,9 +114,9 @@ class SetFunctionSpec:
         k = self.n_classes
         weighted = self.kind in ("tpc", "fpc")
         if weighted:
-            if self.weights is None or len(self.weights) != k:
-                raise ValueError("weighted kinds need a weight vector of length n_classes")
-            units = np.array(self.weights, dtype=np.float64)
+            units = None if self.weights is None else np.array(self.weights, dtype=np.float64)
+            if units is None or units.shape != (k,):
+                raise ValueError("weighted kinds need a 1-D weight vector of length n_classes")
             units.flags.writeable = False
             keep(weights=units)  # the spec's own copy
             if np.any(units < 0):
@@ -306,8 +306,9 @@ class SetFunctionSpec:
 
 def load_weights_csv(path: str | Path, n_classes: int) -> np.ndarray:
     """Read a (class_index, weight) CSV column into a weight vector.
-    Malformed rows, weights that are not finite and nonnegative, and weights
-    that are all zero or whose sum overflows raise ValueError."""
+    Malformed rows, a class index given twice, weights that are not finite
+    and nonnegative, and weights that are all zero or whose sum overflows
+    raise ValueError."""
     w = np.full(n_classes, np.nan)
     with open(path, newline="") as fh:
         for row in csv.reader(fh):
@@ -318,6 +319,8 @@ def load_weights_csv(path: str | Path, n_classes: int) -> np.ndarray:
             k = int(row[0])
             if not 0 <= k < n_classes:
                 raise ValueError(f"class index {k} out of range [0, {n_classes})")
+            if not np.isnan(w[k]):  # a NaN weight is rejected below
+                raise ValueError(f"class index {k} given twice")
             w[k] = float(row[1])
             if not 0.0 <= w[k] < np.inf:
                 raise ValueError(f"weight of class {k} must be finite and >= 0")

@@ -421,8 +421,8 @@ def numpy_chain(kind, sample, value_spec, cost_spec):
 
 
 def store_of(records) -> RecordStore:
-    """A store holding ``records`` in order."""
-    store = RecordStore()
+    """A store holding ``records``, all of one width, in order."""
+    store = RecordStore(len(records[0].proxy_costs))
     for rec in records:
         store.append(rec.proxy_costs, rec.max_costs)
     return store

@@ -44,7 +44,8 @@ def stream(seed: int, n: int = 30000):
 
 
 def random_chain_record(rng) -> SampleRecord:
-    m = int(rng.integers(3, 7))
+    """A random record of a K = 4 chain: 5 proxy costs and running maxima."""
+    m = 5
     proxies = np.concatenate(([0.0], np.sort(rng.uniform(0.05, 99.0, size=m - 1))))
     costs = np.concatenate(([0.0], rng.uniform(0.0, 100.0, size=m - 1)))
     return SampleRecord(proxies, np.maximum.accumulate(costs))

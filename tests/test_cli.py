@@ -647,6 +647,18 @@ def test_weights_csv_flag(tmp_path):
     assert main(run_args(stream, out, value_kind="tpc") + ["--weights", str(wpath)]) == EXIT_DATA
 
 
+def test_weights_csv_with_a_repeated_class_exits_2(tmp_path, capsys):
+    stream = write_stream(tmp_path)
+    wpath = tmp_path / "weights.csv"
+    wpath.write_text("class_index,weight\n0,1.0\n0,2.0\n1,3.0\n2,1.0\n3,1.0\n")
+    args = run_args(stream, tmp_path / "m.csv", cost_kind="fpc") + ["--weights", str(wpath)]
+    capsys.readouterr()
+    assert main(args) == EXIT_DATA
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("data error:"), err
+    assert "class index 0 given twice" in err[0]
+
+
 def test_weights_csv_read_once_per_run(tmp_path, monkeypatch, capsys):
     reads = []
     load = cli.load_weights_csv

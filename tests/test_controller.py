@@ -64,12 +64,16 @@ def make_record(rng, m=4, cost_scale=100.0):
     return SampleRecord(proxies, np.maximum.accumulate(costs))
 
 
-def controller_for_records(mode, target, records, **kwargs):
+def controller_for_records(mode, target, records, k=None, **kwargs):
+    """A chain controller of K = the records' width - 1 (``k`` when there
+    are no records; 4 if that is None too) fed ``records``."""
+    if k is None:
+        k = len(records[0].proxy_costs) - 1 if records else 4
     ctrl = CostController(
         mode,
         target,
-        SetFunctionSpec("tp", 4),
-        SetFunctionSpec("fp", 4),
+        SetFunctionSpec("tp", k),
+        SetFunctionSpec("fp", k),
         burn_in=0,
         **kwargs,
     )
@@ -368,6 +372,12 @@ def test_controller_rejects_inputs_of_another_k():
     assert ctrl.n_seen == 0
 
 
+def calibration_state(ctrl):
+    """n_seen and each tree's items and total weight."""
+    trees = ctrl.trees
+    return ctrl.n_seen, [list(t.items()) for t in trees], [t.total_weight() for t in trees]
+
+
 @pytest.mark.parametrize("mode", ["expected", "violation"])
 def test_bad_probabilities_rejected_before_any_state_changes(mode):
     k = 6
@@ -376,11 +386,7 @@ def test_bad_probabilities_rejected_before_any_state_changes(mode):
     for sample in generate(GeneratorConfig(n=20, n_classes=k, seed=5)):
         ctrl.step_all(sample)
 
-    def state():
-        trees = ctrl.trees
-        return ctrl.n_seen, [list(t.items()) for t in trees], [t.total_weight() for t in trees]
-
-    before = state()
+    before = calibration_state(ctrl)
     for bad in (math.nan, 1.7, -0.1, math.inf):
         probs = np.full(k, 0.5)
         probs[k // 2] = bad
@@ -388,7 +394,30 @@ def test_bad_probabilities_rejected_before_any_state_changes(mode):
         for call in (ctrl.step, ctrl.step_all, ctrl.observe, ctrl.predict):
             with pytest.raises(ValueError, match=r"\[0, 1\]"):
                 call(Sample(probs, 0))
-        assert state() == before
+        assert calibration_state(ctrl) == before
+
+
+@pytest.mark.parametrize("mode", ["expected", "violation"])
+def test_bad_record_rejected_before_any_state_changes(mode):
+    # K = 4 chain records have 5 rows; a full window would evict on a fold
+    rng = np.random.default_rng(8)
+    ctrl = controller_for_records(
+        mode, [20.0, 40.0], [make_record(rng, m=5) for _ in range(3)], window=3
+    )
+    good = make_record(rng, m=5)
+    before = calibration_state(ctrl)
+    for bad in (
+        SampleRecord(np.array([0.0, 0.3, 0.5]), np.array([0.0, 1.0])),
+        SampleRecord(np.array([0.0, 0.3, 0.5]), np.array([0.0, 1.0, 2.0])),
+        SampleRecord(np.append(good.proxy_costs, 99.5), np.append(good.max_costs, 100.0)),
+        SampleRecord(good.proxy_costs, good.max_costs[:4]),
+        SampleRecord(good.proxy_costs[:4], good.max_costs),
+    ):
+        with pytest.raises(ValueError, match="running maxima.*have 5"):
+            ctrl.observe_record(bad)
+        assert calibration_state(ctrl) == before
+    ctrl.observe_record(good)
+    assert ctrl.n_seen == 3 and calibration_state(ctrl) != before
 
 
 def test_record_telescoping_and_step_function():
@@ -502,7 +531,8 @@ def test_threshold_expected_hand_stream_matches_direct_search():
     records = [
         SampleRecord(np.array([0.0, 10.0, 30.0]), np.array([0.0, 20.0, 50.0])),
         SampleRecord(np.array([0.0, 5.0, 25.0]), np.array([0.0, 0.0, 40.0])),
-        SampleRecord(np.array([0.0, 15.0]), np.array([0.0, 70.0])),
+        # a last set that adds no cost carries no mass
+        SampleRecord(np.array([0.0, 15.0, 15.0]), np.array([0.0, 70.0, 70.0])),
     ]
     for c in (20.0, 30.0, 40.0, 55.0, 80.0):
         ctrl = controller_for_records("expected", c, records)
@@ -517,11 +547,11 @@ def test_threshold_expected_random_streams_match_oracle():
     boundary = 0
     for stream in range(60):
         records = []
-        ctrl = controller_for_records(
-            "expected", float(rng.uniform(5, 60)), []
-        )
+        target = float(rng.uniform(5, 60))
+        m = int(rng.integers(2, 6))
+        ctrl = controller_for_records("expected", target, [], k=m - 1)
         for i in range(80):
-            rec = make_record(rng, m=int(rng.integers(2, 6)))
+            rec = make_record(rng, m=m)
             ctrl.observe_record(rec)
             records.append(rec)
             if i % 8 == 7:
@@ -947,7 +977,7 @@ def test_windowed_tree_equals_rebuilt_on_weighted_costs(mode, kind, window, draw
     # drift as a window inserts and evicts; exact masses do not: after every
     # step each windowed tree holds bit for bit what a tree rebuilt from the
     # live records holds (mnist weights when none are drawn). Blocks of 5
-    # rows make evicted records straddle blocks and come back concatenated
+    # rows hold one record each, or two of 2 rows
     weights, stream = drawn
     k = len(stream[0][0])
     if weights is None:
@@ -1078,21 +1108,27 @@ def test_oracle_expected_monotone_in_target():
         prev = t
 
 
-def test_violation_direct_search_equals_the_list_search_on_ties():
-    # coarse proxies and costs tie across and within records; high targets
-    # and large deltas reach the above-all plateau; a zero target leaves
-    # only the records that never cost anything
+def tie_heavy_cases():
+    """60 (records of one width, target, delta) cases: coarse proxies and
+    costs tie across and within records; high targets and large deltas
+    reach the above-all plateau; a zero target leaves only the records that
+    never cost anything."""
     rng = np.random.default_rng(31)
     cases = []
     for _ in range(60):
         records = []
+        m = int(rng.integers(1, 6))
         for _ in range(int(rng.integers(1, 20))):
-            m = int(rng.integers(1, 6))
             proxies = np.concatenate(([0.0], np.sort(rng.integers(0, 5, m - 1) / 4.0)))
             costs = np.concatenate(([0.0], rng.integers(0, 5, m - 1) * 25.0))
             records.append(SampleRecord(proxies, np.maximum.accumulate(costs)))
         target = float(rng.choice([0.0, 25.0, 60.0, 100.0]))
         cases.append((records, target, float(rng.choice([0.05, 0.2, 0.5, 0.9]))))
+    return cases
+
+
+def test_violation_direct_search_equals_the_list_search_on_ties():
+    cases = tie_heavy_cases()
     want = [list_threshold_violation(*case) for case in cases]
     assert BELOW_ALL in want and ABOVE_ALL in want and 0.5 in want
     got = [oracle_threshold_violation(store_of(records), *rest) for records, *rest in cases]
@@ -1101,19 +1137,9 @@ def test_violation_direct_search_equals_the_list_search_on_ties():
 
 @pytest.mark.parametrize("block", [1, 7])
 def test_violation_direct_search_result_does_not_depend_on_its_block(monkeypatch, block):
-    # the same tie-heavy cases, stored in run blocks of `block` rows, so
-    # that runs span many blocks
-    rng = np.random.default_rng(31)
-    cases = []
-    for _ in range(60):
-        records = []
-        for _ in range(int(rng.integers(1, 20))):
-            m = int(rng.integers(1, 6))
-            proxies = np.concatenate(([0.0], np.sort(rng.integers(0, 5, m - 1) / 4.0)))
-            costs = np.concatenate(([0.0], rng.integers(0, 5, m - 1) * 25.0))
-            records.append(SampleRecord(proxies, np.maximum.accumulate(costs)))
-        target = float(rng.choice([0.0, 25.0, 60.0, 100.0]))
-        cases.append((records, target, float(rng.choice([0.05, 0.2, 0.5, 0.9]))))
+    # the same tie-heavy cases, stored in blocks of `block` rows, so that
+    # the records fill many blocks of one record or a few
+    cases = tie_heavy_cases()
     want = [oracle_threshold_violation(store_of(records), *rest) for records, *rest in cases]
     assert BELOW_ALL in want and ABOVE_ALL in want and 0.5 in want
     monkeypatch.setattr("costcap.controller._RUN_BLOCK", block)

@@ -26,10 +26,9 @@ WIDTHS = [1, 2, 3, 4, 5, 6, 1025]
 
 
 @st.composite
-def records(draw):
-    """A record of 1-6 or 1025 rows on a coarse grid, so that proxy costs
-    and running maxima tie within and across records."""
-    m = draw(st.sampled_from(WIDTHS))
+def records(draw, m):
+    """A record of ``m`` rows on a coarse grid, so that proxy costs and
+    running maxima tie within and across records."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     proxies = np.cumsum(np.concatenate(([0.0], rng.integers(0, 4, m - 1) / 4.0)))
     costs = np.concatenate(([0.0], rng.integers(0, 4, m - 1) * 25.0))
@@ -44,20 +43,21 @@ def same_record(got: SampleRecord, want: SampleRecord) -> bool:
 
 
 class RecordStoreMachine(RuleBasedStateMachine):
-    """A store with or without a window beside a list of the same records:
-    its views equal the list's records and both direct searches equal the
-    list-based searches bit for bit. Blocks of a few rows make runs cross
-    blocks."""
+    """A store of records of one width (1-6 or 1025 rows) with or without a
+    window beside a list of the same records: its views equal the list's
+    records and both direct searches equal the list-based searches bit for
+    bit. Blocks of a few rows hold one record or a few."""
 
     @initialize(
+        width=st.sampled_from(WIDTHS),
         window=st.one_of(st.none(), st.integers(1, 40)),
         run_block=st.sampled_from([7, 64, controller._RUN_BLOCK]),
         target_costs=st.lists(st.sampled_from(TARGETS), min_size=2, max_size=2),
     )
-    def build(self, window, run_block, target_costs):
+    def build(self, width, window, run_block, target_costs):
         self.saved = controller._RUN_BLOCK
         controller._RUN_BLOCK = run_block
-        self.store = RecordStore()
+        self.store = RecordStore(width)
         self.listed = []
         self.window = window
         self.search_targets = sorted(set(target_costs))
@@ -66,8 +66,9 @@ class RecordStoreMachine(RuleBasedStateMachine):
         if hasattr(self, "saved"):
             controller._RUN_BLOCK = self.saved
 
-    @rule(record=records())
-    def observe(self, record):
+    @rule(data=st.data())
+    def observe(self, data):
+        record = data.draw(records(self.store.width))
         self.store.append(record.proxy_costs, record.max_costs)
         self.listed.append(record)
         if self.window is not None and len(self.store) > self.window:
@@ -106,25 +107,22 @@ test_record_store_state_machine = RecordStoreMachine.TestCase
 
 def test_window_slack_stays_within_one_block():
     # dropped rows left in the first block plus unwritten rows in the last
-    rng = np.random.default_rng(3)
-    widths = rng.choice(WIDTHS, size=10_040)
-    for window in (1, 7, 40):
-        store = RecordStore()
-        for m in widths[: 10_000 + window]:
-            row = np.zeros(m)
-            store.append(row, row)
-            if len(store) > window:
-                store.popleft()
-            assert store.slack() <= controller._RUN_BLOCK
-        assert len(store) == window
+    for m in WIDTHS:
+        row = np.zeros(m)
+        for window in (1, 7, 40):
+            store = RecordStore(m)
+            for _ in range(10_000 + window):
+                store.append(row, row)
+                if len(store) > window:
+                    store.popleft()
+                assert store.slack() <= controller._RUN_BLOCK
+            assert len(store) == window
 
 
 def test_a_window_of_power_set_records_never_moves_a_record():
-    # a controller's records all have one width; at a power set's 2^K rows
-    # each new block is sized so that no live row is ever copied: a record
-    # is evicted from the rows it was written to
+    # a record is evicted from the rows it was written to
     for width, window in ((1024, 300), (64, 40)):
-        store = RecordStore()
+        store = RecordStore(width)
         stored = deque()
         for i in range(window + 2_000):
             row = np.full(width, float(i))
@@ -138,7 +136,7 @@ def test_stored_chain_records_cost_at_most_twice_their_payload():
     # 20k chain records (K = 10, 11 rows each) observed into a controller
     # with no window: what the records hold, the memory freed when the
     # controller lets go of them, is at most twice their payload, two
-    # floats per row and one offset per record
+    # floats per row and 8 B per record for its bookkeeping
     k = 10
     n = 20_000
     weights = mnist_weights(k)

@@ -320,6 +320,10 @@ def test_spec_validation():
         SetFunctionSpec("fpc", 3, np.zeros(3))
     with pytest.raises(ValueError):
         SetFunctionSpec("gen", 3, mc_samples=0)
+    # weights of length K that are not one per class
+    for bad in (np.ones((2, 1)), np.ones((2, 2)), np.ones((1, 2)), np.float64(1.0)):
+        with pytest.raises(ValueError, match="1-D weight vector"):
+            SetFunctionSpec("tpc", 2, bad)
     for kind in ("tp", "fp", "gen"):  # weights an unweighted kind would ignore
         with pytest.raises(ValueError):
             SetFunctionSpec(kind, 3, np.ones(3))
@@ -397,6 +401,9 @@ def test_load_weights_csv(tmp_path):
         path.write_text(bad)
         with pytest.raises(ValueError):
             load_weights_csv(path, 2)
+    path.write_text("0,1\n0,2\n1,3\n")  # the last of a repeated class once won
+    with pytest.raises(ValueError, match="class index 0 given twice"):
+        load_weights_csv(path, 2)
     path.write_text("0,1e308\n1,1e308\n2,1\n")  # each finite, the sum is not
     with pytest.raises(ValueError):
         load_weights_csv(path, 3)
