@@ -63,6 +63,13 @@ def main() -> None:
              "--value-kind", "tpc", "--cost-kind", "fp",
              "--out", str(RESULTS / f"ablation_{universe}.csv")])
 
+    # the general ratio chain: a non-additive gen value, each candidate
+    # priced at its cost class margin. No --assert: the bands are calibrated
+    # for the runs above
+    run(["run", *common, "--mode", "expected", "--universe", "ratio",
+         "--value-kind", "gen", "--cost-kind", "fp",
+         "--out", str(RESULTS / "expected_gen.csv")])
+
     # threshold equivalence against the direct search; oracle-check exits 3 on
     # a mismatch. Weighted costs rarely land on a stored cumulative mass, while
     # unweighted FP costs at target 20 land on one at every checkpoint

@@ -409,15 +409,29 @@ class CostController:
 
     def observe(self, sample: Sample) -> None:
         """Fold one labeled sample into the calibration state."""
-        self.observe_record(self.build_record(sample, self.build_universe(sample.probs)))
+        self._observe(self.build_record(sample, self.build_universe(sample.probs)))
 
     def observe_record(self, record: SampleRecord) -> None:
-        """Fold an already-evaluated record (stream replay surface); with a
-        window, fold the oldest record back out once it is one too many. A
-        record whose arrays are not both as long as the controller's
-        candidate family raises ValueError before any state changes."""
+        """Fold an already-evaluated record (stream replay surface) as
+        :meth:`observe` folds a built one. A record whose arrays are not both
+        as long as the controller's candidate family, or hold a cost that is
+        not finite or a cost below the one before it, raises ValueError
+        before any state changes."""
+        proxies, maxes = record.proxy_costs, record.max_costs
+        self.records.check(proxies, maxes)
+        for name, costs in (("proxy costs", proxies), ("running maxima", maxes)):
+            # a NaN fails every comparison, and nondecreasing costs are
+            # finite when their ends are
+            rising = (costs[1:] >= costs[:-1]).all()
+            if not (rising and -math.inf < costs[0] and costs[-1] < math.inf):
+                raise ValueError(f"record's {name} must be finite and nondecreasing")
+        self._observe(record)
+
+    def _observe(self, record: SampleRecord) -> None:
+        """Fold a record of the controller's width, finite and nondecreasing;
+        with a window, fold the oldest record back out once it is one too
+        many."""
         records = self.records
-        records.check(record.proxy_costs, record.max_costs)
         self._fold(record, QuantileTree.insert)
         records.append(record.proxy_costs, record.max_costs)
         if self.window is not None and len(records) > self.window:
@@ -511,7 +525,7 @@ class CostController:
         """Predict for every target, then calibrate on the label; returns the
         elapsed seconds."""
         t0 = perf_counter()
-        self.observe_record(self._predict_all(sample))
+        self._observe(self._predict_all(sample))
         return perf_counter() - t0
 
     def _result(self, index: int, labels: int, elapsed: float) -> StepResult:
@@ -670,7 +684,8 @@ def oracle_threshold_violation(records: RecordStore, target_cost: float, delta: 
     n = len(records)
     need = (1.0 - delta) * (n + 1)
     exceed = np.sort(records.exceed_points(target_cost))
-    proxies = np.concatenate([p for p, _ in records.runs()])
+    # an empty store has no proxy cost, and the above-all plateau counts no sample
+    proxies = np.concatenate([np.empty((0, records.width)), *(p for p, _ in records.runs())])
     candidates = np.append(np.unique(proxies), ABOVE_ALL)
     del proxies
     counts = n - exceed.searchsorted(candidates, side="left")

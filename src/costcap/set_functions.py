@@ -10,8 +10,13 @@ maps the best attainable score to exactly 100. It also provides the
 probability-based proxy (computable without the true labels) and, for the
 additive kinds, per-class margins.
 
+An additive kind's class margins are the one definition of its proxy: a
+set's proxy is its classes' margins summed in ascending order from 0.0, so
+``proxy_many`` equals ``universe.subset_sums`` of the margins, the power
+set's proxies, bit for bit; a chain's are their running sums along its order.
+
 Every proxy is one fold over per-sample class terms (an additive kind's
-units, ``gen``'s Monte-Carlo hit tables), read through rows of slots: class
+margins, ``gen``'s Monte-Carlo hit tables), read through rows of slots: class
 indices ascending, slot K the identity term (0 for a sum, 1 for a product).
 ``SetFunctionSpec.row_proxy`` builds a sample's terms once and returns the
 one scorer of such rows. ``proxy_many`` hands it masks as K-slot rows, a
@@ -233,25 +238,20 @@ class SetFunctionSpec:
             slots = rows.T
             if not len(slots):
                 slots = np.full((1, rows.shape[0]), identity)
-            return self._fold(slots, terms) / self._max_raw * NORMALIZED_BOUND
+            return self._fold(slots, terms)
 
         return score
 
     def _terms(self, probs: np.ndarray) -> tuple[np.ndarray, ...]:
         """The sample's per-class terms, with row K the identity term.
 
-        An additive kind has one unit per class, how much the class counts
-        times its weight. ``gen`` has two (K+1, draws) hit tables: a class's
-        factor where the draw has it present and 1 elsewhere, and its square
-        where present and 0 elsewhere."""
+        An additive kind's terms are its :meth:`class_margins` and 0.0, so
+        its proxies are the margins' sums. ``gen`` has two (K+1, draws) hit
+        tables: a class's factor where the draw has it present and 1
+        elsewhere, and its square where present and 0 elsewhere."""
+        if self.additive:
+            return (np.array([*self.class_margins(probs.tolist()), 0.0]),)
         k = self.n_classes
-        if self.kind != "gen":
-            units = np.zeros(k + 1)
-            # a value class counts its probability, a cost class 1 minus it
-            units[:k] = 1.0 - probs if self._counts_absent else probs
-            if self._units is not None:
-                units[:k] *= self.weights
-            return (units,)
         hits = self._uniforms < probs[:, None]  # (K, draws): class k drawn present
         factors = np.ones((k + 1, self.mc_samples))
         np.copyto(factors[:k], self._mc_factors, where=hits)
@@ -260,20 +260,20 @@ class SetFunctionSpec:
         return factors, squares
 
     def _fold(self, slots: np.ndarray, terms: tuple[np.ndarray, ...]) -> np.ndarray:
-        """Raw score of each column of ``slots``, an (m, n_sets) array of
-        indices into ``terms``, folded down the column.
+        """Normalized proxy score of each column of ``slots``, an (m,
+        n_sets) array of indices into ``terms``, folded down the column.
 
-        An additive kind adds its units from 0.0; ``gen`` takes, per draw,
+        An additive kind adds its margins from 0.0; ``gen`` takes, per draw,
         the product of the factors plus the sum of the squares, then the
-        mean over the draws summed in order. The squares are integers, so
-        their sum is exact in any order. The (slot, set, draw) arrays are
-        built a block of draws at a time, carrying each set's running sum
-        over the draws. ``slots`` holds at most ``_MC_BLOCK`` elements, so
-        each block does too.
+        mean over the draws summed in order, and normalizes it. The squares
+        are integers, so their sum is exact in any order. The (slot, set,
+        draw) arrays are built a block of draws at a time, carrying each
+        set's running sum over the draws. ``slots`` holds at most
+        ``_MC_BLOCK`` elements, so each block does too.
         """
-        if self.kind != "gen":
-            (units,) = terms
-            sums = units[slots]
+        if self.additive:
+            (margins,) = terms
+            sums = margins[slots]
             np.add.accumulate(sums, axis=0, out=sums)
             # the loop's running sum starts at 0.0, which turns -0.0 into 0.0
             return sums[-1] + 0.0
@@ -291,7 +291,7 @@ class SetFunctionSpec:
                 values[:, 0] += total  # continue the previous blocks' running sum
             np.add.accumulate(values, axis=1, out=values)
             total = values[:, -1]
-        return total / n_draws
+        return total / n_draws / self._max_raw * NORMALIZED_BOUND
 
     def class_margins(self, probs) -> list[float]:
         """Per-class normalized proxy margins of an additive kind, as a list:

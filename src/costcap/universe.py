@@ -5,6 +5,11 @@ chain ∅ = S_0 ⊂ S_1 ⊂ ... ⊂ S_K that adds one class per step, ordered by
 predicted probability, by marginal value, or by marginal value per marginal
 cost. Ties are always broken by ascending class index.
 
+Every cost kind is additive, and its class margins are the one definition
+of its proxy: a set's proxy cost is its classes' margins summed in
+ascending order (:func:`subset_sums` for the power set, running sums along
+a chain's order), and a class's marginal cost in any chain is its margin.
+
 A power set is held as numpy arrays: its sets as one ``uint64`` bitmask per
 set. A chain has at most 65 sets, on which a numpy call costs more than the
 arithmetic it does, so a chain is held as Python lists from its class order
@@ -152,28 +157,30 @@ def greedy_ratio_additive(probs, values, marginal_costs) -> list[int]:
 
 def greedy_ratio_general(
     n_classes: int,
-    score: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
+    score: Callable[[np.ndarray], np.ndarray],
+    cost_margins: list[float],
 ) -> tuple[list[int], list[float]]:
     """Chain by per-step argmax of marginal proxy value over marginal proxy
     cost: its class order and its value proxies, as two lists.
 
-    Works for any (possibly non-additive) proxies; reduces to
-    :func:`greedy_ratio_additive` when both are additive. ``score`` takes
-    sets as an (n_sets, m) integer array, each row the m classes of one set
-    in ascending order, and returns their value and cost proxies as two
-    arrays. It is called once for ∅ (a (1, 0) array), then once per
-    round for every S ∪ {c}, c not yet in the chain S. A candidate's key
-    is ``(0, -dv, c)`` when its marginal cost dc <= 0 and
-    ``(1, -dv / dc, c)`` otherwise; the smallest key joins the chain, and
-    the running scores move by its dv and dc. A ratio too large for a
+    The value proxy may be non-additive; the cost is additive, so the
+    marginal cost of class c is its class margin ``cost_margins[c]``
+    whatever the chain holds. Reduces to :func:`greedy_ratio_additive`
+    when the value is additive too. ``score`` takes sets as an (n_sets, m)
+    integer array, each row the m classes of one set in ascending order,
+    and returns their value proxies as an array. It is called once for ∅
+    (a (1, 0) array), then once per round for every S ∪ {c}, c not yet in
+    the chain S. A candidate's key is ``(0, -dv, c)`` when its margin
+    dc <= 0 and ``(1, -dv / dc, c)`` otherwise; the smallest key joins the
+    chain, and the running value moves by its dv. A ratio too large for a
     float is inf, and such candidates tie. The value proxies are ∅'s and
     the winners' scores from those rounds.
     """
     k = n_classes
     order = np.arange(k)  # order[i:] holds the classes not yet added, ascending
     members = order[:0]  # the chain's classes, ascending
-    values, costs = score(members[None])
-    v_cur, c_cur = values[0], costs[0]
+    margins = np.array(cost_margins, dtype=np.float64)
+    (v_cur,) = score(members[None])
     proxy_values = np.empty(k + 1)
     proxy_values[0] = v_cur
     # entered once per chain: a tiny dc overflows dv / dc to inf
@@ -183,9 +190,9 @@ def greedy_ratio_general(
             rows[:, :i] = members
             rows[:, i] = order[i:]
             rows.sort(axis=1)
-            values, costs = score(rows)
+            values = score(rows)
             dv = values - v_cur
-            dc = costs - c_cur
+            dc = margins[order[i:]]
             free = dc <= 0.0
             # argmax picks the first of equal keys: the smallest class
             if free.any():
@@ -194,7 +201,6 @@ def greedy_ratio_general(
                 best = np.argmax(dv / dc)
             proxy_values[i + 1] = values[best]
             v_cur = v_cur + dv[best]
-            c_cur = c_cur + dc[best]
             members = rows[best]
             # the winner moves to position i; the classes it passes stay ascending
             winner = order[i + best]
@@ -224,11 +230,7 @@ def build_universe(
     elif kind == "ratio" and value_spec.additive:
         order = greedy_ratio_additive(p, value_spec.class_values, cost_margins)
     elif kind == "ratio":
-        value_proxy = value_spec.row_proxy(probs)
-        cost_proxy = cost_spec.row_proxy(probs)
-        order, values = greedy_ratio_general(
-            len(p), lambda rows: (value_proxy(rows), cost_proxy(rows))
-        )
+        order, values = greedy_ratio_general(len(p), value_spec.row_proxy(probs), cost_margins)
     else:
         raise ValueError(f"unknown universe kind {kind!r}")
     # accumulate starts from the first margin itself, as cumsum does: 0.0 +

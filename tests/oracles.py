@@ -10,10 +10,12 @@ its ``ABOVE_ALL`` marker.
   ``gen_value``: raw scores of the ``tp``/``fp``, ``tpc``/``fpc`` and
   ``gen`` kinds.
 - ``additive_proxy`` and ``proxy_mc``: per-set proxies of the additive
-  kinds and of any set function by Monte Carlo.
-- ``greedy_ratio_order``: the ratio chain scored one set at a time;
-  ``greedy_ratio_sets``: the same chain scored a round at a time through
-  mask-array proxies; ``mask_scorer``: per-mask proxies as the row scorer
+  kinds, as sums of class margins, and of any set function by Monte Carlo;
+  ``additive_margins``: an additive kind's class margins.
+- ``greedy_ratio_order``: the ratio chain scored one set at a time, each
+  candidate priced at its cost margin; ``greedy_ratio_sets``: the same chain
+  scored a round at a time through a mask-array value proxy;
+  ``mask_scorer``: a per-mask value proxy as the row scorer
   ``greedy_ratio_general`` calls.
 - ``max_cost_curve``, ``first_exceed_threshold`` and ``cplus_at``: a
   calibration record built one set at a time, its exceed point for one
@@ -148,59 +150,63 @@ def gen_value(s: int, y: int) -> float:
 
 
 def additive_proxy(kind: str, s: int, probs, weights, max_raw: float) -> float:
-    """Per-set proxy of an additive kind: p_k (value kinds) or 1 - p_k (cost
-    kinds), times w_k when weighted, summed over the classes of S in
-    ascending order from 0.0, then normalized to the 0..100 scale."""
+    """Per-set proxy of an additive kind: the class margins of S summed in
+    ascending class order from 0.0. Class k's margin is p_k (value kinds)
+    or 1 - p_k (cost kinds) times its unit margin u_k = w_k / max_raw * 100
+    (w_k = 1 unweighted)."""
     total = 0.0
     for k in range(len(probs)):
         if (s >> k) & 1:
-            unit = probs[k] if kind in ("tp", "tpc") else 1.0 - probs[k]
-            if weights is not None:
-                unit *= weights[k]
-            total += unit
-    return total / max_raw * 100.0
+            unit = (1.0 if weights is None else weights[k]) / max_raw * 100.0
+            total += (probs[k] if kind in ("tp", "tpc") else 1.0 - probs[k]) * unit
+    return total
 
 
-def mask_scorer(value_proxy, cost_proxy):
-    """Adapter from per-mask value and cost proxies to a scorer of sets
-    given as rows of class indices."""
+def additive_margins(spec, probs) -> np.ndarray:
+    """Class margins of an additive kind: p_k u_k (value kinds) or
+    (1 - p_k) u_k (cost kinds), as a float64 array."""
+    probs = np.asarray(probs, dtype=np.float64)
+    counted = 1.0 - probs if spec.is_cost else probs
+    return counted * _unit_margins(spec)
+
+
+def mask_scorer(value_proxy):
+    """Adapter from a per-mask value proxy to a scorer of sets given as rows
+    of class indices."""
 
     def score(rows):
         masks = [sum(1 << c for c in row) for row in rows.tolist()]
-        return (
-            np.array([value_proxy(s) for s in masks], dtype=np.float64),
-            np.array([cost_proxy(s) for s in masks], dtype=np.float64),
-        )
+        return np.array([value_proxy(s) for s in masks], dtype=np.float64)
 
     return score
 
 
-def greedy_ratio_sets(n_classes: int, value_proxy, cost_proxy) -> tuple[list[int], list[int]]:
+def greedy_ratio_sets(n_classes: int, value_proxy, cost_margins) -> tuple[list[int], list[int]]:
     """Ratio chain order and nested sets, each round scoring all remaining
-    candidates with one call of each mask-array proxy (round one also
-    scores ∅). Keys and running scores as in ``greedy_ratio_order``; the
-    last class needs no scoring."""
+    candidates with one call of the mask-array value proxy (round one also
+    scores ∅). Keys, cost margins and the running value as in
+    ``greedy_ratio_order``; the last class needs no scoring."""
     k = n_classes
     bits = np.uint64(1) << np.arange(k, dtype=np.uint64)
+    costs = np.asarray(cost_margins, dtype=np.float64)
     order = np.arange(k)  # order[i:] holds the classes not yet added, ascending
     mask = np.uint64(0)
     sets = np.concatenate(([mask], bits))
-    values, costs = value_proxy(sets), cost_proxy(sets)
-    v_cur, c_cur = values[0], costs[0]
-    values, costs = values[1:], costs[1:]
+    values = value_proxy(sets)
+    v_cur = values[0]
+    values = values[1:]
     for i in range(k - 1):
         if i:
             sets = mask | bits[order[i:]]
-            values, costs = value_proxy(sets), cost_proxy(sets)
+            values = value_proxy(sets)
         dv = values - v_cur
-        dc = costs - c_cur
+        dc = costs[order[i:]]
         free = dc <= 0.0
         if free.any():
             best = np.flatnonzero(free)[np.argmin(-dv[free])]
         else:
             best = np.argmin(-dv / dc)
         v_cur = v_cur + dv[best]
-        c_cur = c_cur + dc[best]
         winner = order[i + best]
         order[i + 1 : i + best + 1] = order[i : i + best]
         order[i] = winner
@@ -211,28 +217,27 @@ def greedy_ratio_sets(n_classes: int, value_proxy, cost_proxy) -> tuple[list[int
     return order.tolist(), chain
 
 
-def greedy_ratio_order(n_classes: int, value_proxy, cost_proxy) -> list[int]:
-    """Ratio chain order by scoring every candidate one set at a time with
-    per-set proxies: the smallest key (0, -dv, cand) when dc <= 0, else
-    (1, -dv / dc, cand), and running scores moved by the winner's dv, dc."""
+def greedy_ratio_order(n_classes: int, value_proxy, cost_margins) -> list[int]:
+    """Ratio chain order by scoring every candidate one set at a time with a
+    per-set value proxy, its marginal cost dc its cost margin: the smallest
+    key (0, -dv, cand) when dc <= 0, else (1, -dv / dc, cand), and the
+    running value moved by the winner's dv."""
     order = []
     mask = 0
     v_cur = value_proxy(0)
-    c_cur = cost_proxy(0)
     remaining = list(range(n_classes))
     for _ in range(n_classes):
-        best_key = best = best_vc = None
+        best_key = best = best_v = None
         for cand in remaining:
-            with_c = mask | (1 << cand)
-            dv = value_proxy(with_c) - v_cur
-            dc = cost_proxy(with_c) - c_cur
+            dv = value_proxy(mask | (1 << cand)) - v_cur
+            dc = float(cost_margins[cand])
             key = (0, -dv, cand) if dc <= 0.0 else (1, -dv / dc, cand)
             if best_key is None or key < best_key:
-                best_key, best, best_vc = key, cand, (v_cur + dv, c_cur + dc)
+                best_key, best, best_v = key, cand, v_cur + dv
         mask |= 1 << best
         remaining.remove(best)
         order.append(best)
-        v_cur, c_cur = best_vc
+        v_cur = best_v
     return order
 
 
@@ -329,9 +334,9 @@ def two_doubling_full_universe(probs, cost_spec, value_spec):
     ascending proxy cost, equal costs in ascending mask order. The cost
     margins are (1 - p_k) u_k and an additive value kind's p_k u_k."""
     probs = np.asarray(probs, dtype=np.float64)
-    costs = _doubling((1.0 - probs) * _unit_margins(cost_spec))
+    costs = _doubling(additive_margins(cost_spec, probs))
     order = np.argsort(costs, kind="stable")
-    values = _doubling(probs * _unit_margins(value_spec))
+    values = _doubling(additive_margins(value_spec, probs))
     return order.astype(np.uint64), costs[order], values[order]
 
 
@@ -354,12 +359,12 @@ def chain_margin_record(order, sample, cost_spec, value_spec):
     labels = label_bits(sample.labels, k)
     units = _unit_margins(cost_spec)
     record = SampleRecord(
-        _chain_sums((1.0 - probs) * units, order),
+        _chain_sums(additive_margins(cost_spec, probs), order),
         np.maximum.accumulate(_chain_sums((1.0 - labels) * units, order)),
     )
     if value_spec.kind == "gen":
         return record, None
-    return record, _chain_sums(probs * _unit_margins(value_spec), order)
+    return record, _chain_sums(additive_margins(value_spec, probs), order)
 
 
 def label_bits(mask: int, n_classes: int) -> np.ndarray:
@@ -387,16 +392,16 @@ def numpy_chain(kind, sample, value_spec, cost_spec):
     or, with a free class (cost <= 0), a ``lexsort`` that puts the free
     classes first by descending gain; an overflowing ratio is inf. The
     general ratio chain (a ``gen`` value) takes ``greedy_ratio_sets``'
-    order.
+    order, with the same cost margins.
     """
     probs = np.asarray(sample.probs, dtype=np.float64)
+    costs = additive_margins(cost_spec, probs)
     if kind == "prob":
         order = np.argsort(-probs, kind="stable")
     elif kind == "value":
         order = np.argsort(-(probs * _class_values(value_spec)), kind="stable")
     elif value_spec.kind != "gen":
         gains = probs * _class_values(value_spec)
-        costs = (1.0 - probs) * _unit_margins(cost_spec)
         free = costs <= 0.0
         with np.errstate(over="ignore"):
             if free.any():
@@ -408,9 +413,7 @@ def numpy_chain(kind, sample, value_spec, cost_spec):
     else:
         with np.errstate(over="ignore"):
             order, _ = greedy_ratio_sets(
-                cost_spec.n_classes,
-                lambda sets: value_spec.proxy_many(sets, probs),
-                lambda sets: cost_spec.proxy_many(sets, probs),
+                cost_spec.n_classes, lambda sets: value_spec.proxy_many(sets, probs), costs
             )
         order = np.array(order)
     order = order.astype(np.int64)

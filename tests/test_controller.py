@@ -15,6 +15,7 @@ from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, ru
 import costcap.controller as controller
 from costcap.controller import (
     CostController,
+    RecordStore,
     SampleRecord,
     classwise_predict,
     classwise_thresholds,
@@ -222,6 +223,12 @@ def hexes(xs) -> list[str]:
     "ratio", "gen", "fpc", [0.5, 0.3, 0.7],
     {"tpc": [1.0, 2.5, 3.7], "fpc": [1.0, 2.2e-311, 1.0]}, 0b001,
 ))
+# class 5's positive subnormal cost margin adds nothing to a summed cost, so
+# a marginal cost taken as a difference of summed costs made it free
+@example((
+    "ratio", "gen", "fpc", [0.0] * 64,
+    {"tpc": [1.0] * 64, "fpc": [2.5] * 5 + [2.2e-311] + [2.5] * 58}, 0,
+))
 def test_chain_proxies_and_record_equal_the_margin_cumsums(case):
     # a chain on Python floats equals the numpy route bit for bit from its
     # class order to its selection: sorts, cumsums of the margins along the
@@ -373,9 +380,10 @@ def test_controller_rejects_inputs_of_another_k():
 
 
 def calibration_state(ctrl):
-    """n_seen and each tree's items and total weight."""
+    """n_seen, the stored records and each tree's items and total weight."""
     trees = ctrl.trees
-    return ctrl.n_seen, [list(t.items()) for t in trees], [t.total_weight() for t in trees]
+    stored = [(r.proxy_costs.tolist(), r.max_costs.tolist()) for r in ctrl.records]
+    return ctrl.n_seen, stored, [list(t.items()) for t in trees], [t.total_weight() for t in trees]
 
 
 @pytest.mark.parametrize("mode", ["expected", "violation"])
@@ -414,6 +422,20 @@ def test_bad_record_rejected_before_any_state_changes(mode):
         SampleRecord(good.proxy_costs[:4], good.max_costs),
     ):
         with pytest.raises(ValueError, match="running maxima.*have 5"):
+            ctrl.observe_record(bad)
+        assert calibration_state(ctrl) == before
+    proxies, maxes = good.proxy_costs, good.max_costs
+    for bad in (
+        # an infinite proxy cost once reached the tree after the finite ones
+        SampleRecord(np.append(proxies[:4], np.inf), maxes),
+        SampleRecord(np.append(proxies[:4], np.nan), maxes),
+        SampleRecord(proxies[::-1].copy(), maxes),
+        SampleRecord(proxies, np.append(maxes[:4], np.nan)),  # once stored silently
+        SampleRecord(proxies, np.append(maxes[:4], np.inf)),
+        # a falling maximum once had its negative weight dropped
+        SampleRecord(proxies, np.array([0.0, 10.0, 5.0, 5.0, 5.0])),
+    ):
+        with pytest.raises(ValueError, match="finite and nondecreasing"):
             ctrl.observe_record(bad)
         assert calibration_state(ctrl) == before
     ctrl.observe_record(good)
@@ -1095,6 +1117,18 @@ def test_oracle_expected_single_sample_closed_form():
     assert oracle_threshold_expected(store, 50.0, 100.0) == 0.4  # budget 0 < 8
     assert oracle_threshold_expected(store, 54.001, 100.0) == ABOVE_ALL
     assert oracle_threshold_expected(store, 49.0, 100.0) == BELOW_ALL
+
+
+@pytest.mark.parametrize("width", [1, 5])
+def test_direct_searches_on_an_empty_store(width):
+    # no record: the budget (0 + 1)c - C_max is negative below C_max and 0
+    # at it, where every set is admissible; the violation search needs
+    # (1 - δ)(0 + 1) > 0 samples within the target and has none
+    store = RecordStore(width)
+    assert oracle_threshold_expected(store, 50.0, 100.0) == BELOW_ALL
+    assert oracle_threshold_expected(store, 100.0, 100.0) == ABOVE_ALL
+    for delta in (0.05, 0.5, 0.95):
+        assert oracle_threshold_violation(store, 50.0, delta) == BELOW_ALL
 
 
 def test_oracle_expected_monotone_in_target():

@@ -18,7 +18,7 @@ from costcap.set_functions import (
     load_weights_csv,
 )
 
-from costcap.universe import build_universe, full_universe
+from costcap.universe import build_universe, full_universe, subset_sums
 
 from .oracles import (
     additive_proxy,
@@ -231,6 +231,45 @@ def test_proxy_many_equals_per_set_reference(kind, mc_samples, drawn, mc_seed):
     for s, w in zip(sets, want):
         row = np.array([c for c in range(k) if s >> c & 1], dtype=np.int64)
         assert score(row[None]).tobytes() == np.array([w]).tobytes()
+
+
+# probabilities that tie the margins: certain values, -0.0 and repeats
+tie_probs = st.sampled_from([0.0, -0.0, 1.0, 0.5, 0.25])
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from(["tp", "fp", "tpc", "fpc"]),
+    st.integers(1, 10).flatmap(
+        lambda k: st.tuples(
+            st.lists(tie_probs | st.floats(0.0, 1.0), min_size=k, max_size=k)
+            | (tie_probs | st.floats(0.0, 1.0)).map(lambda p: [p] * k),
+            st.lists(
+                st.sampled_from([0.0, -0.0, 1.0, 2.5]) | st.floats(0.0, 10.0),
+                min_size=k,
+                max_size=k,
+            ),
+        )
+    ),
+)
+def test_additive_proxies_are_the_subset_sums_of_the_class_margins(kind, drawn):
+    # one definition: every additive proxy, whatever route scores it, is the
+    # power set's sum of the class margins, to the bit
+    probs, weights = drawn
+    k = len(probs)
+    weights = np.array(weights) if kind in ("tpc", "fpc") else None
+    if weights is not None:
+        weights[-1] = 1.0  # all-zero weights are rejected
+    spec = SetFunctionSpec(kind, k, weights)
+    probs = np.array(probs)
+    want = subset_sums(np.array(spec.class_margins(probs.tolist())))
+    sets = np.arange(1 << k, dtype=np.uint64)
+    assert spec.proxy_many(sets, probs).tobytes() == want.tobytes()
+    assert [spec.proxy(s, probs) for s in range(0, 1 << k, 7)] == want[::7].tolist()
+    score = spec.row_proxy(probs)
+    for s in range(0, 1 << k, 5):
+        row = np.array([[c for c in range(k) if s >> c & 1]], dtype=np.int64)
+        assert score(row).tobytes() == want[s : s + 1].tobytes()
 
 
 def test_proxy_many_memory_bounded():

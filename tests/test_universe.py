@@ -19,6 +19,7 @@ from costcap.universe import (
 )
 
 from .oracles import (
+    additive_margins,
     greedy_ratio_order,
     greedy_ratio_sets,
     mask_scorer,
@@ -246,9 +247,7 @@ def test_proxy_cost_nondecreasing_along_chain(probs):
 
 
 def test_ratio_general_single_class():
-    order, values = greedy_ratio_general(
-        1, mask_scorer(lambda s: float(s & 1), lambda s: 0.5 * (s & 1))
-    )
+    order, values = greedy_ratio_general(1, mask_scorer(lambda s: float(s & 1)), [0.5])
     assert order == [0]
     assert values == [0.0, 1.0]
 
@@ -263,8 +262,7 @@ def test_ratio_general_matches_additive():
         probs = np.array([rng.uniform(0.01, 0.99) for _ in range(k)])
         additive = greedy_ratio_additive(probs, w, cost_spec.class_margins(probs))
         general, _ = greedy_ratio_general(
-            k,
-            mask_scorer(lambda s: value_spec.proxy(s, probs), lambda s: cost_spec.proxy(s, probs)),
+            k, mask_scorer(lambda s: value_spec.proxy(s, probs)), cost_spec.class_margins(probs)
         )
         assert additive == general
 
@@ -277,8 +275,8 @@ def test_ratio_general_per_step_argmax_oracle():
     cost_spec = SetFunctionSpec("fp", k)
     probs = np.array([rng.uniform(0.05, 0.95) for _ in range(k)])
     vp = lambda s: value_spec.proxy(s, probs)
-    cp = lambda s: cost_spec.proxy(s, probs)
-    order, _ = greedy_ratio_general(k, mask_scorer(vp, cp))
+    margins = additive_margins(cost_spec, probs)
+    order, _ = greedy_ratio_general(k, mask_scorer(vp), cost_spec.class_margins(probs))
     mask = 0
     for step, nxt in enumerate(order):
         best = None
@@ -287,7 +285,7 @@ def test_ratio_general_per_step_argmax_oracle():
             if (mask >> cand) & 1:
                 continue
             dv = vp(mask | (1 << cand)) - vp(mask)
-            dc = cp(mask | (1 << cand)) - cp(mask)
+            dc = margins[cand]  # an additive cost's marginal cost
             key = (0, -dv, cand) if dc <= 0 else (1, -dv / dc, cand)
             if best_key is None or key < best_key:
                 best_key, best = key, cand
@@ -306,13 +304,19 @@ def test_ratio_general_per_step_argmax_oracle():
                 min_size=k,
                 max_size=k,
             ),
-            st.lists(st.sampled_from([0.0, 1.0, 2.0]), min_size=k, max_size=k),
+            # a subnormal weight's cost margin is positive, though adding it
+            # to a larger summed cost changes nothing
+            st.lists(st.sampled_from([0.0, 1.0, 2.0, 2.2e-311]), min_size=k, max_size=k),
         )
     ),
     st.sampled_from([1, 2, 30]),
 )
 # classes 1 and 3 cost nothing under fp (p = 1); 0 and 2 tie exactly
 @example(("tpc", "fp"), ([0.5, 1.0, 0.5, 1.0], [2.0, 1.0, 2.0, 3.0]), 1)
+# probabilities 0 give every set the same gen value, so the order follows the
+# cost margins alone. Class 5's marginal cost taken as a difference of summed
+# costs was 0 after the first round, which made it free and put it second
+@example(("gen", "fpc"), ([0.0] * 64, [2.5] * 5 + [2.2e-311] + [2.5] * 58), 3)
 def test_ratio_general_matches_per_candidate_reference(kinds, drawn, mc_samples):
     value_kind, cost_kind = kinds
     probs, weights = drawn
@@ -324,10 +328,11 @@ def test_ratio_general_matches_per_candidate_reference(kinds, drawn, mc_samples)
         value_kind, k, weights if value_kind == "tpc" else None, mc_samples=mc_samples, mc_seed=k
     )
     cost_spec = SetFunctionSpec(cost_kind, k, weights if cost_kind == "fpc" else None)
-    value_proxy, cost_proxy = value_spec.row_proxy(probs), cost_spec.row_proxy(probs)
-    order, _ = greedy_ratio_general(k, lambda rows: (value_proxy(rows), cost_proxy(rows)))
+    order, _ = greedy_ratio_general(
+        k, value_spec.row_proxy(probs), cost_spec.class_margins(probs.tolist())
+    )
     want = greedy_ratio_order(
-        k, lambda s: value_spec.proxy(s, probs), lambda s: cost_spec.proxy(s, probs)
+        k, lambda s: value_spec.proxy(s, probs), additive_margins(cost_spec, probs)
     )
     assert order == want
 
@@ -359,9 +364,7 @@ def test_gen_ratio_chain_equals_the_per_set_rounds_bit_for_bit(
     cost_spec = SetFunctionSpec(cost_kind, k, np.array(weights) if cost_kind == "fpc" else None)
     seq = build_universe("ratio", probs, value_spec, cost_spec)
     order, sets = greedy_ratio_sets(
-        k,
-        lambda sets: value_spec.proxy_many(sets, probs),
-        lambda sets: cost_spec.proxy_many(sets, probs),
+        k, lambda sets: value_spec.proxy_many(sets, probs), additive_margins(cost_spec, probs)
     )
     assert seq.order == [int(c) for c in order]
     assert seq.sets == [int(s) for s in sets]
@@ -370,12 +373,13 @@ def test_gen_ratio_chain_equals_the_per_set_rounds_bit_for_bit(
 
 def test_ratio_general_running_scores_move_by_the_winners_margins():
     # v(∅) + (v({0}) - v(∅)) is 1 + 2^-52, not v({0}) = 1.0; at 1.0 round
-    # two's ratios (2 - v) / 1 and (3 - v) / 2 would tie and class 1 would win
+    # two's ratios (2 - v) / 1 and (3 - v) / 2, over the classes' cost
+    # margins, would tie and class 1 would win
     v = {0: -1.234792922781735, 0b001: 1.0, 0b010: 0.0, 0b100: 0.0, 0b011: 2.0, 0b101: 3.0}
-    c = {0: 0.0, 0b001: 0.0, 0b010: 1.0, 0b100: 1.0, 0b011: 1.0, 0b101: 2.0}
-    v[0b111], c[0b111] = 4.0, 3.0
-    order, values = greedy_ratio_general(3, mask_scorer(v.__getitem__, c.__getitem__))
-    assert order == greedy_ratio_order(3, v.__getitem__, c.__getitem__) == [0, 2, 1]
+    v[0b111] = 4.0
+    margins = [0.0, 1.0, 2.0]
+    order, values = greedy_ratio_general(3, mask_scorer(v.__getitem__), margins)
+    assert order == greedy_ratio_order(3, v.__getitem__, margins) == [0, 2, 1]
     # the chain keeps the scores its rounds computed, not the running ones
     assert values == [v[0], 1.0, 3.0, 4.0]
 
