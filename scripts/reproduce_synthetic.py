@@ -39,8 +39,9 @@ def main() -> None:
     run(["generate", "--n", str(n_rows), "--classes", "10", "--base-rate", "0.4",
          "--heterogeneity", "1.0", "--seed", "20240401", "--out", str(stream)])
 
-    common = ["--stream", str(stream), "--seeds", seeds, "--n-test", str(n_test),
-              "--burn-in", str(burn_in), "--classes", "10"]
+    sizes = ["--seeds", seeds, "--n-test", str(n_test), "--burn-in", str(burn_in),
+             "--classes", "10"]
+    common = ["--stream", str(stream), *sizes]
     # the CI bands are calibrated for the full-size protocol
     gate = [] if opts.quick else ["--assert"]
 
@@ -88,6 +89,22 @@ def main() -> None:
          "--universe", "full", "--value-kind", "tp", "--cost-kind", "fpc",
          "--window", "150", "--checkpoints", "20",
          "--out", str(RESULTS / "oracle_check_violation_window.csv")])
+
+    # a rolling window over a chain on duplicate-heavy data: with no
+    # heterogeneity every sample has the same probability vector, so every
+    # record has the same proxy costs and tree points tie across records
+    # while the window evicts
+    flat = RESULTS / "stream_flat.csv"
+    run(["generate", "--n", str(n_rows), "--classes", "10", "--base-rate", "0.4",
+         "--heterogeneity", "0.0", "--seed", "20240402", "--out", str(flat)])
+    run(["oracle-check", "--stream", str(flat), *sizes, "--mode", "violation",
+         "--delta", "0.1", "--universe", "ratio", "--value-kind", "tpc", "--cost-kind", "fp",
+         "--window", "150", "--checkpoints", "20",
+         "--out", str(RESULTS / "oracle_check_violation_window_flat.csv")])
+    run(["oracle-check", "--stream", str(flat), *sizes, "--mode", "expected",
+         "--universe", "ratio", "--value-kind", "tp", "--cost-kind", "fpc",
+         "--window", "150", "--checkpoints", "20",
+         "--out", str(RESULTS / "oracle_check_expected_window_flat.csv")])
 
     # per-update latency scaling
     grid = "1000,10000,100000" if opts.quick else "1000,10000,100000,1000000"

@@ -9,7 +9,12 @@ data-driven proxy-cost threshold is a single weighted-quantile query:
 * violation mode     q = ((N+1)δ − 1) / total_mass
 
 The prediction is the value-proxy maximizer among candidate sets with proxy
-cost strictly below the threshold. Direct-search reference implementations
+cost strictly below the threshold. A step is one pipeline, written once in
+:meth:`CostController.step_all`: build the universe from the probabilities,
+build the record from the label, select each target's threshold and
+prediction from the records seen so far, fold the record in, and evaluate
+the predictions on the label. A prediction alone runs only the universe and
+the selection, so it reads no label. Direct-search reference implementations
 of both thresholds (linear in the stored mass) are included; they are the
 independent route the tree is verified and benchmarked against.
 
@@ -264,10 +269,11 @@ class CostController:
 
     ``target_cost`` is one target or a sequence of T targets served by one
     calibration pass. :meth:`step_all` returns one :class:`StepResult` per
-    target, in the given order. :meth:`step`, :meth:`predict`,
-    :meth:`threshold` (without an index), ``target_cost`` and ``tree``
-    refer to the first target, which is the only one of a single-target
-    controller; ``records`` are shared by all targets.
+    target, in the given order, and :meth:`step` is its first result.
+    :meth:`predict` (which reads only a sample's probabilities and changes
+    no state), :meth:`threshold` (without an index), ``target_cost`` and
+    ``tree`` refer to the first target, which is the only one of a
+    single-target controller; ``records`` are shared by all targets.
 
     Before ``burn_in`` samples have been observed, ``predict``/``step`` return
     the no-prediction marker (None) while calibration keeps accumulating.
@@ -337,9 +343,6 @@ class CostController:
         # every record has one row per candidate set: 2^K of a power set,
         # K + 1 of a chain
         self.records = RecordStore(1 << k if universe_kind == "full" else k + 1)
-        # the last prediction's per-target outcome, overwritten in place
-        self._thresholds: list[float | None] = [None] * len(targets)
-        self._predictions: list[int | None] = [None] * len(targets)
 
     @property
     def target_cost(self) -> float:
@@ -416,15 +419,20 @@ class CostController:
         :meth:`observe` folds a built one. A record whose arrays are not both
         as long as the controller's candidate family, or hold a cost that is
         not finite or a cost below the one before it, raises ValueError
-        before any state changes."""
+        before any state changes; so does one whose leading row, the empty
+        set's, is not (0.0, 0.0)."""
         proxies, maxes = record.proxy_costs, record.max_costs
         self.records.check(proxies, maxes)
         for name, costs in (("proxy costs", proxies), ("running maxima", maxes)):
-            # a NaN fails every comparison, and nondecreasing costs are
-            # finite when their ends are
-            rising = (costs[1:] >= costs[:-1]).all()
-            if not (rising and -math.inf < costs[0] and costs[-1] < math.inf):
+            # a NaN fails every comparison, and nondecreasing costs from the
+            # leading 0.0 checked below are finite when their last one is
+            if not ((costs[1:] >= costs[:-1]).all() and costs[-1] < math.inf):
                 raise ValueError(f"record's {name} must be finite and nondecreasing")
+        if not proxies[0] == maxes[0] == 0.0:
+            raise ValueError(
+                f"record's leading row must be the empty set's (0.0, 0.0), "
+                f"got ({proxies[0]}, {maxes[0]})"
+            )
         self._observe(record)
 
     def _observe(self, record: SampleRecord) -> None:
@@ -496,69 +504,59 @@ class CostController:
 
     def predict(self, sample: Sample) -> int | None:
         """First target's value-maximizing admissible set, or None during
-        burn-in."""
-        self._predict_all(sample)
-        return self._predictions[0]
+        burn-in. Reads only ``sample.probs`` and changes no state."""
+        _, prediction = self._select(self.build_universe(sample.probs), sample.probs)[0]
+        return prediction
 
-    def _predict_all(self, sample: Sample) -> SampleRecord:
-        """Predict for every target; returns the sample's record. The
-        thresholds and predictions land in ``_thresholds``/``_predictions``
-        (None during burn-in)."""
-        universe = self.build_universe(sample.probs)
-        record = self.build_record(sample, universe)
-        thresholds = self._thresholds
-        predictions = self._predictions
+    def _select(
+        self, universe: UniverseSeq, probs: np.ndarray
+    ) -> list[tuple[float | None, int | None]]:
+        """Each target's (threshold, prediction) over ``universe`` from the
+        records seen so far; (None, None) for each target during burn-in."""
         n = self.n_seen
-        if n > self.burn_in:
-            values = self.proxy_values(universe, sample.probs)
-            for i in range(len(thresholds)):
-                threshold = thresholds[i] = self._threshold(i, n)
-                predictions[i] = select_max_value(
-                    universe.sets, universe.proxy_costs, values, threshold
-                )
-        else:
-            for i in range(len(thresholds)):
-                thresholds[i] = predictions[i] = None
-        return record
-
-    def _step(self, sample: Sample) -> float:
-        """Predict for every target, then calibrate on the label; returns the
-        elapsed seconds."""
-        t0 = perf_counter()
-        self._observe(self._predict_all(sample))
-        return perf_counter() - t0
-
-    def _result(self, index: int, labels: int, elapsed: float) -> StepResult:
-        """The last step's outcome for target ``index``, realized on ``labels``."""
-        prediction = self._predictions[index]
-        threshold = self._thresholds[index]
-        if prediction is None:
-            return StepResult(None, threshold, None, None, elapsed)
-        return StepResult(
-            prediction,
-            threshold,
-            self.value_spec.evaluate(prediction, labels),
-            self.cost_spec.evaluate(prediction, labels),
-            elapsed,
-        )
+        if n <= self.burn_in:
+            return [(None, None)] * len(self.targets)
+        values = self.proxy_values(universe, probs)
+        selected = []
+        for i in range(len(self.targets)):
+            threshold = self._threshold(i, n)
+            prediction = select_max_value(universe.sets, universe.proxy_costs, values, threshold)
+            selected.append((threshold, prediction))
+        return selected
 
     def step(self, sample: Sample) -> StepResult:
-        """Predict for the incoming sample, then calibrate on its label; the
-        first target's result.
+        """The first target's result of :meth:`step_all`."""
+        return self.step_all(sample)[0]
+
+    def step_all(self, sample: Sample) -> list[StepResult]:
+        """Predict for the incoming sample, then calibrate on its label; one
+        result per target, in target order, each realized on the label. Each
+        result's ``elapsed_s`` is the step's time divided by the number of
+        targets, so the results add up to the step.
 
         Label feedback is assumed immediate: the sample joins the calibration
         state right after its prediction is made.
         """
-        elapsed = self._step(sample)
-        return self._result(0, sample.labels, elapsed)
-
-    def step_all(self, sample: Sample) -> list[StepResult]:
-        """:meth:`step` for every target: one result per target, in target
-        order. Each result's ``elapsed_s`` is the step's time divided by the
-        number of targets, so the results add up to the step."""
-        share = self._step(sample) / len(self.targets)
+        t0 = perf_counter()
+        probs = sample.probs
+        universe = self.build_universe(probs)
+        record = self.build_record(sample, universe)
+        selected = self._select(universe, probs)
+        self._observe(record)
         labels = sample.labels
-        return [self._result(i, labels, share) for i in range(len(self.targets))]
+        results = []
+        for threshold, prediction in selected:
+            if prediction is None:
+                results.append(StepResult(None, threshold, None, None, 0.0))
+            else:
+                value = self.value_spec.evaluate(prediction, labels)
+                cost = self.cost_spec.evaluate(prediction, labels)
+                results.append(StepResult(prediction, threshold, value, cost, 0.0))
+        # the step's time is known only once every result is evaluated
+        share = (perf_counter() - t0) / len(results)
+        for result in results:
+            result.elapsed_s = share
+        return results
 
 
 # ----------------------------------------------------------------------
@@ -670,24 +668,24 @@ def oracle_threshold_expected(
 
 
 def oracle_threshold_violation(records: RecordStore, target_cost: float, delta: float) -> float:
-    """Direct search for the violation threshold: over every candidate proxy
-    cost (plus the above-all plateau), keep the largest one where enough
+    """Direct search for the violation threshold: over the candidate proxy
+    costs (plus the above-all plateau), keep the largest one where enough
     samples stay within the target cost.
 
     A sample stays within a nonnegative target at t when every set of proxy
     cost below t costs at most the target: when t is at most the first
     proxy cost whose running max exceeds it (its exceed point; every record
     starts at cost 0). So the count at a candidate is the number of exceed
-    points at or above it. The search finds the exceed points in the
-    store's blocks itself, apart from the trees. O(MN log(MN)) for N
-    records of M candidates."""
+    points at or above it, which changes only at an exceed point: the
+    largest admissible proxy cost is an exceed point or the above-all
+    plateau, and only those are scanned. The search finds the exceed points
+    in the store's blocks itself, apart from the trees. O(MN + N log N) for
+    N records of M candidates."""
     n = len(records)
     need = (1.0 - delta) * (n + 1)
     exceed = np.sort(records.exceed_points(target_cost))
-    # an empty store has no proxy cost, and the above-all plateau counts no sample
-    proxies = np.concatenate([np.empty((0, records.width)), *(p for p, _ in records.runs())])
-    candidates = np.append(np.unique(proxies), ABOVE_ALL)
-    del proxies
+    # an empty store has no exceed point, and the above-all plateau counts no sample
+    candidates = np.append(np.unique(exceed), ABOVE_ALL)
     counts = n - exceed.searchsorted(candidates, side="left")
     admissible = np.flatnonzero(counts >= need)
     if len(admissible) == 0:

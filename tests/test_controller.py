@@ -1,5 +1,6 @@
 """Controller: records, thresholds vs direct search, prediction, ClassWise."""
 
+import dataclasses
 import math
 import random
 import warnings
@@ -438,8 +439,25 @@ def test_bad_record_rejected_before_any_state_changes(mode):
         with pytest.raises(ValueError, match="finite and nondecreasing"):
             ctrl.observe_record(bad)
         assert calibration_state(ctrl) == before
+    for bad in (
+        # the empty set costs nothing: a leading cost of 5.0 was once dropped
+        # from the expected mass, and put a violation exceed point at 0.5
+        SampleRecord(np.array([0.5, 1.0, 2.0, 3.0, 4.0]), np.array([5.0, 10.0, 20.0, 20.0, 30.0])),
+        SampleRecord(np.append(0.5, proxies[1:]), maxes),
+        SampleRecord(proxies, np.append(5.0, np.maximum(maxes[1:], 5.0))),
+        SampleRecord(np.append(-np.inf, proxies[1:]), maxes),
+        SampleRecord(proxies, np.append(-1.0, maxes[1:])),
+    ):
+        with pytest.raises(ValueError, match="leading row"):
+            ctrl.observe_record(bad)
+        assert calibration_state(ctrl) == before
     ctrl.observe_record(good)
     assert ctrl.n_seen == 3 and calibration_state(ctrl) != before
+    # the K = 2 record of a leading (0.5, 5.0) row, on an empty controller
+    empty = controller_for_records(mode, [1.0, 20.0], [], k=2)
+    with pytest.raises(ValueError, match="leading row"):
+        empty.observe_record(SampleRecord(np.array([0.5, 1.0, 2.0]), np.array([5.0, 10.0, 20.0])))
+    assert calibration_state(empty) == (0, [], [[]] * len(empty.trees), [0.0] * len(empty.trees))
 
 
 def test_record_telescoping_and_step_function():
@@ -735,6 +753,52 @@ def test_predict_none_during_burn_in():
     assert ctrl.predict(sample) is not None
 
 
+@pytest.mark.parametrize("mode", ["expected", "violation"])
+@pytest.mark.parametrize("kind", ["ratio", "full"])
+def test_predict_reads_only_probabilities_and_changes_no_state(mode, kind):
+    # a twin that never predicts steps to the same results, so predicting
+    # left nothing behind; labels with a bit at or above K once raised
+    k = 2
+    specs = (SetFunctionSpec("tp", k), SetFunctionSpec("fp", k))
+    kwargs = dict(universe_kind=kind, burn_in=3, window=8, delta=0.25)
+    ctrl = CostController(mode, [20.0, 60.0], *specs, **kwargs)
+    twin = CostController(mode, [20.0, 60.0], *specs, **kwargs)
+    predicted = 0
+    for sample in generate(GeneratorConfig(n=30, n_classes=k, seed=12)):
+        before = calibration_state(ctrl)
+        want = ctrl.predict(Sample(sample.probs, 0))
+        for labels in (sample.labels, 0b11, 0b100, 1 << 63, (1 << 70) | 0b01):
+            assert ctrl.predict(Sample(sample.probs, labels)) == want
+        assert calibration_state(ctrl) == before
+        predicted += want is not None
+        got = ctrl.step_all(sample)
+        assert [dataclasses.replace(out, elapsed_s=0.0) for out in got] == [
+            dataclasses.replace(out, elapsed_s=0.0) for out in twin.step_all(sample)
+        ]
+        assert want == got[0].prediction
+    assert predicted == 30 - 4
+
+
+def test_step_is_the_first_result_of_step_all():
+    # two targets: step() evaluates every target as step_all() does and
+    # reports the per-target share of the step's time
+    k = 4
+    stream = generate(GeneratorConfig(n=80, n_classes=k, heterogeneity=1.0, seed=6))
+    specs = (SetFunctionSpec("tpc", k, mnist_weights(k)), SetFunctionSpec("fpc", k, mnist_weights(k)))
+    for mode in ("expected", "violation"):
+        kwargs = dict(burn_in=5, window=30, delta=0.2)
+        one = CostController(mode, [40.0, 10.0], *specs, **kwargs)
+        every = CostController(mode, [40.0, 10.0], *specs, **kwargs)
+        for sample in stream:
+            got, want = one.step(sample), every.step_all(sample)[0]
+            assert dataclasses.replace(got, elapsed_s=0.0) == dataclasses.replace(
+                want, elapsed_s=0.0
+            )
+        assert got.prediction is not None
+        with mock.patch.object(controller, "perf_counter", side_effect=[1.0, 4.0]):
+            assert one.step(stream[0]).elapsed_s == 1.5
+
+
 def test_step_reports_realized_metrics():
     ctrl = CostController(
         "expected",
@@ -887,10 +951,10 @@ def powerset_samples(draw, k):
 
 
 class FullUniverseControllerMachine(RuleBasedStateMachine):
-    """A two-target power-set controller, expected or violation mode, with
-    or without a window, under any mix of observe and step_all (each of
-    which evicts through the window): after every rule each target's tree
-    threshold agrees with the direct search."""
+    """A two-target controller over a power set or any of the three chains,
+    expected or violation mode, with or without a window, under any mix of
+    observe and step_all (each of which evicts through the window): after
+    every rule each target's tree threshold agrees with the direct search."""
 
     def __init__(self):
         super().__init__()
@@ -905,14 +969,16 @@ class FullUniverseControllerMachine(RuleBasedStateMachine):
             st.sampled_from([5.0, 20.0, 37.5, 60.0, 100.0]), min_size=2, max_size=2
         ),
         delta=st.sampled_from([0.1, 0.25, 0.5]),
+        # the power set first, so that a failure shrinks towards it
+        universe_kind=st.sampled_from(["full", "ratio", "prob", "value"]),
     )
-    def build(self, mode, k, weighted, window, target_costs, delta):
+    def build(self, mode, k, weighted, window, target_costs, delta, universe_kind):
         weights = mnist_weights(k) if weighted else None
         value_spec = SetFunctionSpec("tpc" if weighted else "tp", k, weights)
         cost_spec = SetFunctionSpec("fpc" if weighted else "fp", k, weights)
         self.ctrl = CostController(
             mode, target_costs, value_spec, cost_spec,
-            universe_kind="full", burn_in=0, window=window, delta=delta,
+            universe_kind=universe_kind, burn_in=0, window=window, delta=delta,
         )
 
     @rule(data=st.data())
@@ -929,8 +995,9 @@ class FullUniverseControllerMachine(RuleBasedStateMachine):
             if seen == 0:
                 assert out.prediction is None
             else:
-                # the prediction is admissible: its proxy cost is below the threshold
-                pos = int(np.flatnonzero(universe.sets == out.prediction)[0])
+                # the prediction is admissible: its proxy cost is below the
+                # threshold. A chain's sets are a list, a power set's an array
+                pos = list(universe.sets).index(out.prediction)
                 assert out.prediction == 0 or universe.proxy_costs[pos] < out.threshold
 
     @invariant()
