@@ -367,10 +367,6 @@ def run_single(
             )
         )
         log.blocks.append((seed, target, index[:n], predictions[j, :n], row_values, row_costs))
-    # free the trees now rather than at the next cyclic collection, while
-    # the next slice builds its own
-    for tree in ctrl.trees:
-        tree.clear()
     return rows, log
 
 

@@ -21,8 +21,9 @@ independent route the tree is verified and benchmarked against.
 A controller serves one or more cost targets from one calibration pass: the
 universe, the record and the value proxies of a sample do not depend on the
 target. Expected mode keeps one tree for all targets and queries it once per
-target; violation mode keeps one tree per target, fed by each record's
-exceed point for that target. A single-target controller is the T = 1 case.
+target, each from its own cursor; violation mode keeps one tree per
+target, fed by each record's exceed point for that target. A single-target
+controller is the T = 1 case.
 Every candidate family of a controller has one size, 2^K sets of a power
 set or the K + 1 prefixes of a chain, so its records are kept as rows of
 that one width only; one function folds a record's tree points in when it
@@ -492,7 +493,8 @@ class CostController:
             return BELOW_ALL
         if q > 1.0:
             return ABOVE_ALL
-        return tree.query_quantile(q)
+        # expected mode's one tree keeps a cursor per target
+        return tree.query_quantile(q, index if self.mode == "expected" else 0)
 
     def proxy_values(self, universe: UniverseSeq, probs: np.ndarray) -> list[float] | np.ndarray:
         """Value proxy for every set in the universe, aligned with its order:

@@ -1,36 +1,54 @@
-"""Exact weighted empirical CDF in a sum-augmented red-black tree.
+"""Exact weighted empirical CDF in sorted blocks, queried from cursors.
 
-Each node carries a point mass: a distinct ``value`` with a positive
-``weight``, plus ``sum``, the total weight of its subtree. The tree as a
-whole represents F(t) = sum_i w_i * 1{t >= v_i} (un-normalized; divide by
-the root sum at query time), and supports insert, delete, weighted-quantile
-and CDF evaluation in O(log n).
+The tree stores distinct finite values, each with a positive weight, and
+represents F(t) = sum_i w_i * 1{t >= v_i} (un-normalized; divide by the
+total at query time). The points live in sorted blocks: a block is a plain
+list of values with a parallel list of weights, and beside it the tree keeps
+the block's mass (the sum of its weights) and its largest value. An insert
+or delete finds its block and its place in it by ``bisect`` and touches that
+block only. Each run of ``BLOCK_SIZE`` consecutive blocks also keeps its
+summed mass. A block holds at most 2 * ``BLOCK_SIZE`` points: a longer one is
+split in two, and one left with half of ``BLOCK_SIZE`` or fewer by a delete
+is folded into a neighbour.
 
-Masses are exact: every weight and sum is a Python int in units of
+Masses are exact: every weight and mass is a Python int in units of
 1/scale, where the scale is a power of two the tree holds. A float weight
 is a dyadic rational (``as_integer_ratio()`` has a power-of-two
 denominator); one with a finer denominator than the scale multiplies every
 stored int by the ratio first, so the scale only grows. Integer addition
-does not depend on its order, so an insert adds its weight to each sum on
-the way down, and a node goes when its weight reaches exactly 0.
+does not depend on its order, so every mass is updated in place, and a
+point goes when its weight reaches exactly 0.
+
+A quantile query returns the smallest stored v with F(v) >= a target mass.
+It starts from a cursor, one per slot: a value and its exact F(value), which
+every insert, delete and rescale keeps current. Consecutive queries of one
+slot mostly move a few points, so the query walks them from the cursor; a
+longer move locates the target from the run masses, then the block masses,
+then the block's weights, each by a running sum from its nearer end. The
+answer depends only on the stored points, never on the slot or on its cursor.
 
 Single-writer: mutations must be externally serialized. Read-only queries
-between mutations are safe.
+between mutations are safe, except that a quantile query moves its cursor.
 """
 
 from __future__ import annotations
 
 import math
 import sys
+from bisect import bisect_left, bisect_right
 from typing import Iterator
-
-RED = 0
-BLACK = 1
 
 #: Sentinel ordered below every finite key ("no mass admissible").
 BELOW_ALL = -sys.float_info.max
 #: Sentinel ordered above every finite key (stands in for +infinity).
 ABOVE_ALL = sys.float_info.max
+
+#: Points per block at a split, and blocks per summed run. A tree keeps the
+#: value it was built with.
+BLOCK_SIZE = 64
+#: Points a quantile query walks from its cursor before it locates the
+#: target from the masses instead.
+WALK_LIMIT = 16
 
 
 class QuantileTreeError(Exception):
@@ -38,8 +56,8 @@ class QuantileTreeError(Exception):
 
 
 class TreeInputError(QuantileTreeError, ValueError):
-    """Non-finite value, negative or non-finite weight, or quantile level
-    out of range."""
+    """Non-finite value, negative or non-finite weight, quantile level out
+    of range, or negative cursor slot."""
 
 
 class ValueNotFoundError(QuantileTreeError, LookupError):
@@ -47,72 +65,50 @@ class ValueNotFoundError(QuantileTreeError, LookupError):
 
 
 class WeightUnderflowError(QuantileTreeError, ValueError):
-    """Delete of more weight than a node holds."""
+    """Delete of more weight than a point holds."""
 
 
 class EmptyDistributionError(QuantileTreeError, RuntimeError):
     """Quantile query against a tree with no mass."""
 
 
-class _Node:
-    __slots__ = ("value", "weight", "sum", "color", "left", "right", "parent")
-
-    def __init__(self, value: float, weight: int, color: int) -> None:
-        self.value = value
-        self.weight = weight
-        self.sum = weight
-        self.color = color
-        self.left = self
-        self.right = self
-        self.parent = self
-
-
 class QuantileTree:
-    """Weighted empirical CDF with logarithmic insert/delete/quantile/CDF.
+    """Weighted empirical CDF with sub-linear insert/delete/quantile/CDF.
 
-    Duplicate values merge into one node (weights add); weights are stored
+    Duplicate values merge into one point (weights add); weights are stored
     un-normalized, as exact ints in units of 1/scale, and only divided by
-    the root sum when answering queries.
+    the total when answering queries.
     """
 
     def __init__(self) -> None:
-        # an int sum: a float 0.0 would turn every sum through it into a float
-        self._nil = _Node(math.nan, 0, BLACK)
-        self._root = self._nil
-        self._count = 0
-        self._scale = 1
-        self._fscale = 1.0  # the scale as a float, inf beyond the float range
+        self._load = BLOCK_SIZE
+        self.clear()
 
     def __len__(self) -> int:
         return self._count
 
     def total_weight(self) -> float:
         """Sum of all stored weights (0 for an empty tree), rounded once."""
-        return self._root.sum / self._scale
+        return self._total / self._scale
 
     # ------------------------------------------------------------------
     # mutation
 
     def clear(self) -> None:
-        """Remove every stored value, leaving an empty tree.
-
-        Each node links to its parent, so a dropped tree is cyclic garbage
-        that lives until the cyclic collector runs. Unlinking the nodes here
-        lets reference counting free them at once.
-        """
-        nil = self._nil
-        stack = [self._root]
-        self._root = nil
+        """Remove every stored value and cursor, leaving an empty tree with
+        the block size it was built with."""
+        self._values: list[list[float]] = []
+        self._weights: list[list[int]] = []
+        self._masses: list[int] = []  # per block
+        self._maxes: list[float] = []  # per block: its last value
+        self._runs: list[int] = []  # per run of self._load blocks
+        self._total = 0
         self._count = 0
         self._scale = 1
-        self._fscale = 1.0
-        while stack:
-            node = stack.pop()
-            if node is not nil:
-                stack.append(node.left)
-                stack.append(node.right)
-                node.left = node.right = node.parent = None
-        nil.parent = nil  # a delete may leave it pointing at a node
+        self._fscale = 1.0  # the scale as a float, inf beyond the float range
+        # per slot: a value and the exact mass at or below it
+        self._cursor_values: list[float] = []
+        self._cursor_masses: list[int] = []
 
     def _units(self, weight: float) -> int:
         """``weight`` as an int in units of 1/scale, growing the scale first
@@ -142,16 +138,12 @@ class QuantileTree:
         return num * (scale // den)
 
     def _rescale(self, factor: int) -> None:
-        """Multiply the scale, and every stored weight and sum, by ``factor``."""
-        nil = self._nil
-        stack = [self._root]
-        while stack:
-            node = stack.pop()
-            if node is not nil:
-                node.weight *= factor
-                node.sum *= factor
-                stack.append(node.left)
-                stack.append(node.right)
+        """Multiply the scale, and every stored weight and mass, by ``factor``."""
+        for weights in self._weights:
+            weights[:] = [w * factor for w in weights]
+        for masses in (self._masses, self._runs, self._cursor_masses):
+            masses[:] = [m * factor for m in masses]
+        self._total *= factor
         self._scale *= factor
         try:
             self._fscale = float(self._scale)
@@ -159,7 +151,7 @@ class QuantileTree:
             self._fscale = math.inf
 
     def insert(self, value: float, weight: float) -> None:
-        """Add ``weight`` at ``value``, merging into an existing node if any.
+        """Add ``weight`` at ``value``, merging into an existing point if any.
 
         weight == 0 is a no-op; a negative or non-finite weight, or a
         non-finite value, is rejected with :class:`TreeInputError`.
@@ -170,41 +162,48 @@ class QuantileTree:
         if not units:
             return
 
-        # every node on the search path holds the new mass in its subtree
-        nil = self._nil
-        parent = nil
-        cur = self._root
-        while cur is not nil:
-            cur.sum += units
-            parent = cur
-            if value < cur.value:
-                cur = cur.left
-            elif value > cur.value:
-                cur = cur.right
+        maxes = self._maxes
+        b = bisect_left(maxes, value)
+        if b == len(maxes):
+            # above every stored value: the last block takes it
+            if b:
+                b -= 1
             else:
-                cur.weight += units
-                return
-
-        node = _Node(value, units, RED)
-        node.left = nil
-        node.right = nil
-        node.parent = parent
-        if parent is nil:
-            self._root = node
-        elif value < parent.value:
-            parent.left = node
+                self._values.append([])
+                self._weights.append([])
+                self._masses.append(0)
+                self._runs.append(0)
+                maxes.append(value)
+            values = self._values[b]
+            values.append(value)
+            self._weights[b].append(units)
+            maxes[b] = value
+            self._count += 1
         else:
-            parent.right = node
-        self._count += 1
-        self._fix_insert(node)
+            values = self._values[b]
+            i = bisect_left(values, value)
+            if values[i] == value:
+                self._weights[b][i] += units
+            else:
+                values.insert(i, value)
+                self._weights[b].insert(i, units)
+                self._count += 1
+        self._masses[b] += units
+        self._runs[b // self._load] += units
+        self._total += units
+        cursor_masses = self._cursor_masses
+        for j, at in enumerate(self._cursor_values):
+            if value <= at:
+                cursor_masses[j] += units
+        if len(values) > 2 * self._load:
+            self._split(b)
 
     def delete(self, value: float, weight: float) -> None:
-        """Remove ``weight`` from the node at ``value``.
+        """Remove ``weight`` from the point at ``value``.
 
-        weight == 0 is a no-op. The node is dropped (and the tree
-        rebalanced) when its weight reaches exactly 0. Raises
-        :class:`ValueNotFoundError` if the value is absent and
-        :class:`WeightUnderflowError` if more than the stored weight is
+        weight == 0 is a no-op. The point is dropped when its weight reaches
+        exactly 0. Raises :class:`ValueNotFoundError` if the value is absent
+        and :class:`WeightUnderflowError` if more than the stored weight is
         removed; bad input is rejected as by :meth:`insert`.
         """
         if not math.isfinite(value):
@@ -213,45 +212,52 @@ class QuantileTree:
         if not units:
             return
 
-        nil = self._nil
-        node = self._root
-        while node is not nil:
-            if value < node.value:
-                node = node.left
-            elif value > node.value:
-                node = node.right
-            else:
-                break
-        if node is nil:
+        b = bisect_left(self._maxes, value)
+        if b < len(self._maxes):
+            values = self._values[b]
+            i = bisect_left(values, value)
+        if b == len(self._maxes) or values[i] != value:
             raise ValueNotFoundError(f"value {value!r} not in tree")
-        remaining = node.weight - units
+        weights = self._weights[b]
+        remaining = weights[i] - units
         if remaining < 0:
             raise WeightUnderflowError(
-                f"cannot remove weight {weight!r} from node holding "
-                f"{node.weight / self._scale!r}"
+                f"cannot remove weight {weight!r} from point holding "
+                f"{weights[i] / self._scale!r}"
             )
+        self._masses[b] -= units
+        self._runs[b // self._load] -= units
+        self._total -= units
+        cursor_masses = self._cursor_masses
+        for j, at in enumerate(self._cursor_values):
+            if value <= at:
+                cursor_masses[j] -= units
         if remaining:
-            node.weight = remaining
-            while node is not nil:
-                node.sum -= units
-                node = node.parent
+            weights[i] = remaining
+            return
+        del values[i]
+        del weights[i]
+        self._count -= 1
+        if len(values) > self._load >> 1:
+            self._maxes[b] = values[-1]
         else:
-            self._remove_node(node)
-            self._count -= 1
+            self._merge(b)
 
     # ------------------------------------------------------------------
     # queries
 
-    def query_quantile(self, q: float) -> float:
+    def query_quantile(self, q: float, slot: int = 0) -> float:
         """Smallest stored value v with F(v) >= q * total_weight().
 
         The product is rounded as a float once, then compared with the exact
         cumulative masses. q <= 0 returns :data:`BELOW_ALL` (no positive
         mass is admissible); q > 1 is rejected; an empty tree raises
-        :class:`EmptyDistributionError`.
+        :class:`EmptyDistributionError`. The search starts from the cursor
+        of ``slot`` and leaves it at the answer; the answer does not depend
+        on the slot.
         """
-        root = self._root
-        if root is self._nil:
+        total = self._total
+        if not total:
             raise EmptyDistributionError("quantile query on empty distribution")
         if math.isnan(q) or q > 1.0:
             raise TreeInputError(f"quantile level must be in (0, 1], got {q!r}")
@@ -259,7 +265,7 @@ class QuantileTree:
             return BELOW_ALL
 
         scale = self._scale
-        level = q * (root.sum / scale)
+        level = q * (total / scale)
         try:
             # exact while finite: the scale is a power of two
             target = math.ceil(level * self._fscale)
@@ -270,241 +276,238 @@ class QuantileTree:
         # up admits the last
         if target < 1:
             target = 1
-        elif target > root.sum:
-            target = root.sum
-        node = root
-        while True:
-            left = node.left
-            if left.sum >= target:
-                node = left
-                continue
-            through = left.sum + node.weight
-            if through >= target:
-                return node.value
-            target -= through
-            node = node.right
+        elif target > total:
+            target = total
+        return self._seek(target, slot)
+
+    def _seek(self, target: int, slot: int) -> float:
+        """Smallest stored v with F(v) >= ``target`` (1 <= target <= total),
+        walked from the cursor of ``slot``, which is left at v."""
+        cursor_values = self._cursor_values
+        cursor_masses = self._cursor_masses
+        if not 0 <= slot < len(cursor_values):
+            if slot < 0:
+                raise TreeInputError(f"cursor slot must be >= 0, got {slot!r}")
+            more = slot + 1 - len(cursor_values)
+            cursor_values.extend([-math.inf] * more)
+            cursor_masses.extend([0] * more)
+        value, mass = (
+            self._walk(target, cursor_values[slot], cursor_masses[slot]) or self._locate(target)
+        )
+        cursor_values[slot] = value
+        cursor_masses[slot] = mass
+        return value
+
+    def _walk(self, target: int, at: float, mass: int) -> tuple[float, int] | None:
+        """The smallest stored v with F(v) >= ``target`` and F(v), walked
+        point by point from a cursor at ``at`` holding F(at) = ``mass``;
+        None when v is more than a block's mass or :data:`WALK_LIMIT`
+        points away."""
+        blocks = self._values
+        block_weights = self._weights
+        b = bisect_left(self._maxes, at)
+        if b == len(blocks):
+            b -= 1
+            values = blocks[b]
+            i = len(values)
+        else:
+            values = blocks[b]
+            i = bisect_right(values, at)
+        if abs(target - mass) > self._masses[b]:
+            return None
+        weights = block_weights[b]
+        # values[:i] are the block's points at or below the cursor, and mass
+        # is F at the last stored point at or below it
+        if mass < target:
+            # the next point up has F = mass + its weight
+            for _ in range(WALK_LIMIT):
+                if i == len(values):
+                    b += 1
+                    values = blocks[b]
+                    weights = block_weights[b]
+                    i = 0
+                mass += weights[i]
+                if mass >= target:
+                    return values[i], mass
+                i += 1
+        else:
+            # values[i - 1] has F = mass >= target: step down while the point
+            # below it reaches the target too
+            for _ in range(WALK_LIMIT):
+                if not i:
+                    b -= 1
+                    values = blocks[b]
+                    weights = block_weights[b]
+                    i = len(values)
+                below = mass - weights[i - 1]
+                if below < target:
+                    return values[i - 1], mass
+                mass = below
+                i -= 1
+        return None
+
+    def _locate(self, target: int) -> tuple[float, int]:
+        """The smallest stored v with F(v) >= ``target`` and F(v), found
+        among the runs by their masses, then among one run's blocks by
+        theirs, then among one block's points."""
+        runs, masses, load = self._runs, self._masses, self._load
+        k, through = _reach(runs, 0, len(runs), 0, self._total, target)
+        lo = k * load
+        b, through = _reach(
+            masses, lo, min(lo + load, len(masses)), through - runs[k], runs[k], target
+        )
+        weights = self._weights[b]
+        i, through = _reach(weights, 0, len(weights), through - masses[b], masses[b], target)
+        return self._values[b][i], through
+
+    def _mass_before(self, b: int, i: int) -> int:
+        """Exact mass of the points before point ``i`` of block ``b``."""
+        load = self._load
+        k = b // load
+        mass = sum(self._runs[:k]) + sum(self._masses[k * load : b])
+        if i:
+            mass += sum(self._weights[b][:i])
+        return mass
 
     def cdf_at(self, t: float) -> float:
         """Normalized cumulative weight of values <= t; 0 on an empty tree."""
-        root = self._root
-        if root is self._nil:
+        if not self._total:
             return 0.0
-        nil = self._nil
-        cum = 0
-        node = root
-        while node is not nil:
-            if t < node.value:
-                node = node.left
-            else:
-                cum += node.left.sum + node.weight
-                node = node.right
-        return cum / root.sum
+        b = bisect_right(self._maxes, t)
+        i = bisect_right(self._values[b], t) if b < len(self._values) else 0
+        return self._mass_before(b, i) / self._total
 
     def cdf_below(self, t: float) -> float:
         """Normalized cumulative weight of values strictly below t."""
-        root = self._root
-        if root is self._nil:
+        if not self._total:
             return 0.0
-        nil = self._nil
-        cum = 0
-        node = root
-        while node is not nil:
-            if t <= node.value:
-                node = node.left
-            else:
-                cum += node.left.sum + node.weight
-                node = node.right
-        return cum / root.sum
+        b = bisect_left(self._maxes, t)
+        i = bisect_left(self._values[b], t) if b < len(self._values) else 0
+        return self._mass_before(b, i) / self._total
 
     def items(self) -> Iterator[tuple[float, float]]:
         """(value, weight) pairs in increasing value order; a weight is its
         exact mass rounded once, so an unmerged one is the float inserted."""
-        nil = self._nil
         scale = self._scale
-        stack: list[_Node] = []
-        node = self._root
-        while stack or node is not nil:
-            while node is not nil:
-                stack.append(node)
-                node = node.left
-            node = stack.pop()
-            yield node.value, node.weight / scale
-            node = node.right
+        for values, weights in zip(self._values, self._weights):
+            for value, weight in zip(values, weights):
+                yield value, weight / scale
 
     def height(self) -> int:
-        nil = self._nil
-
-        def depth(node: _Node) -> int:
-            if node is nil:
-                return 0
-            return 1 + max(depth(node.left), depth(node.right))
-
-        return depth(self._root)
+        """Levels a located point sits below: runs, blocks and points; 0 for
+        an empty tree."""
+        return 3 if self._count else 0
 
     def validate(self) -> None:
-        """Check BST order, red-black shape and the exact sum recursion.
+        """Check the block order and sizes, every mass against a recount, and
+        every cursor's mass against a recount of the points at or below it.
 
         Raises :class:`QuantileTreeError` on the first violation.
         """
-        nil = self._nil
-        if nil.color != BLACK or type(nil.sum) is not int or nil.sum != 0:
-            raise QuantileTreeError("nil sentinel corrupted")
         scale = self._scale
         if type(scale) is not int or scale < 1 or scale & (scale - 1):
             raise QuantileTreeError(f"scale {scale!r} is not a power of two")
         if self._fscale != (float(scale) if scale.bit_length() <= 1024 else math.inf):
             raise QuantileTreeError(f"float scale {self._fscale!r} is not {scale!r}")
-        root = self._root
-        if root is not nil and root.color != BLACK:
-            raise QuantileTreeError("root is red")
-
-        count = 0
-
-        def recurse(node: _Node, lo: float, hi: float) -> int:
-            nonlocal count
-            if node is nil:
-                return 0
-            count += 1
-            if not (lo < node.value < hi):
-                raise QuantileTreeError(f"BST order violated at {node.value!r}")
-            if type(node.weight) is not int or node.weight <= 0:
+        blocks, load = self._values, self._load
+        n_blocks = len(blocks)
+        if not len(self._weights) == len(self._masses) == len(self._maxes) == n_blocks:
+            raise QuantileTreeError("block lists differ in length")
+        points = []
+        for b, (values, weights) in enumerate(zip(blocks, self._weights)):
+            if not 0 < len(values) <= 2 * load or len(weights) != len(values):
                 raise QuantileTreeError(
-                    f"weight {node.weight!r} at {node.value!r} is not a positive int"
+                    f"block {b} holds {len(values)} values, {len(weights)} weights"
                 )
-            if node.color == RED and (node.left.color == RED or node.right.color == RED):
-                raise QuantileTreeError(f"red node {node.value!r} has a red child")
-            expected = node.left.sum + node.weight + node.right.sum
-            if type(node.sum) is not int or node.sum != expected:
-                raise QuantileTreeError(
-                    f"sum recursion violated at {node.value!r}: "
-                    f"{node.sum!r} != {expected!r}"
-                )
-            hl = recurse(node.left, lo, node.value)
-            hr = recurse(node.right, node.value, hi)
-            if hl != hr:
-                raise QuantileTreeError(f"black heights differ below {node.value!r}")
-            return hl + (1 if node.color == BLACK else 0)
-
-        recurse(root, -math.inf, math.inf)
-        if count != self._count:
-            raise QuantileTreeError(f"node count {self._count} != actual {count}")
+            if self._maxes[b] != values[-1]:
+                raise QuantileTreeError(f"block {b}'s max {self._maxes[b]!r} is not {values[-1]!r}")
+            if self._masses[b] != sum(weights):
+                raise QuantileTreeError(f"block {b}'s mass {self._masses[b]!r} is not its sum")
+            points.extend(zip(values, weights))
+        last = -math.inf
+        for value, weight in points:
+            if not (last < value < math.inf):
+                raise QuantileTreeError(f"value order violated at {value!r}")
+            if type(weight) is not int or weight <= 0:
+                raise QuantileTreeError(f"weight {weight!r} at {value!r} is not a positive int")
+            last = value
+        runs = [sum(self._masses[lo : lo + load]) for lo in range(0, n_blocks, load)]
+        if self._runs != runs:
+            raise QuantileTreeError(f"run masses {self._runs!r} are not {runs!r}")
+        if self._total != sum(self._masses) or type(self._total) is not int:
+            raise QuantileTreeError(f"total {self._total!r} is not the sum of the blocks")
+        if self._count != len(points):
+            raise QuantileTreeError(f"count {self._count} != actual {len(points)}")
+        if len(self._cursor_masses) != len(self._cursor_values):
+            raise QuantileTreeError("cursor lists differ in length")
+        for slot, (at, mass) in enumerate(zip(self._cursor_values, self._cursor_masses)):
+            recount = sum(weight for value, weight in points if value <= at)
+            if type(mass) is not int or mass != recount:
+                raise QuantileTreeError(f"cursor {slot} at {at!r} holds {mass!r}, not {recount!r}")
 
     # ------------------------------------------------------------------
     # internals
 
-    def _refresh_up(self, node: _Node) -> None:
-        nil = self._nil
-        while node is not nil:
-            node.sum = node.left.sum + node.weight + node.right.sum
-            node = node.parent
+    def _resum(self, b: int) -> None:
+        """Recompute the run masses from block ``b``'s run on, after blocks
+        moved."""
+        load = self._load
+        masses = self._masses
+        k = b // load
+        self._runs[k:] = [sum(masses[lo : lo + load]) for lo in range(k * load, len(masses), load)]
 
-    def _rotate(self, x: _Node, y: _Node) -> None:
-        """Lift ``y``, a child of ``x``, into ``x``'s place; ``x`` becomes
-        ``y``'s child on the other side and takes ``y``'s inner subtree."""
-        if y is x.right:
-            inner, x_other, y_other = y.left, x.left, y.right
-            x.right = inner
-            y.left = x
-        else:
-            inner, x_other, y_other = y.right, x.right, y.left
-            x.left = inner
-            y.right = x
-        if inner is not self._nil:
-            inner.parent = x
-        self._transplant(x, y)
-        x.parent = y
-        x.sum = x_other.sum + inner.sum + x.weight
-        y.sum = x.sum + y.weight + y_other.sum
+    def _split(self, b: int) -> None:
+        """Move the points of block ``b`` past the first ``load`` into a new
+        block after it."""
+        load = self._load
+        values, weights = self._values[b], self._weights[b]
+        high = weights[load:]
+        self._values.insert(b + 1, values[load:])
+        self._weights.insert(b + 1, high)
+        del values[load:]
+        del weights[load:]
+        mass = sum(high)
+        self._masses[b] -= mass
+        self._masses.insert(b + 1, mass)
+        self._maxes.insert(b, values[-1])
+        self._resum(b)
 
-    def _fix_insert(self, z: _Node) -> None:
-        while z.parent.color == RED:
-            parent = z.parent
-            grand = parent.parent
-            uncle = grand.right if parent is grand.left else grand.left
-            if uncle.color == RED:
-                parent.color = BLACK
-                uncle.color = BLACK
-                grand.color = RED
-                z = grand
+    def _merge(self, b: int) -> None:
+        """Fold block ``b``, left short by a delete, into its left neighbour
+        (block 0 takes block 1 in), splitting the result when it is too long;
+        an only block stays while it holds a point."""
+        blocks = self._values
+        if len(blocks) == 1:
+            if blocks[0]:
+                self._maxes[0] = blocks[0][-1]
             else:
-                if (z is parent.left) != (parent is grand.left):
-                    # inner grandchild: lift it to its parent's place first
-                    self._rotate(parent, z)
-                    parent = z
-                parent.color = BLACK
-                grand.color = RED
-                self._rotate(grand, parent)
-                break
-        self._root.color = BLACK
-
-    def _transplant(self, u: _Node, v: _Node) -> None:
-        if u.parent is self._nil:
-            self._root = v
-        elif u is u.parent.left:
-            u.parent.left = v
+                del blocks[0], self._weights[0], self._masses[0], self._maxes[0], self._runs[0]
+            return
+        b = b or 1
+        self._values[b - 1].extend(self._values[b])
+        self._weights[b - 1].extend(self._weights[b])
+        self._masses[b - 1] += self._masses[b]
+        del blocks[b], self._weights[b], self._masses[b], self._maxes[b]
+        self._maxes[b - 1] = blocks[b - 1][-1]
+        if len(blocks[b - 1]) > 2 * self._load:
+            self._split(b - 1)
         else:
-            u.parent.right = v
-        v.parent = u.parent
+            self._resum(b - 1)
 
-    def _minimum(self, node: _Node) -> _Node:
-        while node.left is not self._nil:
-            node = node.left
-        return node
 
-    def _remove_node(self, z: _Node) -> None:
-        nil = self._nil
-        y = z
-        y_color = y.color
-        if z.left is nil:
-            x = z.right
-            self._transplant(z, z.right)
-        elif z.right is nil:
-            x = z.left
-            self._transplant(z, z.left)
-        else:
-            y = self._minimum(z.right)
-            y_color = y.color
-            x = y.right
-            if y.parent is z:
-                x.parent = y
-            else:
-                self._transplant(y, y.right)
-                y.right = z.right
-                y.right.parent = y
-            self._transplant(z, y)
-            y.left = z.left
-            y.left.parent = y
-            y.color = z.color
-        # sums along the splice path are stale; rebuild bottom-up to the root
-        self._refresh_up(x.parent)
-        if y_color == BLACK:
-            self._fix_delete(x)
-        nil.parent = nil
-
-    def _fix_delete(self, x: _Node) -> None:
-        while x is not self._root and x.color == BLACK:
-            parent = x.parent
-            on_left = x is parent.left
-            s = parent.right if on_left else parent.left
-            if s.color == RED:
-                s.color = BLACK
-                parent.color = RED
-                self._rotate(parent, s)
-                s = parent.right if on_left else parent.left
-            # near: the sibling's child on x's side; far: the other one
-            near, far = (s.left, s.right) if on_left else (s.right, s.left)
-            if near.color == BLACK and far.color == BLACK:
-                s.color = RED
-                x = parent
-            else:
-                if far.color == BLACK:
-                    near.color = BLACK
-                    s.color = RED
-                    self._rotate(s, near)
-                    s, far = near, s  # the old sibling is now the far child
-                s.color = parent.color
-                parent.color = BLACK
-                far.color = BLACK
-                self._rotate(parent, s)
-                x = self._root
-        x.color = BLACK
+def _reach(xs: list[int], lo: int, hi: int, base: int, mass: int, target: int) -> tuple[int, int]:
+    """The first j in [lo, hi) with base + sum(xs[lo : j + 1]) >= target, and
+    that sum, where base < target <= base + mass and mass = sum(xs[lo:hi]).
+    Walked from whichever end the target's mass is nearer."""
+    if target - base <= base + mass - target:
+        for j in range(lo, hi):
+            base += xs[j]
+            if base >= target:
+                return j, base
+    through = base + mass
+    for j in range(hi - 1, lo - 1, -1):
+        below = through - xs[j]
+        if below < target:
+            return j, through
+        through = below
+    raise QuantileTreeError(f"no point reaches mass {target!r}")

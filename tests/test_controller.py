@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, rule
 
 import costcap.controller as controller
+from costcap import quantile_tree
 from costcap.controller import (
     CostController,
     RecordStore,
@@ -952,9 +953,13 @@ def powerset_samples(draw, k):
 
 class FullUniverseControllerMachine(RuleBasedStateMachine):
     """A two-target controller over a power set or any of the three chains,
-    expected or violation mode, with or without a window, under any mix of
-    observe and step_all (each of which evicts through the window): after
-    every rule each target's tree threshold agrees with the direct search."""
+    expected or violation mode, with or without a window, its trees built
+    with small blocks or the default, under any mix of observe and step_all
+    (each of which evicts through the window), on samples drawn freely or
+    repeating one of a few probability vectors as a heterogeneity-0 stream's
+    do: after every rule each target's tree threshold agrees with the direct
+    search, and each tree holds what a fresh controller fed the live records
+    holds."""
 
     def __init__(self):
         super().__init__()
@@ -971,15 +976,27 @@ class FullUniverseControllerMachine(RuleBasedStateMachine):
         delta=st.sampled_from([0.1, 0.25, 0.5]),
         # the power set first, so that a failure shrinks towards it
         universe_kind=st.sampled_from(["full", "ratio", "prob", "value"]),
+        block_size=st.sampled_from([1, 2, 3, quantile_tree.BLOCK_SIZE]),
+        data=st.data(),
     )
-    def build(self, mode, k, weighted, window, target_costs, delta, universe_kind):
+    def build(
+        self, mode, k, weighted, window, target_costs, delta, universe_kind, block_size, data
+    ):
         weights = mnist_weights(k) if weighted else None
         value_spec = SetFunctionSpec("tpc" if weighted else "tp", k, weights)
         cost_spec = SetFunctionSpec("fpc" if weighted else "fp", k, weights)
-        self.ctrl = CostController(
-            mode, target_costs, value_spec, cost_spec,
-            universe_kind=universe_kind, burn_in=0, window=window, delta=delta,
-        )
+
+        def make():
+            return CostController(
+                mode, target_costs, value_spec, cost_spec,
+                universe_kind=universe_kind, burn_in=0, window=window, delta=delta,
+            )
+
+        with mock.patch.object(quantile_tree, "BLOCK_SIZE", block_size):
+            self.ctrl = make()
+        self.make = make
+        probs = st.lists(st.one_of(tie_prob, st.floats(0.0, 1.0)), min_size=k, max_size=k)
+        self.palette = data.draw(st.lists(probs, min_size=1, max_size=3), label="palette")
 
     @rule(data=st.data())
     def observe(self, data):
@@ -987,8 +1004,24 @@ class FullUniverseControllerMachine(RuleBasedStateMachine):
 
     @rule(data=st.data())
     def step_all(self, data):
+        self._step_all(data.draw(powerset_samples(self.ctrl.cost_spec.n_classes)))
+
+    @rule(data=st.data(), stepped=st.booleans())
+    def repeat(self, data, stepped):
+        # probabilities from the palette, so records and tree points repeat
+        # and a window keeps evicting points the cursors stand on
+        k = self.ctrl.cost_spec.n_classes
+        sample = Sample(
+            np.array(data.draw(st.sampled_from(self.palette))),
+            data.draw(st.integers(0, (1 << k) - 1)),
+        )
+        if stepped:
+            self._step_all(sample)
+        else:
+            self.ctrl.observe(sample)
+
+    def _step_all(self, sample):
         ctrl = self.ctrl
-        sample = data.draw(powerset_samples(ctrl.cost_spec.n_classes))
         seen = ctrl.n_seen
         universe = ctrl.build_universe(sample.probs)
         for out in ctrl.step_all(sample):
@@ -1009,6 +1042,19 @@ class FullUniverseControllerMachine(RuleBasedStateMachine):
             assert ctrl.n_seen <= ctrl.window
         for i in range(len(ctrl.targets)):
             assert threshold_comparison(ctrl, i)[2] in ("match", "boundary")
+
+    @invariant()
+    def trees_hold_the_live_records(self):
+        ctrl = self.ctrl
+        if ctrl is None:
+            return
+        fresh = self.make()
+        for record in ctrl.records:
+            fresh.observe_record(record)
+        for got, want in zip(ctrl.trees, fresh.trees, strict=True):
+            got.validate()
+            assert list(got.items()) == list(want.items())
+            assert got.total_weight() == want.total_weight()
 
 
 FullUniverseControllerMachine.TestCase.settings = settings(

@@ -4,13 +4,16 @@ import gc
 import hashlib
 import math
 import random
+import tracemalloc
 from collections import deque
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from costcap import quantile_tree
 from costcap.quantile_tree import (
     ABOVE_ALL,
     BELOW_ALL,
@@ -21,10 +24,11 @@ from costcap.quantile_tree import (
     WeightUnderflowError,
 )
 
-from .oracles import SortedListCdf
+from .oracles import RedBlackTree, SortedListCdf
 
-# SHA-256 of the trees test_rebalancing_shape_is_pinned passes through: any
-# change to the rebalancing that moves a shape, a colour or a sum moves it
+# SHA-256 of the reference red-black trees test_rebalancing_shape_is_pinned
+# passes through: any change to the rebalancing that moves a shape, a colour
+# or a sum moves it
 SHAPE_DIGEST = "c771f50167ef0c16dfcf85e0ef3eac3a2fc3c925926036036024f2c99bca376a"
 
 
@@ -42,12 +46,14 @@ def test_clear_empties_the_tree_and_unlinks_its_nodes():
     for _ in range(300):
         tree.insert(rng.uniform(0.0, 10.0), rng.uniform(0.1, 2.0))
     for value, weight in list(tree.items())[::3]:
-        tree.delete(value, weight)  # deletes point the sentinel's parent at a node
+        tree.delete(value, weight)
+    tree.query_quantile(0.5, 2)
     gc.collect()
     gc.disable()
     try:
         tree.clear()
-        # unlinked nodes are freed by reference counting, none left in cycles
+        # the blocks are plain lists: reference counting frees them, and
+        # none is left in a cycle
         unreachable = gc.collect()
     finally:
         gc.enable()
@@ -135,7 +141,7 @@ def test_delete_of_more_than_the_stored_weight_raises():
 
 def test_delete_removes_a_tiny_weight_exactly():
     # a weight far below the rounding of its neighbours is kept, and removed,
-    # exactly: the node goes only when its last tiny weight does
+    # exactly: the point goes only when its last tiny weight does
     tree = QuantileTree()
     tree.insert(14.285714285714286, 4.761904761904763 + 3.552713678800501e-15)
     tree.insert(2.0, 1.0)
@@ -270,7 +276,7 @@ def test_quantile_cdf_consistency():
 
 
 def test_rebalancing_preserves_cdf():
-    # insertion-triggered rotations keep F identical at probes != new value
+    # an insert keeps F identical at probes != new value
     rng = random.Random(17)
     tree = QuantileTree()
     for _ in range(64):
@@ -294,7 +300,7 @@ def test_height_bound():
     assert tree.height() <= 2 * math.log2(n + 1)
 
 
-def preorder(tree: QuantileTree) -> bytes:
+def preorder(tree: RedBlackTree) -> bytes:
     """The scale, then one (value, colour, weight, sum) row per node in
     preorder: values in hex, weights and sums as the ints in scale units."""
     nil = tree._nil
@@ -320,7 +326,7 @@ def test_rebalancing_shape_is_pinned():
     rng = random.Random(2024)
     pool = [0.25 * i for i in range(160)]
     weights = [0.125, 0.75, 1.25, 2.875]
-    tree = QuantileTree()
+    tree = RedBlackTree()
     live: dict[float, float] = {}
     digest = hashlib.sha256()
     for _ in range(3000):
@@ -395,7 +401,7 @@ def test_property_delete_keeps_invariants(data):
         assert tree.query_quantile(q) == oracle.quantile(q)
 
 
-# weights whose float sums round, down to subnormals: merged into one node
+# weights whose float sums round, down to subnormals: merged into one point
 # they must still come out exactly
 EXACT_WEIGHTS = st.one_of(
     st.sampled_from([1e-13, 2.5e-15, 5e-324, 2.2e-311, 0.1, 0.7, 1.0, 3.0]),
@@ -429,8 +435,8 @@ def test_property_exact_removal(data):
 
 def test_windowed_duplicate_heavy_long_run():
     # 100k inserts and as many evictions over 10 values, with weights down
-    # to 2.5e-15 that merge into heavy nodes and are removed from them
-    # exactly: no drift from the exact oracle, and a node holding only tiny
+    # to 2.5e-15 that merge into heavy points and are removed from them
+    # exactly: no drift from the exact oracle, and a point holding only tiny
     # weights stays until the last of them goes
     rng = random.Random(17)
     values = [0.5 * i for i in range(10)]
@@ -466,3 +472,131 @@ def test_windowed_duplicate_heavy_long_run():
 
 def test_sentinels_order():
     assert BELOW_ALL < -1e308 < 1e308 < ABOVE_ALL
+
+
+# ----------------------------------------------------------------------
+# sorted blocks against the red-black reference
+
+BLOCK_SIZES = [1, 2, 3, quantile_tree.BLOCK_SIZE]
+SLOTS = 3
+LEVELS = st.one_of(st.sampled_from([1e-300, 1.0]), st.floats(min_value=1e-300, max_value=1.0))
+# coarse dyadic weights, then 2^-40 and 0.1, each finer than any before it
+# (0.1's denominator is 2^55), so a draw of them mid-stream rescales the
+# stored ints and every cursor's mass
+DIFF_WEIGHTS = st.sampled_from([1.0, 3.0, 0.5, 2.25, 7.0, 2.0**-40, 0.1])
+
+
+def assert_same_cdf(tree: QuantileTree, ref: RedBlackTree, probes) -> None:
+    tree.validate()  # checks each cursor's mass against a recount too
+    assert len(tree) == len(ref)
+    assert tree.total_weight() == ref.total_weight()
+    assert list(tree.items()) == list(ref.items())
+    for t in probes:
+        assert tree.cdf_at(t) == ref.cdf_at(t)
+        assert tree.cdf_below(t) == ref.cdf_below(t)
+
+
+@pytest.mark.parametrize("block_size", BLOCK_SIZES)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_blocks_match_the_red_black_reference(block_size, data):
+    # random inserts and deletes over a small value pool, so blocks split,
+    # empty out and fold together; a delete may take a cursor's own point,
+    # and a drain empties the tree before it refills. After every operation
+    # three slots query levels down to 1e-300 and up to 1.0
+    with mock.patch.object(quantile_tree, "BLOCK_SIZE", block_size):
+        tree = QuantileTree()
+    ref = RedBlackTree()
+    # the weights inserted at each live value, each removable exactly
+    live: dict[float, list[float]] = {}
+    answers = [None] * SLOTS
+    values = st.integers(min_value=0, max_value=30).map(lambda i: i * 0.5)
+    for _ in range(data.draw(st.integers(min_value=1, max_value=80), label="n_ops")):
+        op = data.draw(st.sampled_from(["insert", "insert", "insert", "delete", "cursor", "drain"]))
+        if op == "insert" or not live:
+            value, weight = data.draw(values), data.draw(DIFF_WEIGHTS)
+            live.setdefault(value, []).append(weight)
+            changes = [("insert", value, weight)]
+        elif op == "drain":
+            changes = [("delete", value, w) for value, held in live.items() for w in held]
+            live.clear()
+        else:
+            value = answers[data.draw(st.integers(0, SLOTS - 1))] if op == "cursor" else None
+            if value not in live:
+                value = data.draw(st.sampled_from(sorted(live)))
+            held = live[value]
+            weight = held.pop(data.draw(st.integers(0, len(held) - 1)))
+            if data.draw(st.booleans()):
+                weight *= 0.5  # exact: the other half stays
+                held.append(weight)
+            elif not held:
+                del live[value]
+            changes = [("delete", value, weight)]
+        for name, value, weight in changes:
+            getattr(tree, name)(value, weight)
+            getattr(ref, name)(value, weight)
+        assert_same_cdf(tree, ref, [data.draw(values), BELOW_ALL, ABOVE_ALL])
+        assert [value for value, _ in tree.items()] == sorted(live)
+        if live:
+            for slot in range(SLOTS):
+                q = data.draw(LEVELS)
+                answers[slot] = tree.query_quantile(q, slot)
+                assert answers[slot] == ref.query_quantile(q)
+            tree.validate()
+        else:
+            with pytest.raises(EmptyDistributionError):
+                tree.query_quantile(0.5, 1)
+
+
+def test_a_cursor_survives_the_delete_of_its_own_point():
+    with mock.patch.object(quantile_tree, "BLOCK_SIZE", 2):
+        tree = QuantileTree()
+    ref = RedBlackTree()
+    for value in range(10):
+        tree.insert(float(value), 1.0)
+        ref.insert(float(value), 1.0)
+    assert tree.query_quantile(0.55, 1) == 5.0
+    for name, value, weight in [("delete", 5.0, 1.0), ("delete", 4.0, 1.0), ("insert", 4.5, 0.125)]:
+        getattr(tree, name)(value, weight)
+        getattr(ref, name)(value, weight)
+        tree.validate()  # the cursor still stands at 5.0, with F(5.0) recounted
+        for q in (1e-300, 0.3, 0.55, 0.8, 1.0):
+            assert tree.query_quantile(q, 1) == ref.query_quantile(q)
+    with pytest.raises(TreeInputError):
+        tree.query_quantile(0.5, -1)
+
+
+def bytes_held(make, values, weights) -> int:
+    """Bytes a tree built from ``make()`` holds after inserting the pairs;
+    the value and weight floats exist before tracing starts, so only what
+    the tree allocates for them counts."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tree = make()
+        for value, weight in zip(values, weights):
+            tree.insert(value, weight)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(tree) == len(values)
+    return held
+
+
+@pytest.mark.parametrize("kind", ["fp", "fpc"])
+def test_blocks_hold_at_most_half_the_red_black_memory(kind):
+    # 200 000 distinct values with fp-like weights (multiples of 10, small
+    # cached ints in the scale's units) or fpc-like ones (uniform 0.1-30,
+    # whose scale reaches about 2^56, so every weight is an int object)
+    rng = random.Random(18)
+    n = 200_000
+    values = [rng.uniform(0.0, 100.0) for _ in range(n)]
+    if kind == "fp":
+        weights = [float(10 * rng.randint(1, 10)) for _ in range(n)]
+    else:
+        weights = [rng.uniform(0.1, 30.0) for _ in range(n)]
+    blocks = bytes_held(QuantileTree, values, weights)
+    reference = bytes_held(RedBlackTree, values, weights)
+    print(f"{kind}: {blocks / n:.1f} B/point in blocks, {reference / n:.1f} red-black")
+    assert blocks <= reference / 2
