@@ -337,10 +337,12 @@ class CostController:
         self._absent_costs = (
             subset_sums(np.array(cost_spec.unit_margins)) if universe_kind == "full" else None
         )
-        # expected mode: one CDF of record mass for every target; violation
-        # mode: one CDF of exceed points per target
-        n_trees = 1 if mode == "expected" else len(targets)
-        self.trees = [QuantileTree() for _ in range(n_trees)]
+        # expected mode: one CDF of record mass for every target, with a
+        # cursor per target; violation mode: one CDF of exceed points per target
+        if mode == "expected":
+            self.trees = [QuantileTree(len(targets))]
+        else:
+            self.trees = [QuantileTree() for _ in targets]
         # every record has one row per candidate set: 2^K of a power set,
         # K + 1 of a chain
         self.records = RecordStore(1 << k if universe_kind == "full" else k + 1)

@@ -20,8 +20,9 @@ does not depend on its order, so every mass is updated in place, and a
 point goes when its weight reaches exactly 0.
 
 A quantile query returns the smallest stored v with F(v) >= a target mass.
-It starts from a cursor, one per slot: a value and its exact F(value), which
-every insert, delete and rescale keeps current. Consecutive queries of one
+It starts from a cursor: a value and its exact F(value), which every insert,
+delete and rescale keeps current. A tree has a fixed number of cursors, one
+per slot, set when it is built. Consecutive queries of one
 slot mostly move a few points, so the query walks them from the cursor; a
 longer move locates the target from the run masses, then the block masses,
 then the block's weights, each by a running sum from its nearer end. The
@@ -57,7 +58,7 @@ class QuantileTreeError(Exception):
 
 class TreeInputError(QuantileTreeError, ValueError):
     """Non-finite value, negative or non-finite weight, quantile level out
-    of range, or negative cursor slot."""
+    of range, or a cursor slot or count the tree cannot hold."""
 
 
 class ValueNotFoundError(QuantileTreeError, LookupError):
@@ -80,8 +81,11 @@ class QuantileTree:
     the total when answering queries.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, cursors: int = 1) -> None:
+        if type(cursors) is not int or cursors < 1:
+            raise TreeInputError(f"cursors must be an int >= 1, got {cursors!r}")
         self._load = BLOCK_SIZE
+        self._cursors = cursors
         self.clear()
 
     def __len__(self) -> int:
@@ -95,8 +99,8 @@ class QuantileTree:
     # mutation
 
     def clear(self) -> None:
-        """Remove every stored value and cursor, leaving an empty tree with
-        the block size it was built with."""
+        """Remove every stored value, leaving an empty tree with the block
+        size and the cursors it was built with, each back below every value."""
         self._values: list[list[float]] = []
         self._weights: list[list[int]] = []
         self._masses: list[int] = []  # per block
@@ -107,8 +111,8 @@ class QuantileTree:
         self._scale = 1
         self._fscale = 1.0  # the scale as a float, inf beyond the float range
         # per slot: a value and the exact mass at or below it
-        self._cursor_values: list[float] = []
-        self._cursor_masses: list[int] = []
+        self._cursor_values = [-math.inf] * self._cursors
+        self._cursor_masses = [0] * self._cursors
 
     def _units(self, weight: float) -> int:
         """``weight`` as an int in units of 1/scale, growing the scale first
@@ -253,8 +257,8 @@ class QuantileTree:
         cumulative masses. q <= 0 returns :data:`BELOW_ALL` (no positive
         mass is admissible); q > 1 is rejected; an empty tree raises
         :class:`EmptyDistributionError`. The search starts from the cursor
-        of ``slot`` and leaves it at the answer; the answer does not depend
-        on the slot.
+        of ``slot``, which indexes the tree's cursors as a list index does,
+        and leaves it at the answer; the answer does not depend on the slot.
         """
         total = self._total
         if not total:
@@ -285,15 +289,13 @@ class QuantileTree:
         walked from the cursor of ``slot``, which is left at v."""
         cursor_values = self._cursor_values
         cursor_masses = self._cursor_masses
-        if not 0 <= slot < len(cursor_values):
-            if slot < 0:
-                raise TreeInputError(f"cursor slot must be >= 0, got {slot!r}")
-            more = slot + 1 - len(cursor_values)
-            cursor_values.extend([-math.inf] * more)
-            cursor_masses.extend([0] * more)
-        value, mass = (
-            self._walk(target, cursor_values[slot], cursor_masses[slot]) or self._locate(target)
-        )
+        try:
+            at, mass = cursor_values[slot], cursor_masses[slot]
+        except (IndexError, TypeError):
+            raise TreeInputError(
+                f"cursor slot must index the tree's {len(cursor_values)} cursors, got {slot!r}"
+            ) from None
+        value, mass = self._walk(target, at, mass) or self._locate(target)
         cursor_values[slot] = value
         cursor_masses[slot] = mass
         return value
@@ -438,8 +440,8 @@ class QuantileTree:
             raise QuantileTreeError(f"total {self._total!r} is not the sum of the blocks")
         if self._count != len(points):
             raise QuantileTreeError(f"count {self._count} != actual {len(points)}")
-        if len(self._cursor_masses) != len(self._cursor_values):
-            raise QuantileTreeError("cursor lists differ in length")
+        if not len(self._cursor_masses) == len(self._cursor_values) == self._cursors:
+            raise QuantileTreeError(f"cursor lists are not {self._cursors} long")
         for slot, (at, mass) in enumerate(zip(self._cursor_values, self._cursor_masses)):
             recount = sum(weight for value, weight in points if value <= at)
             if type(mass) is not int or mass != recount:

@@ -8,6 +8,7 @@ import math
 import os
 import subprocess
 import sys
+import weakref
 from dataclasses import fields
 from pathlib import Path
 
@@ -278,19 +279,34 @@ def test_slice_stream_disjoint_and_insufficient():
 
 
 @pytest.mark.parametrize("mode", ["expected", "violation"])
-def test_run_single_frees_its_trees(mode):
+def test_run_single_frees_its_trees(mode, monkeypatch):
     # the trees keep their points in plain lists, so a finished slice's
-    # trees hold no reference cycle: reference counting frees them, and the
-    # cyclic collector finds nothing of them
+    # trees hold no reference cycle: reference counting frees each one as
+    # the slice returns, and the cyclic collector finds nothing of them
     cfg = RunConfig(mode=mode, cost_targets=[20.0, 40.0], seeds=[0], n_test=600, burn_in=50)
     samples = generate(GeneratorConfig(n=600, n_classes=10, seed=4, heterogeneity=1.0))
+    trees, sizes = [], []
+    init = cli.QuantileTree.__init__
+
+    def tracked(tree, *args):
+        init(tree, *args)
+        trees.append(weakref.ref(tree))
+
+    monkeypatch.setattr(cli.QuantileTree, "__init__", tracked)
+    # a tree's points at the moment it is freed
+    monkeypatch.setattr(cli.QuantileTree, "__del__", lambda tree: sizes.append(len(tree)),
+                        raising=False)
     gc.collect()
     gc.disable()
     try:
         cli.run_single(cfg, samples, 0, cfg.cost_targets, None)
+        freed = [ref() is None for ref in trees]
         unreachable = gc.collect()
     finally:
         gc.enable()
+    assert len(trees) == (1 if mode == "expected" else 2)
+    assert all(freed) and len(sizes) == len(trees)
+    assert sum(sizes) > 500
     assert unreachable == 0
 
 

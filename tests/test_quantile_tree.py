@@ -41,7 +41,7 @@ def test_single_point_mass():
 
 
 def test_clear_empties_the_tree_and_unlinks_its_nodes():
-    tree = QuantileTree()
+    tree = QuantileTree(3)
     rng = random.Random(3)
     for _ in range(300):
         tree.insert(rng.uniform(0.0, 10.0), rng.uniform(0.1, 2.0))
@@ -505,7 +505,7 @@ def test_blocks_match_the_red_black_reference(block_size, data):
     # and a drain empties the tree before it refills. After every operation
     # three slots query levels down to 1e-300 and up to 1.0
     with mock.patch.object(quantile_tree, "BLOCK_SIZE", block_size):
-        tree = QuantileTree()
+        tree = QuantileTree(SLOTS)
     ref = RedBlackTree()
     # the weights inserted at each live value, each removable exactly
     live: dict[float, list[float]] = {}
@@ -550,7 +550,7 @@ def test_blocks_match_the_red_black_reference(block_size, data):
 
 def test_a_cursor_survives_the_delete_of_its_own_point():
     with mock.patch.object(quantile_tree, "BLOCK_SIZE", 2):
-        tree = QuantileTree()
+        tree = QuantileTree(2)
     ref = RedBlackTree()
     for value in range(10):
         tree.insert(float(value), 1.0)
@@ -562,8 +562,15 @@ def test_a_cursor_survives_the_delete_of_its_own_point():
         tree.validate()  # the cursor still stands at 5.0, with F(5.0) recounted
         for q in (1e-300, 0.3, 0.55, 0.8, 1.0):
             assert tree.query_quantile(q, 1) == ref.query_quantile(q)
-    with pytest.raises(TreeInputError):
-        tree.query_quantile(0.5, -1)
+    # a slot indexes the two cursors as a list index does; no query adds one
+    assert tree.query_quantile(0.55, -1) == ref.query_quantile(0.55)
+    for slot in (2, -3, 10**6, 1.5, None):
+        with pytest.raises(TreeInputError):
+            tree.query_quantile(0.5, slot)
+    tree.validate()
+    for cursors in (0, -1, 1.5, True):
+        with pytest.raises(TreeInputError):
+            QuantileTree(cursors)
 
 
 def bytes_held(make, values, weights) -> int:
