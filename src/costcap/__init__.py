@@ -14,7 +14,7 @@ from .controller import (
     threshold_comparison,
 )
 from .quantile_tree import ABOVE_ALL, BELOW_ALL, QuantileTree
-from .set_functions import Sample, SetFunctionSpec
+from .set_functions import Sample, SetFunctionSpec, Stream
 from .synth import GeneratorConfig, generate, mnist_weights
 from .universe import (
     UniverseSeq,
@@ -37,6 +37,7 @@ __all__ = [
     "SampleRecord",
     "SetFunctionSpec",
     "StepResult",
+    "Stream",
     "UniverseSeq",
     "build_universe",
     "classwise_predict",

@@ -11,7 +11,7 @@ log come out in (seed, target) order, one per configured target.
 
 Stream CSV format: header ``p_0..p_{K-1}, y_0..y_{K-1}``, exactly those
 names in that order; probabilities as decimal text with 9 digits, labels
-as 0/1.
+as 0/1. A stream is read into and written from a ``Stream``.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ import statistics
 import sys
 import time
 from dataclasses import dataclass, field, fields
+from itertools import chain, islice
 from operator import attrgetter, itemgetter
 from pathlib import Path
 
@@ -41,8 +42,8 @@ from .set_functions import (
     MAX_CLASSES,
     NORMALIZED_BOUND,
     VALUE_KINDS,
-    Sample,
     SetFunctionSpec,
+    Stream,
     load_weights_csv,
 )
 from .synth import GeneratorConfig, generate, mnist_weights
@@ -81,43 +82,99 @@ def _stream_header(k: int) -> list[str]:
     return [f"p_{i}" for i in range(k)] + [f"y_{i}" for i in range(k)]
 
 
-def write_stream_csv(path, samples: list[Sample]) -> None:
-    k = samples[0].n_classes if samples else 0
-    write_csv(path, _stream_header(k), (
-        [f"{p:.9f}" for p in s.probs] + [(s.labels >> i) & 1 for i in range(k)]
-        for s in samples
-    ))
+def write_stream_csv(path, stream: Stream) -> None:
+    """The stream under its K-class header, one line per sample: what
+    ``write_csv`` writes for these fields, none of which needs quoting."""
+    k = stream.n_classes
+    masks = np.array(stream.labels, dtype=np.uint64)
+    bits = (masks[:, None] >> np.arange(k, dtype=np.uint64)) & np.uint64(1)
+    line = ",".join(["%.9f"] * k + ["%d"] * k) + "\n"
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(_stream_header(k)) + "\n")
+        fh.writelines(line % (*p, *b) for p, b in zip(stream.probs.tolist(), bits.tolist()))
 
 
-def read_stream_csv(path) -> list[Sample]:
-    samples = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
+# rows per block of the stream reader: bounds the parsed text it holds
+_READ_BLOCK = 1 << 12
+
+
+def read_stream_csv(path) -> Stream:
+    """The stream CSV at ``path``. A file that is not text or not CSV, a
+    missing or wrong header and a malformed row are data errors; a row's
+    error names its line (the header is line 1)."""
+    blocks = []
+    masks = []
+    try:
+        with open(path, newline="") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if header is None:
+                raise DataError(f"{path}: empty stream file")
+            k = len(header) // 2
+            if k == 0 or header != _stream_header(k):
+                raise DataError(f"{path}: header must be p_0..p_{{K-1}},y_0..y_{{K-1}}")
+            blocks.append(np.empty((0, k)))
+            line_no = 2
+            while rows := list(islice(reader, _READ_BLOCK)):
+                probs, block_masks = _parse_stream_rows(path, rows, k, line_no)
+                blocks.append(probs)
+                masks += block_masks
+                line_no += len(rows)
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not readable as text: {exc}") from None
+    except csv.Error as exc:
+        raise DataError(f"{path}:{reader.line_num}: {exc}") from None
+    return Stream(np.concatenate(blocks), masks)
+
+
+def _parse_stream_rows(path, rows: list[list[str]], k: int, line_no: int):
+    """The (len(rows), K) probabilities and the label masks of a block of
+    stream rows whose first is on line ``line_no``. Each check runs down
+    whole columns. ``bad`` is the first row found wrong so far and each
+    later check looks only above it, so the error raised is the first
+    wrong row's first failed check, in the order field count, probability
+    parse, probability range, labels."""
+    n = len(rows)
+    bad, error = n, None
+    if not set(map(len, rows)) <= {2 * k}:
+        bad = next(i for i, row in enumerate(rows) if len(row) != 2 * k)
+        error = f"expected {2 * k} fields, got {len(rows[bad])}"
+    columns = list(zip(*rows[:bad])) or [()] * (2 * k)
+    # NaN until parsed: a cell left unparsed would fail the range check
+    probs = np.full((bad, k), np.nan)
+    for j in range(k):
         try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"{path}: empty stream file") from None
-        k = len(header) // 2
-        if k == 0 or header != _stream_header(k):
-            raise DataError(f"{path}: header must be p_0..p_{{K-1}},y_0..y_{{K-1}}")
-        for line_no, row in enumerate(reader, start=2):
-            if len(row) != 2 * k:
-                raise DataError(f"{path}:{line_no}: expected {2 * k} fields, got {len(row)}")
-            try:
-                probs = np.array([float(x) for x in row[:k]])
-            except ValueError:
-                raise DataError(f"{path}:{line_no}: bad probability") from None
-            # written so that NaN fails too
-            if not np.all((probs >= 0.0) & (probs <= 1.0)):
-                raise DataError(f"{path}:{line_no}: probability not in [0, 1]")
-            mask = 0
-            for i, x in enumerate(row[k:]):
-                if x == "1":
-                    mask |= 1 << i
-                elif x != "0":
-                    raise DataError(f"{path}:{line_no}: label must be 0 or 1")
-            samples.append(Sample(probs, mask))
-    return samples
+            probs[:, j] = list(map(float, columns[j]))
+        except ValueError:
+            bad = next(i for i, x in enumerate(columns[j]) if not _parses_as_float(x))
+            error = "bad probability"
+            probs = probs[:bad]
+            columns = [column[:bad] for column in columns]
+            probs[:, j] = list(map(float, columns[j]))
+    # written so that NaN fails too
+    out_of_range = np.flatnonzero(~((probs >= 0.0) & (probs <= 1.0)).all(axis=1))
+    if out_of_range.size:
+        bad, error = int(out_of_range[0]), "probability not in [0, 1]"
+        columns = [column[:bad] for column in columns]
+    for j in range(k, 2 * k):
+        if not set(columns[j]) <= {"0", "1"}:
+            bad = next(i for i, x in enumerate(columns[j]) if x not in ("0", "1"))
+            error = "label must be 0 or 1"
+            columns = [column[:bad] for column in columns]
+    if error is not None:
+        raise DataError(f"{path}:{line_no + bad}: {error}")
+    flags = np.frombuffer("".join(chain.from_iterable(columns[k:])).encode(), dtype=np.uint8)
+    hits = flags.reshape(k, n) == ord("1")
+    weights = np.uint64(1) << np.arange(k, dtype=np.uint64)
+    return probs, (hits * weights[:, None]).sum(axis=0, dtype=np.uint64).tolist()
+
+
+def _parses_as_float(text: str) -> bool:
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
 
 
 # ----------------------------------------------------------------------
@@ -320,7 +377,7 @@ class PredictionLog:
 
 def run_single(
     cfg: RunConfig,
-    samples: list[Sample],
+    samples: Stream,
     seed: int,
     targets: list[float],
     weights: np.ndarray | None,
@@ -370,7 +427,7 @@ def run_single(
     return rows, log
 
 
-def slice_stream(cfg: RunConfig, samples: list[Sample]) -> list[list[Sample]]:
+def slice_stream(cfg: RunConfig, samples: Stream) -> list[Stream]:
     """Disjoint contiguous n_test-sized chunks, one per configured seed."""
     need = cfg.n_test * len(cfg.seeds)
     if len(samples) < need:
@@ -384,7 +441,7 @@ def slice_stream(cfg: RunConfig, samples: list[Sample]) -> list[list[Sample]]:
 
 
 def run_experiment(
-    cfg: RunConfig, samples: list[Sample], weights: np.ndarray | None = None
+    cfg: RunConfig, samples: Stream, weights: np.ndarray | None = None
 ) -> tuple[list[MetricsRow], PredictionLog]:
     """Stream each seed's slice through one controller for all targets, on
     weights resolved once; rows and log blocks come in (seed, target) order,
@@ -493,7 +550,7 @@ class OracleCheckReport:
 
 def oracle_check_run(
     cfg: RunConfig,
-    samples: list[Sample],
+    samples: Stream,
     checkpoints: int = 10,
     weights: np.ndarray | None = None,
 ) -> OracleCheckReport:
@@ -701,15 +758,13 @@ def _cmd_generate(args) -> int:
     return EXIT_OK
 
 
-def _read_run_stream(cfg: RunConfig, path) -> list[Sample]:
+def _read_run_stream(cfg: RunConfig, path) -> Stream:
     """The stream CSV at ``path``; a class count other than the config's is a
     data error."""
-    samples = read_stream_csv(path)
-    if samples and samples[0].n_classes != cfg.n_classes:
-        raise DataError(
-            f"stream has {samples[0].n_classes} classes, config says {cfg.n_classes}"
-        )
-    return samples
+    stream = read_stream_csv(path)
+    if stream.n_classes != cfg.n_classes:
+        raise DataError(f"stream has {stream.n_classes} classes, config says {cfg.n_classes}")
+    return stream
 
 
 def _cmd_run(args) -> int:

@@ -1,4 +1,9 @@
-"""Monotone set-valued value and cost functions and their proxies.
+"""Samples, streams of them, and monotone set-valued value and cost
+functions with their proxies.
+
+A :class:`Sample` is one probability vector and its label mask; a
+:class:`Stream` holds n of them as one (n, K) array and a list of masks,
+and makes each ``Sample`` on access.
 
 Label sets are bitmasks over at most 64 classes. :class:`SetFunctionSpec` is
 the one definition of each kind: a polarity (a value kind counts the classes
@@ -34,6 +39,8 @@ from __future__ import annotations
 
 import csv
 import math
+import operator
+from collections.abc import Sequence
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -59,7 +66,7 @@ _CLASS_INDEX = np.arange(MAX_CLASSES)[:, None]
 _MC_BLOCK = 1 << 17
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Sample:
     """A calibrated probability vector paired with the true label set."""
 
@@ -69,6 +76,49 @@ class Sample:
     @property
     def n_classes(self) -> int:
         return len(self.probs)
+
+
+class Stream(Sequence[Sample]):
+    """A stream of samples as two arrays: ``probs``, one read-only (n, K)
+    float64 array, and ``labels``, a list of n int label masks.
+
+    Indexing or iterating makes each :class:`Sample` on access, its
+    ``probs`` a read-only row view of the stream's array. A slice is a
+    ``Stream`` whose ``probs`` is a view of the same array, and
+    ``n_classes`` is K even when the stream is empty.
+
+    The stream takes ``probs`` without copying it, so the caller must not
+    write to the array it passed in.
+    """
+
+    __slots__ = ("probs", "labels")
+
+    def __init__(self, probs: np.ndarray, labels) -> None:
+        probs = np.asarray(probs, dtype=np.float64).view()
+        labels = list(labels)
+        if probs.ndim != 2:
+            raise ValueError(f"probs must be an (n, K) array, got shape {probs.shape}")
+        if len(labels) != len(probs):
+            raise ValueError(f"{len(probs)} probability rows but {len(labels)} label masks")
+        probs.flags.writeable = False
+        self.probs = probs
+        self.labels = labels
+
+    @property
+    def n_classes(self) -> int:
+        return self.probs.shape[1]
+
+    def __len__(self) -> int:
+        return len(self.labels)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return Stream(self.probs[index], self.labels[index])
+        index = operator.index(index)
+        return Sample(self.probs[index], self.labels[index])
+
+    def __iter__(self):
+        return map(Sample, self.probs, self.labels)
 
 
 @dataclass(frozen=True, eq=False)

@@ -15,7 +15,7 @@ from numbers import Integral, Real
 
 import numpy as np
 
-from .set_functions import MAX_CLASSES, Sample
+from .set_functions import MAX_CLASSES, Stream
 
 PROB_FLOOR = 0.001
 PROB_CEIL = 0.999
@@ -61,7 +61,7 @@ class GeneratorConfig:
             raise ValueError("miscalibration must be positive")
 
 
-def generate(config: GeneratorConfig) -> list[Sample]:
+def generate(config: GeneratorConfig) -> Stream:
     """Draw the i.i.d. stream described by the config."""
     rng = np.random.default_rng(config.seed)
     n, k = config.n, config.n_classes
@@ -78,7 +78,7 @@ def generate(config: GeneratorConfig) -> list[Sample]:
     else:
         emitted = np.clip(probs * config.miscalibration, PROB_FLOOR, PROB_CEIL)
     masks = (labels * (np.uint64(1) << np.arange(k, dtype=np.uint64))).sum(axis=1, dtype=np.uint64)
-    return [Sample(row, mask) for row, mask in zip(emitted, masks.tolist())]
+    return Stream(emitted, masks.tolist())
 
 
 def mnist_weights(n_classes: int = 10) -> np.ndarray:

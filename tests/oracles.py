@@ -3,7 +3,8 @@
 Everything here is deliberately naive: sorted lists, running sums, bit loops
 and linear scans, one call per set. None of it shares a computation with the
 package; the record references only build its ``SampleRecord`` and return
-its ``ABOVE_ALL`` marker.
+its ``ABOVE_ALL`` marker, and the stream references only build its
+``Sample`` and raise its ``DataError``.
 
 - ``SortedListCdf``: the exact weighted CDF the ``QuantileTree`` must equal.
 - ``RedBlackTree``: the same CDF in a sum-augmented red-black tree, queried
@@ -36,17 +37,22 @@ its ``ABOVE_ALL`` marker.
   searches over a list of ``SampleRecord`` objects, one record at a time,
   which the package's searches over a ``RecordStore`` must equal bit for
   bit; ``store_of``: a ``RecordStore`` holding given records.
+- ``reference_read_stream_csv`` and ``reference_write_stream_csv``: a
+  stream CSV read and written one row and one ``Sample`` at a time, which
+  the column-wise reader and writer must equal.
 """
 
 from __future__ import annotations
 
 import bisect
+import csv
 import math
 from fractions import Fraction
 from typing import Iterator
 
 import numpy as np
 
+from costcap.cli import DataError
 from costcap.controller import RecordStore, SampleRecord
 from costcap.quantile_tree import (
     ABOVE_ALL,
@@ -57,6 +63,7 @@ from costcap.quantile_tree import (
     ValueNotFoundError,
     WeightUnderflowError,
 )
+from costcap.set_functions import Sample
 
 PROXY_SORT_TOL = 1e-7
 
@@ -934,3 +941,51 @@ def list_threshold_violation(records, target_cost: float, delta: float) -> float
     if len(admissible) == 0:
         return BELOW_ALL
     return float(candidates[admissible[-1]])
+
+
+def reference_write_stream_csv(path, samples) -> None:
+    """A list of samples as a stream CSV, one row built per sample; the
+    class count comes from the first sample, so an empty list writes an
+    empty header."""
+    k = samples[0].n_classes if samples else 0
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow([f"p_{i}" for i in range(k)] + [f"y_{i}" for i in range(k)])
+        writer.writerows(
+            [f"{p:.9f}" for p in s.probs] + [(s.labels >> i) & 1 for i in range(k)]
+            for s in samples
+        )
+
+
+def reference_read_stream_csv(path) -> list[Sample]:
+    """A stream CSV read and checked one row at a time: each row's field
+    count, then its probabilities parsed by ``float`` and checked to lie in
+    [0, 1], then its labels; the first failed check raises ``DataError``
+    with the row's line number."""
+    samples = []
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise DataError(f"{path}: empty stream file") from None
+        k = len(header) // 2
+        if k == 0 or header != [f"p_{i}" for i in range(k)] + [f"y_{i}" for i in range(k)]:
+            raise DataError(f"{path}: header must be p_0..p_{{K-1}},y_0..y_{{K-1}}")
+        for line_no, row in enumerate(reader, start=2):
+            if len(row) != 2 * k:
+                raise DataError(f"{path}:{line_no}: expected {2 * k} fields, got {len(row)}")
+            try:
+                probs = np.array([float(x) for x in row[:k]])
+            except ValueError:
+                raise DataError(f"{path}:{line_no}: bad probability") from None
+            if not np.all((probs >= 0.0) & (probs <= 1.0)):
+                raise DataError(f"{path}:{line_no}: probability not in [0, 1]")
+            mask = 0
+            for i, x in enumerate(row[k:]):
+                if x == "1":
+                    mask |= 1 << i
+                elif x != "0":
+                    raise DataError(f"{path}:{line_no}: label must be 0 or 1")
+            samples.append(Sample(probs, mask))
+    return samples

@@ -41,7 +41,7 @@ from costcap.cli import (
     slice_stream,
     write_stream_csv,
 )
-from costcap.set_functions import Sample, full_set
+from costcap.set_functions import Sample, Stream, full_set
 from costcap.synth import GeneratorConfig, generate
 
 from .oracles import label_bits
@@ -150,7 +150,7 @@ def test_stream_round_trip_and_reordered_header(tmp_path, k, data):
     n = len(rows)
     masks = data.draw(st.lists(st.integers(0, full_set(k)), min_size=n, max_size=n))
     path = tmp_path / "s.csv"
-    write_stream_csv(path, [Sample(np.array(p), m) for p, m in zip(rows, masks)])
+    write_stream_csv(path, Stream(np.array(rows), masks))
     back = read_stream_csv(path)
     assert [s.labels for s in back] == masks
     assert [s.probs.tolist() for s in back] == [[float(f"{x:.9f}") for x in p] for p in rows]
@@ -172,6 +172,23 @@ def test_a_reordered_stream_header_exits_2(tmp_path, capsys, header):
     stream.write_text(header + "\n" + body)
     assert main(run_args(stream, tmp_path / "m.csv")) == EXIT_DATA
     assert "header" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "body",
+    [b"p_0,y_0\n0.5,1\n\xff\xfe,0\n", b"p_0,y_0\n0." + b"1" * 200_000 + b",1\n"],
+    ids=["undecodable", "csv-error"],
+)
+def test_a_stream_that_is_not_text_or_not_csv_exits_2(tmp_path, capsys, body):
+    stream = tmp_path / "bad.csv"
+    stream.write_bytes(body)
+    args = ["run", "--stream", str(stream), "--out", str(tmp_path / "m.csv"), "--n-test", "2",
+            "--burn-in", "0", "--seeds", "0", "--classes", "1", "--targets", "50",
+            "--value-kind", "tp"]
+    assert main(args) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.startswith(f"data error: {stream}") and err.count("\n") == 1
+    assert not (tmp_path / "m.csv").exists()
 
 
 def test_read_stream_bad_rows(tmp_path):
@@ -356,9 +373,8 @@ def test_run_deterministic_metrics_bytes(tmp_path):
 
 def test_run_degenerate_all_empty_labels(tmp_path):
     # no true positives exist: value 0; FP control keeps excess <= 0
-    samples = [Sample(np.full(4, 0.5), 0) for _ in range(200)]
     stream = tmp_path / "empty.csv"
-    write_stream_csv(stream, samples)
+    write_stream_csv(stream, Stream(np.full((200, 4), 0.5), [0] * 200))
     out = tmp_path / "m.csv"
     assert main(run_args(stream, out)) == EXIT_OK
     for row in csv_rows(out):
@@ -713,9 +729,8 @@ def test_check_assertions_bands():
 def test_run_assert_exit_code(tmp_path):
     # all-empty labels with c=5: any nonempty set costs >= 25, so control
     # forces empty predictions and the excess sits at exactly -5 (trips band)
-    samples = [Sample(np.full(4, 0.5), 0) for _ in range(200)]
     stream = tmp_path / "empty.csv"
-    write_stream_csv(stream, samples)
+    write_stream_csv(stream, Stream(np.full((200, 4), 0.5), [0] * 200))
     args = run_args(stream, tmp_path / "m.csv", targets="5")
     args.append("--assert")
     assert main(args) == EXIT_ASSERT
